@@ -1,33 +1,36 @@
 """On-disk triangle cache.
 
 A cache file is JSON-lines: a header with schema version, family tag and
-a sha256 over the data lines, followed by one {"n":…,"j":…,"value":"…"}
-object per entry, row-major, values as decimal strings.  A file whose
-hash does not match raises CacheCorruptionError; callers are expected to
-fall back to recomputation (the CLI does, and reports it via its exit
-code)."""
+a sha256 over the data lines, followed by one triangles.triangle_record
+per entry, row-major.  A file whose hash does not match raises
+CacheCorruptionError; callers are expected to fall back to recomputation
+(the CLI does, and reports it via its exit code).  Files are written to
+a temporary name and moved into place, so a reader never sees a
+half-written file."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-from fractions import Fraction
+import tempfile
 from pathlib import Path
 
 from .errors import CacheCorruptionError
-from .triangles import GammaParam, format_entry, iter_triangle
+from .triangles import GammaParam, iter_triangle, triangle_record
 
 SCHEMA_VERSION = 1
 ENV_CACHE_DIR = "LSLAB_CACHE_DIR"
 
 
 def resolve_cache_dir(explicit) -> Path:
+    """An explicit directory first, then LSLAB_CACHE_DIR, then
+    ~/.cache/lslab."""
+    if explicit:
+        return Path(explicit)
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
         return Path(env)
-    if explicit:
-        return Path(explicit)
     return Path.home() / ".cache" / "lslab"
 
 
@@ -43,10 +46,7 @@ def cache_path(cache_dir: Path, gamma: GammaParam, n_max: int) -> Path:
 
 
 def _data_lines(gamma: GammaParam, n_max: int) -> list[str]:
-    return [
-        json.dumps({"n": n, "j": j, "value": format_entry(v)})
-        for n, j, v in iter_triangle(gamma, n_max)
-    ]
+    return [triangle_record(n, j, v) for n, j, v in iter_triangle(gamma, n_max)]
 
 
 def _digest(lines: list[str]) -> str:
@@ -69,10 +69,16 @@ def write_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str]:
         }
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fp:
-        fp.write(header + "\n")
-        for line in lines:
-            fp.write(line + "\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(header + "\n")
+            for line in lines:
+                fp.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return lines
 
 
@@ -113,11 +119,3 @@ def load_or_build(gamma: GammaParam, n_max: int, cache_dir: Path):
     if cached is not None:
         return cached, True, False
     return write_cache(path, gamma, n_max), False, False
-
-
-def lines_to_entries(lines: list[str]):
-    for line in lines:
-        obj = json.loads(line)
-        text = obj["value"]
-        value = Fraction(text) if "/" in text else int(text)
-        yield obj["n"], obj["j"], value

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 invariant failure, 2 usage, 3 resource limit,
 4 cache corruption (the table is still produced from a fresh build).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
---precision-bits, and parallel sections reduce in fixed order.
+--precision-bits.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
+from contextlib import contextmanager
 
 import mpmath as mp
 
@@ -28,104 +27,59 @@ EXIT_RESOURCE = 3
 EXIT_CACHE = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands.  gamma is set exactly
-    when the command addresses a triangle family; precision_bits >= 64
-    and threads >= 1 always hold after from_args."""
-
-    family: str | None = None
-    gamma: triangles.GammaParam | None = None
-    n: int | None = None
-    j: int | None = None
-    precision_bits: int = 256
-    fmt: str = "csv"
-    cache_dir: Path | None = None
-    threads: int = 1
-
-    @classmethod
-    def from_args(cls, parser, args) -> "RunConfig":
-        bits = getattr(args, "precision_bits", 256)
-        if bits < 64:
-            parser.error("--precision-bits must be at least 64")
-        threads = getattr(args, "threads", 1)
-        if threads < 1:
-            parser.error("--threads must be at least 1")
-        family = getattr(args, "family", None)
-        gamma = None
-        if family is not None:
-            gamma = cls._resolve_gamma(parser, family, getattr(args, "gamma", None))
-        cache_dir = getattr(args, "cache_dir", None)
-        return cls(
-            family=family,
-            gamma=gamma,
-            n=getattr(args, "n", None),
-            j=getattr(args, "j", None),
-            precision_bits=bits,
-            fmt=getattr(args, "format", "csv"),
-            cache_dir=Path(cache_dir) if cache_dir else None,
-            threads=threads,
-        )
-
-    @staticmethod
-    def _resolve_gamma(parser, family, gamma) -> triangles.GammaParam:
-        if family == "jacobi":
-            if gamma is None:
-                parser.error("--gamma is required for --family jacobi")
-            try:
-                return triangles.GammaParam.parse(gamma)
-            except (ValueError, ZeroDivisionError) as exc:
-                parser.error(f"bad --gamma: {exc}")
-        if gamma is not None:
-            parser.error("--gamma is only valid with --family jacobi")
-        if family not in triangles.FAMILY_GAMMAS:
-            parser.error(f"unknown family {family!r}")
-        return triangles.FAMILY_GAMMAS[family]
+def _gamma(parser, args) -> triangles.GammaParam:
+    """The triangle parameter named by --family and --gamma."""
+    if args.family == "jacobi":
+        if args.gamma is None:
+            parser.error("--gamma is required for --family jacobi")
+        try:
+            return triangles.GammaParam.parse(args.gamma)
+        except (ValueError, ZeroDivisionError) as exc:
+            parser.error(f"bad --gamma: {exc}")
+    if args.gamma is not None:
+        parser.error("--gamma is only valid with --family jacobi")
+    return triangles.FAMILY_GAMMAS[args.family]
 
 
 def _digits(bits: int) -> int:
     return max(8, int(bits * 0.301))
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """stdout for None or '-', else the file.  Callers validate and compute
+    first, so a failed command leaves an existing file as it was."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+        return
+    with open(path, "w") as fp:
+        yield fp
 
 
-def _emit(fp, close: bool):
-    if close:
-        fp.close()
-
-
-def cmd_compute(parser, args, cfg: RunConfig) -> int:
-    value = triangles.jacobi_stirling(cfg.n, cfg.j, cfg.gamma)
+def cmd_compute(parser, args) -> int:
+    value = triangles.jacobi_stirling(args.n, args.j, _gamma(parser, args))
     print(triangles.format_entry(value))
     return EXIT_OK
 
 
-def cmd_table(parser, args, cfg: RunConfig) -> int:
-    cache_dir = cache.resolve_cache_dir(cfg.cache_dir)
-    lines, _, corrupted = cache.load_or_build(cfg.gamma, args.n_max, cache_dir)
-    fp, close = _open_out(args.out)
-    try:
-        if cfg.fmt == "json":
+def cmd_table(parser, args) -> int:
+    gamma = _gamma(parser, args)
+    cache_dir = cache.resolve_cache_dir(args.cache_dir)
+    lines, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
+    with _open_out(args.out) as fp:
+        if args.format == "json":
             for line in lines:
                 fp.write(line + "\n")
         else:
-            fp.write("n,j,value\n")
-            for n, j, value in cache.lines_to_entries(lines):
-                fp.write(f"{n},{j},{triangles.format_entry(value)}\n")
-    finally:
-        _emit(fp, close)
+            triangles.write_triangle_csv(fp, map(triangles.parse_record, lines))
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE
     return EXIT_OK
 
 
-def cmd_verify(parser, args, cfg: RunConfig) -> int:
-    cfg = verify.SuiteConfig(precision_bits=args.precision_bits, threads=args.threads)
+def cmd_verify(parser, args) -> int:
+    cfg = verify.SuiteConfig(precision_bits=args.precision_bits)
     ratio_only = False
     if args.n is not None or args.j is not None:
         if args.suite != "clt" or args.n is None or args.j is None:
@@ -146,7 +100,7 @@ def cmd_verify(parser, args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_roots(parser, args, cfg: RunConfig) -> int:
+def cmd_roots(parser, args) -> int:
     cert = sturm.certify_roots(args.n)
     if args.refine_bits:
         roots = sturm.refine_roots(cert, args.refine_bits)
@@ -158,7 +112,7 @@ def cmd_roots(parser, args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_clt(parser, args, cfg: RunConfig) -> int:
+def cmd_clt(parser, args) -> int:
     bits = args.precision_bits
     if args.report == "ratio":
         if args.n is None or args.j is None:
@@ -166,101 +120,67 @@ def cmd_clt(parser, args, cfg: RunConfig) -> int:
         rep = clt.ratio_check(args.n, args.j, bits)
         print(json.dumps(rep.to_json_dict()))
         return EXIT_OK
-    fp, close = _open_out(args.out)
-    try:
-        if args.report == "residuals":
-            ns = args.n_list or [100, 200, 400]
-            clt.mean_variance_residuals(ns, bits).to_csv(fp)
-        else:  # cdf
-            if args.n is None:
-                parser.error("cdf report needs --n")
-            digits = _digits(bits)
-            fp.write("y,scaled_cdf,normal_cdf\n")
-            with mp.workprec(bits):
-                for i in range(-40, 41):
-                    y = mp.mpf(i) / 10
-                    lhs = clt.scaled_cdf(args.n, y, bits)
-                    rhs = clt.normal_cdf(y, bits)
-                    fp.write(
-                        f"{mp.nstr(y, 3)},{mp.nstr(lhs, digits)},{mp.nstr(rhs, digits)}\n"
-                    )
-    finally:
-        _emit(fp, close)
+    if args.report == "residuals":
+        rep = clt.mean_variance_residuals(args.n_list or [100, 200, 400], bits)
+        with _open_out(args.out) as fp:
+            rep.to_csv(fp)
+        return EXIT_OK
+    # cdf
+    if args.n is None:
+        parser.error("cdf report needs --n")
+    digits = _digits(bits)
+    lines = ["y,scaled_cdf,normal_cdf\n"]
+    with mp.workprec(bits):
+        for i in range(-40, 41):
+            y = mp.mpf(i) / 10
+            lhs = clt.scaled_cdf(args.n, y, bits)
+            rhs = clt.normal_cdf(y, bits)
+            lines.append(f"{mp.nstr(y, 3)},{mp.nstr(lhs, digits)},{mp.nstr(rhs, digits)}\n")
+    with _open_out(args.out) as fp:
+        fp.writelines(lines)
     return EXIT_OK
 
 
-def cmd_edgeworth(parser, args, cfg: RunConfig) -> int:
+def cmd_edgeworth(parser, args) -> int:
     bits = args.precision_bits
     n = args.n
     prof = edgeworth.cumulants_from_genpoly(genpoly.legendre_genpoly_fast(n), 6, bits)
     row = triangles.modified_legendre_row(n)
     total = sum(row)
     digits = _digits(bits)
-    fp, close = _open_out(args.out)
-    try:
-        fp.write("j,x,sigma_p,order2,order3,abs_err2,abs_err3\n")
-        with mp.workprec(bits):
-            sigma = mp.sqrt(mp.mpf(prof.variance.numerator) / prof.variance.denominator)
-            mean = mp.mpf(prof.mean.numerator) / prof.mean.denominator
-            for j in range(n + 1):
-                x = (j - mean) / sigma
-                target = sigma * mp.mpf(row[j]) / total
-                v2 = edgeworth.density_expansion(prof, j, 2, bits)
-                v3 = edgeworth.density_expansion(prof, j, 3, bits)
-                fp.write(
-                    ",".join(
-                        [str(j)]
-                        + [
-                            mp.nstr(v, digits)
-                            for v in (x, target, v2, v3, abs(target - v2), abs(target - v3))
-                        ]
-                    )
-                    + "\n"
-                )
-    finally:
-        _emit(fp, close)
+    lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"]
+    with mp.workprec(bits):
+        sigma = mp.sqrt(mp.mpf(prof.variance.numerator) / prof.variance.denominator)
+        mean = mp.mpf(prof.mean.numerator) / prof.mean.denominator
+        for j in range(n + 1):
+            x = (j - mean) / sigma
+            target = sigma * mp.mpf(row[j]) / total
+            v2 = edgeworth.density_expansion(prof, j, 2, bits)
+            v3 = edgeworth.density_expansion(prof, j, 3, bits)
+            values = (x, target, v2, v3, abs(target - v2), abs(target - v3))
+            lines.append(",".join([str(j)] + [mp.nstr(v, digits) for v in values]) + "\n")
+    with _open_out(args.out) as fp:
+        fp.writelines(lines)
     return EXIT_OK
 
 
-def cmd_asymptotics(parser, args, cfg: RunConfig) -> int:
+def cmd_asymptotics(parser, args) -> int:
     bits = args.precision_bits
     if args.report == "saddle":
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
-        ns = args.n_list or [100, 200, 400]
-        rep = laplace.saddle_expansion_check(args.nu, z, ns, bits)
-        fp, close = _open_out(args.out)
-        try:
+        rep = laplace.saddle_expansion_check(args.nu, z, args.n_list or [100, 200, 400], bits)
+        with _open_out(args.out) as fp:
             rep.to_csv(fp)
-        finally:
-            _emit(fp, close)
-        return EXIT_OK
-    if args.report == "residuals":
-        ns = args.n_list or [100, 200, 400]
-        fp, close = _open_out(args.out)
-        try:
-            clt.mean_variance_residuals(ns, bits).to_csv(fp)
-        finally:
-            _emit(fp, close)
         return EXIT_OK
     # mass: total-mass ratio decay table
-    ns = args.n_list or [50, 100, 200, 400]
     digits = _digits(bits)
-    fp, close = _open_out(args.out)
-    try:
-        fp.write("n,mass_ratio,abs_deviation\n")
-        for n in ns:
-            m = clt.total_mass_ratio(n, bits)
-            fp.write(f"{n},{mp.nstr(m, digits)},{mp.nstr(abs(m - 1), digits)}\n")
-    finally:
-        _emit(fp, close)
+    lines = ["n,mass_ratio,abs_deviation\n"]
+    for n in args.n_list or [50, 100, 200, 400]:
+        m = clt.total_mass_ratio(n, bits)
+        lines.append(f"{n},{mp.nstr(m, digits)},{mp.nstr(abs(m - 1), digits)}\n")
+    with _open_out(args.out) as fp:
+        fp.writelines(lines)
     return EXIT_OK
-
-
-def _add_common(sub, *, precision=True, threads=True):
-    if precision:
-        sub.add_argument("--precision-bits", type=int, default=256)
-    if threads:
-        sub.add_argument("--threads", type=int, default=1)
 
 
 def _n_list(text: str) -> list[int]:
@@ -302,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="ratio-check row (suite clt)")
     p.add_argument("--j", type=int, help="ratio-check column (suite clt)")
     p.add_argument("--n-max", type=int, help="cap for the exhaustive identity scans")
-    _add_common(p)
+    p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("roots", help="certify the generating polynomial roots")
     p.add_argument("--n", type=int, required=True)
@@ -314,20 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int)
     p.add_argument("--n-list", type=_n_list)
     p.add_argument("--out", default="-")
-    _add_common(p, threads=False)
+    p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("edgeworth", help="expansion comparison table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default="-")
-    _add_common(p, threads=False)
+    p.add_argument("--precision-bits", type=int, default=256)
 
-    p = subs.add_parser("asymptotics", help="saddle/residual/mass decay tables")
-    p.add_argument("--report", choices=["saddle", "residuals", "mass"], default="saddle")
+    p = subs.add_parser("asymptotics", help="saddle/mass decay tables")
+    p.add_argument("--report", choices=["saddle", "mass"], default="saddle")
     p.add_argument("--nu", type=int, default=0)
     p.add_argument("--z", default="w", help="positive real, or 'w' for the saddle constant")
     p.add_argument("--n-list", type=_n_list)
     p.add_argument("--out", default="-")
-    _add_common(p, threads=False)
+    p.add_argument("--precision-bits", type=int, default=256)
 
     return parser
 
@@ -346,9 +266,10 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig.from_args(parser, args)
+    if getattr(args, "precision_bits", 256) < 64:
+        parser.error("--precision-bits must be at least 64")
     try:
-        return COMMANDS[args.command](parser, args, config)
+        return COMMANDS[args.command](parser, args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

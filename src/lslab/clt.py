@@ -32,6 +32,7 @@ from math import factorial
 import mpmath as mp
 
 from .errors import DegenerateVarianceError, KernelInvariantError
+from .genpoly import derivatives_at_one, legendre_genpoly_fast
 from .triangles import legendre_stirling_binsum, modified_legendre, modified_legendre_row
 
 
@@ -80,10 +81,7 @@ def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
     scaled recurrence, so large n stay cheap)."""
     if n < 2:
         raise DegenerateVarianceError("the n = 1 row is a single atom")
-    row = modified_legendre_row(n)
-    total = sum(row)
-    d1 = sum(j * c for j, c in enumerate(row))
-    d2 = sum(j * (j - 1) * c for j, c in enumerate(row))
+    total, d1, d2 = derivatives_at_one(legendre_genpoly_fast(n))
     mean = Fraction(d1, total)
     variance = Fraction(d2, total) + mean - mean * mean
     if variance == 0:

@@ -246,7 +246,6 @@ def density_expansion(
     j: int,
     k: int = 2,
     precision_bits: int = 256,
-    variance_floor: float = VARIANCE_FLOOR,
 ):
     """Order-k expansion value at lattice point j (the caller compares it
     with sigma * P(S = j)).  k = 2 is the plain normal density; each extra
@@ -260,9 +259,9 @@ def density_expansion(
             if isinstance(profile.variance, Fraction)
             else mp.mpf(profile.variance)
         )
-        if var / n < variance_floor:
+        if var / n < VARIANCE_FLOOR:
             raise ExpansionConditionError(
-                f"variance/n = {mp.nstr(var / n, 8)} below floor {variance_floor}"
+                f"variance/n = {mp.nstr(var / n, 8)} below floor {VARIANCE_FLOOR}"
             )
         mean = (
             mp.mpf(profile.mean.numerator) / profile.mean.denominator

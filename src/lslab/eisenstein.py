@@ -58,16 +58,16 @@ def _bernoulli(k: int) -> Fraction:
     return _BERNOULLI[k]
 
 
-def zeta_series(s, precision_bits: int = 256, terms: int = ZETA_DIRECT_TERMS) -> mp.mpf:
-    """zeta(s) for real s > 1 by direct summation to `terms` plus an
-    Euler-Maclaurin tail at the cutoff.  Correction terms are added until
-    they drop below 2^-(precision_bits + 8); with the default cutoff that
+def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
+    """zeta(s) for real s > 1 by direct summation to ZETA_DIRECT_TERMS plus
+    an Euler-Maclaurin tail at the cutoff.  Correction terms are added
+    until they drop below 2^-(precision_bits + 8); at this cutoff that
     happens long before the asymptotic tail could turn."""
     with mp.workprec(precision_bits + 32):
         sv = mp.mpf(s) if not isinstance(s, Fraction) else mp.mpf(s.numerator) / s.denominator
         if sv <= 1:
             raise ValueError("requires s > 1")
-        n = terms
+        n = ZETA_DIRECT_TERMS
         head = mp.fsum(mp.mpf(k) ** (-sv) for k in range(1, n))
         npow = mp.mpf(n) ** (-sv)
         total = head + npow / 2 + mp.mpf(n) ** (1 - sv) / (sv - 1)

@@ -1,19 +1,19 @@
 """Row generating polynomials of the scaled triangles.
 
 For each n the coefficients (2j)! * T(n, j), 0 <= j <= n, are collected
-into a dense integer polynomial.  The Legendre-side polynomial can also
-be built by a pure differential recurrence
+into a dense integer polynomial.  The production Legendre polynomial is
+the scaled-row recurrence `triangles.modified_legendre_row`.  Two other
+constructions are kept as cross-checks only: the gamma = 1 triangle
+scaled by (2j)!, and the pure differential recurrence
 
     M_n(s) = s * (2 M_{n-1}(s) + (10 s + 2) M_{n-1}'(s) + s (4 s + 1) M_{n-1}''(s)),
 
-starting from M_0 = 1; agreement of the two constructions is one of the
-package's standing cross-checks.
+starting from M_0 = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .errors import UnimodalityError
@@ -61,7 +61,7 @@ class IntPolynomial:
 
 def legendre_genpoly(n: int) -> IntPolynomial:
     """Generating polynomial from the gamma = 1 triangle (coefficients
-    (2j)! * T_1(n, j))."""
+    (2j)! * T_1(n, j)); a cross-check of legendre_genpoly_fast."""
     tri = triangle_for(LEGENDRE)
     row = tri.row(n)
     return IntPolynomial([factorial(2 * j) * row[j] for j in range(n + 1)])
@@ -80,7 +80,8 @@ def chebyshev_genpoly(n: int) -> IntPolynomial:
 
 
 def legendre_genpoly_recurrence(n: int) -> IntPolynomial:
-    """Legendre generating polynomial via the differential recurrence."""
+    """Legendre generating polynomial via the differential recurrence; a
+    cross-check of legendre_genpoly_fast."""
     if n < 0:
         raise ValueError("n must be non-negative")
     coeffs = [1]
@@ -170,8 +171,3 @@ def unimodality_report(n: int) -> UnimodalityReport:
     if plateau is not None:
         return UnimodalityReport(n, peak_index=None, plateau_pair=plateau)
     return UnimodalityReport(n, peak_index=i, plateau_pair=None)
-
-
-def evaluate_at_fraction(p: IntPolynomial, x: Fraction) -> Fraction:
-    """Exact rational evaluation (convenience wrapper over __call__)."""
-    return Fraction(p(Fraction(x)))

@@ -24,7 +24,6 @@ and this module verifies that expansion numerically for concrete n.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -189,9 +188,3 @@ def saddle_expansion_check(
         correction=coeffs.correction,
         rows=tuple(rows),
     )
-
-
-def report_csv(report: SaddleReport) -> str:
-    buf = io.StringIO()
-    report.to_csv(buf)
-    return buf.getvalue()

@@ -19,31 +19,14 @@ from math import gcd
 import mpmath as mp
 
 from .errors import CertificationError
-from .genpoly import legendre_genpoly_recurrence
+from .genpoly import IntPolynomial
+from .triangles import modified_legendre_row
 
 Poly = tuple[int, ...]  # ascending integer coefficients, no trailing zeros
 
 
-def _strip(coeffs) -> Poly:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _derivative(p: Poly) -> Poly:
-    return _strip([i * c for i, c in enumerate(p)][1:])
-
-
-def _content(p: Poly) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive(p: Poly) -> Poly:
-    g = _content(p)
+    g = gcd(*p) or 1
     return tuple(c // g for c in p)
 
 
@@ -84,8 +67,8 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of p as primitive integer polynomials.  Ends with (a
     positive multiple of) gcd(p, p'); a constant tail certifies p is
     squarefree."""
-    chain = [_primitive(_strip(p))]
-    d = _derivative(chain[0])
+    chain = [_primitive(IntPolynomial(p).coeffs)]
+    d = IntPolynomial(chain[0]).derivative().coeffs
     if not d:
         return chain
     chain.append(_primitive(d))
@@ -139,6 +122,12 @@ def _split_point(q: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     raise CertificationError("split-point", f"no root-free split point in ({lo}, {hi})")
 
 
+def _row_and_cofactor(n: int) -> tuple[Poly, Poly]:
+    """M_n from the scaled-row recurrence and q = M_n / s."""
+    m = modified_legendre_row(n)
+    return m, IntPolynomial(m[1:]).coeffs
+
+
 def certify_roots(n: int) -> RootCertificate:
     """Certify the zero set of M_n: a zero constant term, a squarefree
     cofactor q = M_n/s with exactly n-1 roots in (-1/4, 0), each isolated
@@ -149,10 +138,9 @@ def certify_roots(n: int) -> RootCertificate:
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    m = legendre_genpoly_recurrence(n).coeffs
-    if not m or m[0] != 0:
+    m, q = _row_and_cofactor(n)
+    if m[0] != 0:
         raise CertificationError("zero-root", f"M_{n} has nonzero constant term")
-    q = _strip(m[1:])
     quarter, zero = Fraction(-1, 4), Fraction(0)
 
     sign_m_quarter = sign_at(m, quarter)
@@ -199,7 +187,7 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     """Bisect each certified interval with exact sign tests until its width
     drops below 2^-precision_bits; returns the midpoints as mpf values,
     ascending.  Fully deterministic."""
-    q = _strip(legendre_genpoly_recurrence(cert.n).coeffs[1:])
+    _, q = _row_and_cofactor(cert.n)
     eps = Fraction(1, 2**precision_bits)
     out = []
     with mp.workprec(precision_bits + 16):

@@ -135,12 +135,6 @@ def triangle_for(gamma) -> StirlingTriangle:
     return tri
 
 
-def clear_registry() -> None:
-    _REGISTRY.clear()
-    _MODIFIED_ROWS.clear()
-    _MODIFIED_ROWS[0] = (1,)
-
-
 def _normalize(x: Fraction):
     return int(x) if x.denominator == 1 else x
 
@@ -335,7 +329,7 @@ def gamma_zero_identity(n: int, j: int) -> int:
     return int(lhs)
 
 
-# --- export ----------------------------------------------------------------
+# --- row format: (n, j, value) entries as JSON-lines records or CSV --------
 
 
 def format_entry(value) -> str:
@@ -354,12 +348,21 @@ def iter_triangle(gamma, n_max: int):
             yield n, j, row[j]
 
 
-def write_triangle_csv(fp, gamma, n_max: int) -> None:
+def triangle_record(n: int, j: int, value) -> str:
+    """One JSON-lines record of an entry."""
+    return json.dumps({"n": n, "j": j, "value": format_entry(value)})
+
+
+def parse_record(line: str) -> tuple:
+    """Inverse of triangle_record: (n, j, value) with an exact value."""
+    obj = json.loads(line)
+    text = obj["value"]
+    value = Fraction(text) if "/" in text else int(text)
+    return obj["n"], obj["j"], value
+
+
+def write_triangle_csv(fp, entries) -> None:
+    """Write (n, j, value) entries as CSV under an `n,j,value` header."""
     fp.write("n,j,value\n")
-    for n, j, v in iter_triangle(gamma, n_max):
+    for n, j, v in entries:
         fp.write(f"{n},{j},{format_entry(v)}\n")
-
-
-def write_triangle_jsonl(fp, gamma, n_max: int) -> None:
-    for n, j, v in iter_triangle(gamma, n_max):
-        fp.write(json.dumps({"n": n, "j": j, "value": format_entry(v)}) + "\n")

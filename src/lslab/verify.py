@@ -19,7 +19,6 @@ import mpmath as mp
 
 from . import clt, edgeworth, eisenstein, genpoly, laplace, sturm, triangles
 from .errors import LslabError
-from .parallel import ordered_map
 
 RATIO_WINDOW = (Fraction("1.0438485"), Fraction("1.0438495"))
 DOUBLING_WINDOW = (0.3, 0.7)
@@ -27,6 +26,13 @@ DENSITY_RESIDUAL_CEILING = 0.05      # reference run: 0.0284 at n=100
 VAR_RESIDUAL_CEILING = 0.031         # reference run: 0.0296..0.0300 over n=100..400
 VAR_RESIDUAL_SLACK = 5e-4            # trendwise non-increase allowance
 SADDLE_REL_TOLERANCE = 0.05          # reference run: <= 0.0061 at n=400
+
+# Scan sizes no caller varies (`verify --n-max` sets the two in SuiteConfig)
+UNIMODALITY_MAX = 300
+POLY_EQUALITY_MAX = 200
+CONNECTION_MAX = 20
+CONNECTION_POLY_MAX = 40
+LATTICE_MAX = 50
 
 
 @dataclass
@@ -44,16 +50,10 @@ class CheckResult:
 @dataclass
 class SuiteConfig:
     precision_bits: int = 256
-    threads: int = 1
     ratio_n: int = 1000
     ratio_j: int = 930
     identities_max: int = 30
     certificate_max: int = 30
-    unimodality_max: int = 300
-    poly_equality_max: int = 200
-    connection_max: int = 20
-    connection_poly_max: int = 40
-    lattice_max: int = 50
 
 
 def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -79,7 +79,7 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
                 return False
         return True
 
-    ok = all(ordered_map(row_ok_legendre, range(nmax + 1), cfg.threads))
+    ok = all(row_ok_legendre(n) for n in range(nmax + 1))
     out.append(_result(f"cross-formula equality gamma=1 n<={nmax}", ok))
 
     def row_ok_chebyshev(n: int) -> bool:
@@ -92,7 +92,7 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
                 return False
         return True
 
-    ok = all(ordered_map(row_ok_chebyshev, range(nmax + 1), cfg.threads))
+    ok = all(row_ok_chebyshev(n) for n in range(nmax + 1))
     out.append(_result(f"cross-formula equality gamma=1/2 n<={nmax}", ok))
 
     ok = all(
@@ -102,7 +102,7 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     )
     out.append(_result("odd-power binomial cancellation j,l<=12", ok))
 
-    kmax = cfg.connection_max
+    kmax = CONNECTION_MAX
     ok = True
     for k in range(kmax + 1):
         for j in range(2 * k + 2):
@@ -166,14 +166,16 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
     )
     out.append(_result("generating polynomials n=1..3 exact", ok))
 
-    nmax = cfg.poly_equality_max
+    nmax = POLY_EQUALITY_MAX
     ok = all(
-        genpoly.legendre_genpoly_recurrence(n) == genpoly.legendre_genpoly(n)
+        genpoly.legendre_genpoly_recurrence(n)
+        == genpoly.legendre_genpoly(n)
+        == genpoly.legendre_genpoly_fast(n)
         for n in range(nmax + 1)
     )
     out.append(_result(f"recurrence vs triangle polynomials n<={nmax}", ok))
 
-    kmax = cfg.connection_poly_max
+    kmax = CONNECTION_POLY_MAX
     ok = True
     for k in range(kmax + 1):
         if genpoly.genpoly_from_connection(k, "odd") != genpoly.legendre_genpoly_fast(
@@ -198,13 +200,13 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
 
     ok = True
     detail = ""
-    for n in range(3, cfg.unimodality_max + 1):
+    for n in range(3, UNIMODALITY_MAX + 1):
         report = genpoly.unimodality_report(n)  # raises UnimodalityError
         cs = clt.centering_scaling(n, 64)
         if abs(report.mode - float(cs.center)) > 3:
             ok, detail = False, f"mode far from center at n={n}"
             break
-    out.append(_result(f"unimodality with centered mode 3<=n<={cfg.unimodality_max}", ok, detail))
+    out.append(_result(f"unimodality with centered mode 3<=n<={UNIMODALITY_MAX}", ok, detail))
 
     mean2 = clt.mean_variance_exact(2)[0]
     out.append(_result("row-2 mean equals 13/7", mean2 == Fraction(13, 7)))
@@ -237,7 +239,7 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
     )
     out.append(_result("derivative identity r,n<=10 order<=3", ok))
 
-    nmax = cfg.lattice_max
+    nmax = LATTICE_MAX
     ok = True
     detail = ""
     with mp.workprec(bits + 64):

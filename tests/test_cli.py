@@ -1,13 +1,20 @@
 """CLI and cache behavior: outputs, exit codes, determinism, corruption
 recovery."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.cli import main
+from lslab.triangles import jacobi_stirling
 
 
 def run_cli(argv, capsys):
@@ -101,6 +108,52 @@ class TestTable:
         assert out == ""
         assert target.read_text().splitlines()[0] == "n,j,value"
 
+    def test_cache_dir_flag_beats_env(self, tmp_path, capsys, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("LSLAB_CACHE_DIR", str(env_dir))
+        code, _, _ = run_cli(
+            ["table", "--family", "legendre", "--n-max", "3", "--cache-dir", str(flag_dir)],
+            capsys,
+        )
+        assert code == 0
+        assert len(list(flag_dir.glob("*.jsonl"))) == 1
+        assert not env_dir.exists()
+
+
+def _table(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+class TestTableFormats:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.integers(min_value=0, max_value=12),
+        q=st.integers(min_value=1, max_value=12),
+        n_max=st.integers(min_value=0, max_value=10),
+    )
+    def test_csv_matches_json_and_kernel(self, p, q, n_max):
+        gamma = f"{p}/{q}"
+        with tempfile.TemporaryDirectory() as cache_dir:
+            argv = ["table", "--family", "jacobi", "--gamma", gamma,
+                    "--n-max", str(n_max), "--cache-dir", cache_dir]
+            code, cold = _table(argv + ["--format", "csv"])
+            assert code == 0
+            code, warm = _table(argv + ["--format", "csv"])
+            assert code == 0 and warm == cold
+            code, jsonl = _table(argv + ["--format", "json"])
+            assert code == 0
+        header, *rows = cold.splitlines()
+        assert header == "n,j,value"
+        records = [json.loads(line) for line in jsonl.splitlines()]
+        assert len(rows) == len(records) == (n_max + 1) * (n_max + 2) // 2
+        for row, record in zip(rows, records):
+            n, j, value = row.split(",")
+            assert (int(n), int(j), value) == (record["n"], record["j"], record["value"])
+            assert Fraction(value) == jacobi_stirling(int(n), int(j), Fraction(p, q))
+
 
 class TestRoots:
     def test_certificate_json(self, capsys):
@@ -118,6 +171,21 @@ class TestRoots:
 
 
 class TestCltCommand:
+    def test_usage_error_keeps_out_file(self, tmp_path, capsys):
+        target = tmp_path / "cdf.csv"
+        target.write_bytes(b"earlier contents\n")
+        for argv in (
+            ["clt", "--report", "cdf", "--out", str(target)],  # --n missing
+            ["clt", "--report", "cdf", "--n", "1", "--out", str(target)],  # n < 2
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code == 2
+            assert target.read_bytes() == b"earlier contents\n"
+
     def test_ratio_json(self, capsys):
         code, out, _ = run_cli(["clt", "--report", "ratio", "--n", "40", "--j", "36"], capsys)
         assert code == 0
@@ -192,11 +260,6 @@ class TestVerifyCommand:
             main(["verify", "identities", "--precision-bits", "32"])
         assert exc.value.code == 2
         capsys.readouterr()
-
-    def test_threads_match_sequential(self, capsys):
-        a = run_cli(["verify", "identities", "--n-max", "6"], capsys)
-        b = run_cli(["verify", "identities", "--n-max", "6", "--threads", "4"], capsys)
-        assert a == b
 
 
 class TestEntryPoint:

@@ -1,0 +1,60 @@
+"""Golden gate for the README CLI commands: exit code and the sha256 of
+stdout must not change.  `verify all` is left out for its run time.
+
+The hashes were recorded before the single-production-path refactor of
+the CLI, row builders and writers; a change that moves any printed digit
+fails here first.  The table commands share one private cache directory,
+so the second legendre table is served from the cache file the first one
+wrote.
+"""
+
+import hashlib
+
+import pytest
+
+from lslab.cli import main
+
+GOLDEN = [
+    ("compute --family legendre --n 3 --j 2", 0,
+     "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8"),
+    ("compute --family jacobi --gamma 1/2 --n 3 --j 2", 0,
+     "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06"),
+    ("table --family legendre --n-max 10 --format csv --cache-dir {cache}", 0,
+     "8eaf5f065911c342cf8ee7ac72ca2142940e60f84f47861e16de1485b9bbd400"),
+    ("table --family legendre --n-max 10 --format csv --cache-dir {cache}", 0,
+     "8eaf5f065911c342cf8ee7ac72ca2142940e60f84f47861e16de1485b9bbd400"),
+    ("table --family legendre --n-max 10 --format json --cache-dir {cache}", 0,
+     "62943ee4ec95586e997de4dfd9db51b7188e49cc55b39346d1b43f663450f435"),
+    ("table --family jacobi --gamma 2/3 --n-max 10 --format csv --cache-dir {cache}", 0,
+     "fe99b0359e9604acb9ba375055603d2bad1f70439d8cb68f8fe497fcf3652b65"),
+    ("verify clt --n 1000 --j 930", 1,
+     "bf8ac1682f94a72c394853783094635106781633f27832859fd6a7aa68ff3d91"),
+    ("roots --n 12 --refine-bits 128", 0,
+     "c4dd8ca731b9d382c78aa9919eb1bfedff469ace80abab166c4a82bb06115872"),
+    ("clt --report ratio --n 1000 --j 930", 0,
+     "e0511623099a7433e81dc2edc41a0b3c10b1c9619f90aa23b0fd1eb175ade6eb"),
+    ("clt --report cdf --n 400", 0,
+     "136b4794ba93a6c743637850ee15983ffdb2da9e3e270b47999b1de685883532"),
+    ("clt --report residuals --n-list 100,200,400", 0,
+     "7cc1319a37c3a13cc7134cc00da12b12b4f627f00d944c8843c3ff476126078c"),
+    ("edgeworth --n 200", 0,
+     "0f152b520c8a37ce8a8a5e8d854af2636087d3da8b1604b2cc761427e62e3089"),
+    ("asymptotics --report saddle --nu 0 --z w --n-list 100,200,400", 0,
+     "e6fb7153328263f259c75c7dbbaa133189a00fb9ff49bf024f2dea50a1293e6b"),
+    ("asymptotics --report mass --n-list 50,100,200,400", 0,
+     "ea73a7d97fe6b44972a45f1296c4d47d90694e64bbd534c1e8a3b391adb2eccc"),
+]
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden-cache")
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_stdout(command, code, digest, cache_dir, capsys, monkeypatch):
+    monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+    argv = command.format(cache=cache_dir).split()
+    assert main(argv) == code
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

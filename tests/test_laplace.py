@@ -1,5 +1,7 @@
 """Closed-form integral tests, including a quadrature cross-check."""
 
+import io
+
 import mpmath as mp
 import pytest
 
@@ -9,7 +11,6 @@ from lslab.laplace import (
     normalized_value,
     saddle_coefficients,
     saddle_expansion_check,
-    report_csv,
 )
 
 
@@ -110,8 +111,9 @@ class TestSaddle:
 
     def test_csv_shape(self):
         rep = saddle_expansion_check(1, mp.mpf(2), [50, 100], 128)
-        text = report_csv(rep)
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        rep.to_csv(buf)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound"
         assert len(lines) == 3
 

@@ -208,21 +208,22 @@ class TestExport:
         from lslab.triangles import write_triangle_csv
 
         buf = io.StringIO()
-        write_triangle_csv(buf, LEGENDRE, 3)
+        write_triangle_csv(buf, iter_triangle(LEGENDRE, 3))
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,j,value"
         assert len(lines) == 11
         assert lines[-2] == "3,2,8"
 
     def test_jsonl_writer_round_trip(self):
-        import io
         import json
 
-        from lslab.triangles import write_triangle_jsonl
+        from lslab.triangles import parse_record, triangle_record
 
-        buf = io.StringIO()
-        write_triangle_jsonl(buf, CHEBYSHEV, 4)
-        rows = [json.loads(line) for line in buf.getvalue().strip().splitlines()]
+        rows = [json.loads(triangle_record(*e)) for e in iter_triangle(CHEBYSHEV, 4)]
         assert len(rows) == 15
         assert {"n": 3, "j": 2, "value": "5"} in rows
         assert all(isinstance(r["value"], str) for r in rows)
+        entries = list(iter_triangle(GammaParam(Fraction(2, 3)), 4))
+        lines = [triangle_record(*e) for e in entries]
+        assert '{"n": 2, "j": 1, "value": "4/3"}' in lines
+        assert [parse_record(line) for line in lines] == entries
