@@ -13,10 +13,10 @@ from .triangles import (
     GAMMA_ZERO,
     LEGENDRE,
     GammaParam,
-    StirlingTriangle,
     jacobi_stirling,
     jacobi_stirling_explicit,
     legendre_stirling_binsum,
+    triangle_row,
 )
 
 __version__ = "0.1.0"
@@ -26,9 +26,9 @@ __all__ = [
     "GAMMA_ZERO",
     "LEGENDRE",
     "GammaParam",
-    "StirlingTriangle",
     "jacobi_stirling",
     "jacobi_stirling_explicit",
     "legendre_stirling_binsum",
+    "triangle_row",
     "__version__",
 ]

@@ -19,6 +19,7 @@ import mpmath as mp
 
 from . import cache, clt, edgeworth, genpoly, laplace, sturm, triangles, verify
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
+from .precision import print_digits, to_mpf
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -39,10 +40,6 @@ def _gamma(parser, args) -> triangles.GammaParam:
     if args.gamma is not None:
         parser.error("--gamma is only valid with --family jacobi")
     return triangles.FAMILY_GAMMAS[args.family]
-
-
-def _digits(bits: int) -> int:
-    return max(8, int(bits * 0.301))
 
 
 @contextmanager
@@ -86,6 +83,7 @@ def cmd_verify(parser, args) -> int:
             parser.error("--n/--j select the ratio target and need suite 'clt'")
         cfg.ratio_n, cfg.ratio_j = args.n, args.j
         ratio_only = True
+    triangles.check_row_cap(max(args.n or 0, args.n_max or 0))
     if args.n_max is not None:
         cfg.identities_max = args.n_max
         cfg.certificate_max = args.n_max
@@ -105,7 +103,7 @@ def cmd_roots(parser, args) -> int:
     if args.refine_bits:
         roots = sturm.refine_roots(cert, args.refine_bits)
         payload = json.loads(cert.to_json())
-        payload["roots"] = [mp.nstr(r, _digits(args.refine_bits)) for r in roots]
+        payload["roots"] = [mp.nstr(r, print_digits(args.refine_bits)) for r in roots]
         print(json.dumps(payload))
     else:
         print(cert.to_json())
@@ -128,7 +126,7 @@ def cmd_clt(parser, args) -> int:
     # cdf
     if args.n is None:
         parser.error("cdf report needs --n")
-    digits = _digits(bits)
+    digits = print_digits(bits)
     lines = ["y,scaled_cdf,normal_cdf\n"]
     with mp.workprec(bits):
         for i in range(-40, 41):
@@ -147,11 +145,11 @@ def cmd_edgeworth(parser, args) -> int:
     prof = edgeworth.cumulants_from_genpoly(genpoly.legendre_genpoly_fast(n), 6, bits)
     row = triangles.modified_legendre_row(n)
     total = sum(row)
-    digits = _digits(bits)
+    digits = print_digits(bits)
     lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"]
     with mp.workprec(bits):
-        sigma = mp.sqrt(mp.mpf(prof.variance.numerator) / prof.variance.denominator)
-        mean = mp.mpf(prof.mean.numerator) / prof.mean.denominator
+        sigma = mp.sqrt(to_mpf(prof.variance))
+        mean = to_mpf(prof.mean)
         for j in range(n + 1):
             x = (j - mean) / sigma
             target = sigma * mp.mpf(row[j]) / total
@@ -173,14 +171,23 @@ def cmd_asymptotics(parser, args) -> int:
             rep.to_csv(fp)
         return EXIT_OK
     # mass: total-mass ratio decay table
-    digits = _digits(bits)
+    n_list = args.n_list or [50, 100, 200, 400]
+    triangles.check_row_cap(n_list[-1])
+    digits = print_digits(bits)
     lines = ["n,mass_ratio,abs_deviation\n"]
-    for n in args.n_list or [50, 100, 200, 400]:
+    for n in n_list:
         m = clt.total_mass_ratio(n, bits)
         lines.append(f"{n},{mp.nstr(m, digits)},{mp.nstr(abs(m - 1), digits)}\n")
     with _open_out(args.out) as fp:
         fp.writelines(lines)
     return EXIT_OK
+
+
+def _n_max(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _n_list(text: str) -> list[int]:
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("table", help="emit a triangle as CSV or JSON lines")
     p.add_argument("--family", required=True, choices=["legendre", "chebyshev", "jacobi"])
     p.add_argument("--gamma")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_n_max, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="-")
     p.add_argument("--cache-dir")
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="ratio-check row (suite clt)")
     p.add_argument("--j", type=int, help="ratio-check column (suite clt)")
-    p.add_argument("--n-max", type=int, help="cap for the exhaustive identity scans")
+    p.add_argument("--n-max", type=_n_max, help="cap for the exhaustive identity scans")
     p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("roots", help="certify the generating polynomial roots")

@@ -33,7 +33,10 @@ import mpmath as mp
 
 from .errors import DegenerateVarianceError, KernelInvariantError
 from .genpoly import derivatives_at_one, legendre_genpoly_fast
-from .triangles import legendre_stirling_binsum, modified_legendre, modified_legendre_row
+from .precision import print_digits, to_mpf
+from .triangles import (
+    LEGENDRE, check_row_cap, jacobi_stirling, legendre_stirling_binsum, modified_legendre_row
+)
 
 
 def saddle_constant(precision_bits: int = 256) -> mp.mpf:
@@ -77,8 +80,7 @@ def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
 
 def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the scaled-row distribution from the
-    derivative sums of the row polynomial (row built by the O(n)-memory
-    scaled recurrence, so large n stay cheap)."""
+    derivative sums of the row polynomial."""
     if n < 2:
         raise DegenerateVarianceError("the n = 1 row is a single atom")
     total, d1, d2 = derivatives_at_one(legendre_genpoly_fast(n))
@@ -103,7 +105,7 @@ class ResidualReport:
     doubling_ratios: tuple[tuple[int, int, mp.mpf], ...]
 
     def to_csv(self, fp) -> None:
-        digits = max(6, int(self.precision_bits * 0.301))
+        digits = print_digits(self.precision_bits)
         fp.write("n,mean_residual,var_residual\n")
         for row in self.rows:
             fp.write(
@@ -118,13 +120,14 @@ def mean_variance_residuals(n_list, precision_bits: int = 256) -> ResidualReport
     ns = list(n_list)
     if ns != sorted(ns):
         raise ValueError("n_list must be ascending")
+    check_row_cap(max(ns, default=0))
     rows = []
     with mp.workprec(precision_bits):
         for n in ns:
             mean, var = mean_variance_exact(n)
             cs = centering_scaling(n, precision_bits)
-            mean_f = mp.mpf(mean.numerator) / mean.denominator
-            var_f = mp.mpf(var.numerator) / var.denominator
+            mean_f = to_mpf(mean)
+            var_f = to_mpf(var)
             rows.append(
                 ResidualRow(
                     n=n,
@@ -172,7 +175,7 @@ class RatioReport:
         return {
             "n": self.n,
             "j": self.j,
-            "ratio": mp.nstr(self.ratio, max(8, int(self.precision_bits * 0.301))),
+            "ratio": mp.nstr(self.ratio, print_digits(self.precision_bits)),
             "precision_bits": self.precision_bits,
         }
 
@@ -181,15 +184,12 @@ def ratio_check(n: int, j: int, precision_bits: int = 256) -> RatioReport:
     """Exact triangle entry over A(n, j).
 
     The entry is computed twice: by the single alternating big-integer
-    sum and by the banded scaled recurrence; the two must agree exactly
-    before any floating point happens.
+    sum and by the banded recurrence; the two must agree exactly before
+    any floating point happens.
     """
     direct = legendre_stirling_binsum(n, j)
-    banded = modified_legendre(n, j)
-    if banded != direct * factorial(2 * j):
-        raise KernelInvariantError(
-            f"direct sum and scaled recurrence disagree at ({n}, {j})"
-        )
+    if jacobi_stirling(n, j, LEGENDRE) != direct:
+        raise KernelInvariantError(f"direct sum and recurrence disagree at ({n}, {j})")
     with mp.workprec(precision_bits + 16):
         ratio = mp.mpf(direct) / normal_approximation(n, j, precision_bits + 16)
     with mp.workprec(precision_bits):

@@ -25,6 +25,7 @@ import mpmath as mp
 
 from .errors import DegenerateVarianceError, ExpansionConditionError
 from .genpoly import IntPolynomial
+from .precision import to_mpf
 
 DEFAULT_CUMULANT_ORDER = 6
 VARIANCE_FLOOR = 0.01  # lower bound on variance/n for the expansion
@@ -118,13 +119,11 @@ def _normalize_cumulants(n, kappas, precision_bits) -> CumulantProfile:
     if variance == 0:
         raise DegenerateVarianceError("row-sum variance is zero")
     with mp.workprec(precision_bits):
-        var_f = mp.mpf(variance.numerator) / variance.denominator if isinstance(variance, Fraction) else mp.mpf(variance)
-        sigma = mp.sqrt(var_f)
+        sigma = mp.sqrt(to_mpf(variance))
         normalized = []
         for nu in range(2, len(kappas) + 1):
             k = kappas[nu - 1]
-            k_f = mp.mpf(k.numerator) / k.denominator if isinstance(k, Fraction) else mp.mpf(k)
-            normalized.append(+(mp.mpf(n) ** (mp.mpf(nu - 2) / 2) * k_f / sigma**nu))
+            normalized.append(+(mp.mpf(n) ** (mp.mpf(nu - 2) / 2) * to_mpf(k) / sigma**nu))
     return CumulantProfile(n=n, mean=mean, variance=variance, normalized=tuple(normalized))
 
 
@@ -254,20 +253,12 @@ def density_expansion(
         raise ValueError(f"k must be between 2 and {MAX_EXPANSION_ORDER}")
     n = profile.n
     with mp.workprec(precision_bits):
-        var = (
-            mp.mpf(profile.variance.numerator) / profile.variance.denominator
-            if isinstance(profile.variance, Fraction)
-            else mp.mpf(profile.variance)
-        )
+        var = to_mpf(profile.variance)
         if var / n < VARIANCE_FLOOR:
             raise ExpansionConditionError(
                 f"variance/n = {mp.nstr(var / n, 8)} below floor {VARIANCE_FLOOR}"
             )
-        mean = (
-            mp.mpf(profile.mean.numerator) / profile.mean.denominator
-            if isinstance(profile.mean, Fraction)
-            else mp.mpf(profile.mean)
-        )
+        mean = to_mpf(profile.mean)
         sigma = mp.sqrt(var)
         x = (j - mean) / sigma
         value = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)

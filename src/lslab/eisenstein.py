@@ -32,6 +32,7 @@ import mpmath as mp
 
 from .errors import PrecisionError
 from .laplace import laplace_closed_form
+from .precision import to_mpf
 
 ZETA_DIRECT_TERMS = 10_000
 
@@ -64,7 +65,7 @@ def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
     until they drop below 2^-(precision_bits + 8); at this cutoff that
     happens long before the asymptotic tail could turn."""
     with mp.workprec(precision_bits + 32):
-        sv = mp.mpf(s) if not isinstance(s, Fraction) else mp.mpf(s.numerator) / s.denominator
+        sv = to_mpf(s)
         if sv <= 1:
             raise ValueError("requires s > 1")
         n = ZETA_DIRECT_TERMS
@@ -77,13 +78,7 @@ def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
         i = 1
         while True:
             b = _bernoulli(2 * i)
-            term = (
-                mp.mpf(b.numerator)
-                / b.denominator
-                / factorial(2 * i)
-                * rising
-                * npow_i
-            )
+            term = to_mpf(b) / factorial(2 * i) * rising * npow_i
             total += term
             if abs(term) < target:
                 break

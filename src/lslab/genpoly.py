@@ -2,9 +2,8 @@
 
 For each n the coefficients (2j)! * T(n, j), 0 <= j <= n, are collected
 into a dense integer polynomial.  The production Legendre polynomial is
-the scaled-row recurrence `triangles.modified_legendre_row`.  Two other
-constructions are kept as cross-checks only: the gamma = 1 triangle
-scaled by (2j)!, and the pure differential recurrence
+the scaled triangle row `triangles.modified_legendre_row`.  The pure
+differential recurrence is kept as a cross-check only:
 
     M_n(s) = s * (2 M_{n-1}(s) + (10 s + 2) M_{n-1}'(s) + s (4 s + 1) M_{n-1}''(s)),
 
@@ -14,10 +13,10 @@ starting from M_0 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .errors import UnimodalityError
-from .triangles import CHEBYSHEV, LEGENDRE, modified_legendre_row, triangle_for
+from .triangles import CHEBYSHEV, modified_legendre_row, scale_row, triangle_row
 
 
 class IntPolynomial:
@@ -59,24 +58,14 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def legendre_genpoly(n: int) -> IntPolynomial:
-    """Generating polynomial from the gamma = 1 triangle (coefficients
-    (2j)! * T_1(n, j)); a cross-check of legendre_genpoly_fast."""
-    tri = triangle_for(LEGENDRE)
-    row = tri.row(n)
-    return IntPolynomial([factorial(2 * j) * row[j] for j in range(n + 1)])
-
-
 def legendre_genpoly_fast(n: int) -> IntPolynomial:
-    """Same polynomial straight from the scaled-row recurrence; O(n) memory."""
+    """Legendre generating polynomial, coefficients (2j)! * T_1(n, j)."""
     return IntPolynomial(modified_legendre_row(n))
 
 
 def chebyshev_genpoly(n: int) -> IntPolynomial:
     """Generating polynomial of the scaled gamma = 1/2 row."""
-    tri = triangle_for(CHEBYSHEV)
-    row = tri.row(n)
-    return IntPolynomial([factorial(2 * j) * row[j] for j in range(n + 1)])
+    return IntPolynomial(scale_row(triangle_row(CHEBYSHEV, n)))
 
 
 def legendre_genpoly_recurrence(n: int) -> IntPolynomial:

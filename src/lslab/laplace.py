@@ -30,6 +30,7 @@ from math import comb, factorial
 import mpmath as mp
 
 from .errors import PrecisionError
+from .precision import print_digits
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class SaddleReport:
         return all(b < a for a, b in zip(res, res[1:]))
 
     def to_csv(self, fp) -> None:
-        digits = max(6, int(self.precision_bits * 0.301))
+        digits = print_digits(self.precision_bits)
         fp.write("n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound\n")
         for row in self.rows:
             cells = (row.q, row.q_minus_b, row.scaled, row.residual, row.tail)

@@ -20,6 +20,7 @@ import mpmath as mp
 
 from .errors import CertificationError
 from .genpoly import IntPolynomial
+from .precision import to_mpf
 from .triangles import modified_legendre_row
 
 Poly = tuple[int, ...]  # ascending integer coefficients, no trailing zeros
@@ -123,7 +124,7 @@ def _split_point(q: Poly, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _row_and_cofactor(n: int) -> tuple[Poly, Poly]:
-    """M_n from the scaled-row recurrence and q = M_n / s."""
+    """M_n from the scaled triangle row and q = M_n / s."""
     m = modified_legendre_row(n)
     return m, IntPolynomial(m[1:]).coeffs
 
@@ -204,5 +205,5 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
                 else:
                     hi = mid
             center = (lo + hi) / 2
-            out.append(mp.mpf(center.numerator) / center.denominator)
+            out.append(to_mpf(center))
     return out

@@ -8,7 +8,9 @@ with boundary T(n, 0) = [n == 0] and T(0, j) = [j == 0], for a fixed
 rational parameter gamma >= 0.  gamma = 1 gives the Legendre-Stirling
 numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 (factor j^2).  Entries are exact rationals, and integers whenever
-2*gamma is an integer.
+2*gamma is an integer.  One banded loop, `_sweep`, computes every row
+and entry; rows are memoized up to ROW_MEMO_SIZE, and every kernel
+refuses row MAX_ROWS and beyond before doing any work.
 
 Everything in this module runs on Python integers and fractions.  The
 alternating direct sums below pit terms of size (j^2)^n against results
@@ -22,11 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import KernelInvariantError, ResourceLimitError
 
-DEFAULT_MAX_ROWS = 2000
+MAX_ROWS = 2000
+ROW_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -73,75 +77,74 @@ def _as_gamma(gamma) -> GammaParam:
     return GammaParam(Fraction(gamma))
 
 
-class StirlingTriangle:
-    """Row-memoized table of triangle entries for a fixed gamma.
+def check_row_cap(n: int) -> None:
+    """The one row cap of every exact kernel, checked before any work;
+    a negative row is a usage error."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n >= MAX_ROWS:
+        raise ResourceLimitError(f"row {n} exceeds the cap of {MAX_ROWS} rows")
 
-    Rows are appended in order and never mutated afterwards, so a built
-    triangle can be read concurrently.  When 2*gamma is an integer the
-    table holds plain ints; otherwise Fractions.
+
+def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
+    """Columns j_lo..j_hi of row n, rolled forward from `start`, a whole
+    row given as (r, row r) with r <= n, or else from row 0.
+
+    Row r keeps only the columns max(0, j_lo-(n-r))..min(r, j_hi) that
+    row n still depends on: a whole row is the band 0..n and a single
+    entry the band j..j.  This is the only loop that runs the recurrence.
+    Entries are ints when 2*gamma is an integer, Fractions otherwise.
     """
-
-    def __init__(self, gamma, max_rows: int = DEFAULT_MAX_ROWS):
-        self.gamma = _as_gamma(gamma)
-        self.max_rows = max_rows
-        two_gamma = 2 * self.gamma.value
-        self._int_entries = two_gamma.denominator == 1
-        self._shift = two_gamma - 1 if not self._int_entries else int(two_gamma) - 1
-        one = 1 if self._int_entries else Fraction(1)
-        self._rows: list[list] = [[one]]
-
-    @property
-    def max_n(self) -> int:
-        """Largest row built so far."""
-        return len(self._rows) - 1
-
-    def _extend_to(self, n: int) -> None:
-        if n >= self.max_rows:
-            raise ResourceLimitError(
-                f"row {n} exceeds the configured cap of {self.max_rows} rows"
-            )
-        zero = 0 if self._int_entries else Fraction(0)
-        while self.max_n < n:
-            r = self.max_n + 1
-            prev = self._rows[-1]
-            row = [zero] * (r + 1)
-            for j in range(1, r + 1):
-                above = prev[j] if j < len(prev) else zero
-                row[j] = prev[j - 1] + j * (j + self._shift) * above
-            self._rows.append(row)
-
-    def row(self, n: int) -> list:
-        self._extend_to(n)
-        return self._rows[n]
-
-    def value(self, n: int, j: int):
-        """Entry at (n, j); zero outside the triangle support."""
-        if n < 0 or j < 0:
-            raise ValueError("indices must be non-negative")
-        if j > n:
-            return 0
-        return self.row(n)[j]
+    check_row_cap(n)
+    two_gamma = 2 * gamma.value
+    if two_gamma.denominator == 1:
+        shift, zero = int(two_gamma) - 1, 0
+    else:
+        shift, zero = two_gamma - 1, Fraction(0)
+    r0, band = start or (0, [zero + 1])
+    band, lo = list(band), 0
+    for r in range(r0 + 1, n + 1):
+        new_lo, hi = max(0, j_lo - (n - r)), min(r, j_hi)
+        # the parents of columns new_lo..hi are columns new_lo-1..hi of row r-1
+        par = [zero] * (lo - new_lo + 1) + band + [zero] * (hi - lo - len(band) + 1)
+        band = [a + c * (c + shift) * b for c, a, b in zip(range(new_lo, hi + 1), par, par[1:])]
+        lo = new_lo
+    return band
 
 
-_REGISTRY: dict[Fraction, StirlingTriangle] = {}
+_ROWS: dict[tuple[Fraction, int], tuple] = {}
+_SCALED_ROWS: dict[int, tuple[int, ...]] = {}
 
 
-def triangle_for(gamma) -> StirlingTriangle:
-    """Process-wide memoized triangle for the given gamma."""
+def _remember(memo: dict, key, value):
+    """Store value, dropping the oldest entry past ROW_MEMO_SIZE."""
+    memo[key] = value
+    if len(memo) > ROW_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    return value
+
+
+def triangle_row(gamma, n: int) -> tuple:
+    """Row n of the triangle, memoized; a missing row is rolled forward
+    from the nearest lower memoized row of the same gamma."""
     g = _as_gamma(gamma)
-    tri = _REGISTRY.get(g.value)
-    if tri is None:
-        tri = _REGISTRY.setdefault(g.value, StirlingTriangle(g))
-    return tri
-
-
-def _normalize(x: Fraction):
-    return int(x) if x.denominator == 1 else x
+    row = _ROWS.get((g.value, n))
+    if row is None:
+        below = [k for gv, k in _ROWS if gv == g.value and k < n]
+        start = (max(below), _ROWS[g.value, max(below)]) if below else None
+        row = _remember(_ROWS, (g.value, n), tuple(_sweep(g, n, 0, n, start)))
+    return row
 
 
 def jacobi_stirling(n: int, j: int, gamma):
-    """Triangle entry via the memoized recurrence (works for any gamma >= 0)."""
-    return triangle_for(gamma).value(n, j)
+    """Single triangle entry by the banded recurrence (any gamma >= 0);
+    zero outside the triangle support."""
+    if n < 0 or j < 0:
+        raise ValueError("indices must be non-negative")
+    check_row_cap(n)
+    if j > n:
+        return 0
+    return _sweep(_as_gamma(gamma), n, j, j)[0]
 
 
 def jacobi_stirling_explicit(n: int, j: int, gamma):
@@ -160,6 +163,7 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
     """
     if n < 0 or j < 0:
         raise ValueError("indices must be non-negative")
+    check_row_cap(n)
     g = _as_gamma(gamma).value
     if g <= 0:
         raise ValueError("explicit summation requires gamma > 0")
@@ -184,11 +188,12 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
             / (factorial(r) * factorial(j - r) * prod)
         )
         total += term if (r + j) % 2 == 0 else -term
-    return _normalize(total)
+    return int(total) if total.denominator == 1 else total
 
 
 def legendre_stirling_altsum(n: int, j: int) -> int:
     """gamma = 1 entry as the (2r+1)-weighted alternating sum over r <= j."""
+    check_row_cap(n)
     total = Fraction(0)
     for r in range(j + 1):
         term = Fraction(
@@ -203,6 +208,7 @@ def legendre_stirling_altsum(n: int, j: int) -> int:
 
 def legendre_stirling_binsum(n: int, j: int) -> int:
     """gamma = 1 entry via the central binomial sum, all-integer arithmetic."""
+    check_row_cap(n)
     total = 0
     for nu in range(2 * j + 1):
         t = comb(2 * j, nu) * ((j - nu) * (j + 1 - nu)) ** n
@@ -217,6 +223,7 @@ def legendre_stirling_binsum(n: int, j: int) -> int:
 
 def chebyshev_stirling_binsum(n: int, j: int) -> int:
     """gamma = 1/2 entry via the central binomial sum over (j-r)^(2n)."""
+    check_row_cap(n)
     total = 0
     for r in range(2 * j + 1):
         t = comb(2 * j, r) * (j - r) ** (2 * n)
@@ -230,66 +237,21 @@ def chebyshev_stirling_binsum(n: int, j: int) -> int:
 
 
 # --- modified (2j)!-scaled Legendre numbers ------------------------------
-#
-# c(n, j) = (2j)! * T_1(n, j) satisfies its own all-integer recurrence
-#
-#     c(n, j) = 2j(2j-1) c(n-1, j-1) + j(j+1) c(n-1, j),
-#
-# which is the cheap route to whole rows (generating-polynomial
-# coefficients) and, via a banded sweep, to single far-out entries.
 
-_MODIFIED_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
+
+def scale_row(row) -> tuple:
+    """(2j)! * row[j] for every column j."""
+    facts = accumulate(range(1, len(row)), lambda f, j: f * (2 * j - 1) * (2 * j), initial=1)
+    return tuple(f * v for f, v in zip(facts, row))
 
 
 def modified_legendre_row(n: int) -> tuple[int, ...]:
-    """Row n of the scaled numbers; O(n) memory, rolls forward from the
-    nearest previously requested row."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cached = _MODIFIED_ROWS.get(n)
-    if cached is not None:
-        return cached
-    start = max(k for k in _MODIFIED_ROWS if k <= n)
-    row = list(_MODIFIED_ROWS[start])
-    for r in range(start + 1, n + 1):
-        new = [0] * (r + 1)
-        for j in range(1, r + 1):
-            a = row[j - 1]
-            b = row[j] if j < len(row) else 0
-            new[j] = 2 * j * (2 * j - 1) * a + j * (j + 1) * b
-        row = new
-    out = tuple(row)
-    _MODIFIED_ROWS[n] = out
-    return out
-
-
-def modified_legendre(n: int, j: int) -> int:
-    """Single scaled entry c(n, j) = (2j)! * T_1(n, j).
-
-    Only the parent band of columns [j - (n - r), j] is carried through
-    row r, so an entry like (1000, 930) needs a 71-wide band instead of
-    the full triangle.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("indices must be non-negative")
-    if j > n:
-        return 0
-    if n == 0:
-        return 1
-    band = {0: 1}
-    for r in range(1, n + 1):
-        lo = max(0, j - (n - r))
-        hi = min(r, j)
-        new = {}
-        for jj in range(lo, hi + 1):
-            if jj == 0:
-                new[0] = 0
-                continue
-            a = band.get(jj - 1, 0)
-            b = band.get(jj, 0)
-            new[jj] = 2 * jj * (2 * jj - 1) * a + jj * (jj + 1) * b
-        band = new
-    return band[j]
+    """Row n of c(n, j) = (2j)! * T_1(n, j), the coefficients of the
+    Legendre generating polynomial; memoized like the triangle rows."""
+    row = _SCALED_ROWS.get(n)
+    if row is None:
+        row = _remember(_SCALED_ROWS, n, scale_row(triangle_row(LEGENDRE, n)))
+    return row
 
 
 def odd_power_cancellation(j: int, ell: int) -> int:
@@ -301,31 +263,33 @@ def odd_power_cancellation(j: int, ell: int) -> int:
     return total
 
 
+def _row_entry(gamma, n: int, j: int):
+    """Entry (n, j) read off the memoized row n; zero right of the row."""
+    return triangle_row(gamma, n)[j] if j <= n else 0
+
+
 def legendre_from_chebyshev_odd(k: int, j: int) -> int:
     """Odd-index Legendre entry as a binomial mix of Chebyshev entries:
     T_1(2k+1, j) = sum_mu C(2k+1, 2mu+1) T_{1/2}(k+mu+1, j)."""
-    tri = triangle_for(CHEBYSHEV)
     return sum(
-        comb(2 * k + 1, 2 * mu + 1) * tri.value(k + mu + 1, j) for mu in range(k + 1)
+        comb(2 * k + 1, 2 * mu + 1) * _row_entry(CHEBYSHEV, k + mu + 1, j)
+        for mu in range(k + 1)
     )
 
 
 def legendre_from_chebyshev_even(k: int, j: int) -> int:
     """Even-index analogue: T_1(2k, j) = sum_mu C(2k, 2mu) T_{1/2}(k+mu, j)."""
-    tri = triangle_for(CHEBYSHEV)
-    return sum(comb(2 * k, 2 * mu) * tri.value(k + mu, j) for mu in range(k + 1))
+    return sum(comb(2 * k, 2 * mu) * _row_entry(CHEBYSHEV, k + mu, j) for mu in range(k + 1))
 
 
 def gamma_zero_identity(n: int, j: int) -> int:
     """Check T_0(n, j) == T_1(n-1, j-1) and return the common value."""
     if n < 1 or j < 1:
         raise ValueError("requires n, j >= 1")
-    lhs = jacobi_stirling(n, j, GAMMA_ZERO)
-    rhs = jacobi_stirling(n - 1, j - 1, LEGENDRE)
+    lhs = _row_entry(GAMMA_ZERO, n, j)
+    rhs = _row_entry(LEGENDRE, n - 1, j - 1)
     if lhs != rhs:
-        raise KernelInvariantError(
-            f"gamma-zero shift failed at ({n}, {j}): {lhs} != {rhs}"
-        )
+        raise KernelInvariantError(f"gamma-zero shift failed at ({n}, {j}): {lhs} != {rhs}")
     return int(lhs)
 
 
@@ -340,12 +304,14 @@ def format_entry(value) -> str:
 
 
 def iter_triangle(gamma, n_max: int):
-    """Yield (n, j, value) in row-major order up to row n_max."""
-    tri = triangle_for(gamma)
+    """Yield (n, j, value) in row-major order up to row n_max; the rows
+    are rolled forward one by one and not memoized."""
+    check_row_cap(n_max)
+    g, row = _as_gamma(gamma), None
     for n in range(n_max + 1):
-        row = tri.row(n)
-        for j in range(n + 1):
-            yield n, j, row[j]
+        row = _sweep(g, n, 0, n, (n - 1, row) if n else None)
+        for j, value in enumerate(row):
+            yield n, j, value
 
 
 def triangle_record(n: int, j: int, value) -> str:

@@ -19,6 +19,7 @@ import mpmath as mp
 
 from . import clt, edgeworth, eisenstein, genpoly, laplace, sturm, triangles
 from .errors import LslabError
+from .precision import to_mpf
 
 RATIO_WINDOW = (Fraction("1.0438485"), Fraction("1.0438495"))
 DOUBLING_WINDOW = (0.3, 0.7)
@@ -69,8 +70,7 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     nmax = cfg.identities_max
 
     def row_ok_legendre(n: int) -> bool:
-        for j in range(n + 1):
-            rec = triangles.jacobi_stirling(n, j, triangles.LEGENDRE)
+        for j, rec in enumerate(triangles.triangle_row(triangles.LEGENDRE, n)):
             if not (
                 rec == triangles.jacobi_stirling_explicit(n, j, 1)
                 == triangles.legendre_stirling_altsum(n, j)
@@ -83,8 +83,7 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result(f"cross-formula equality gamma=1 n<={nmax}", ok))
 
     def row_ok_chebyshev(n: int) -> bool:
-        for j in range(n + 1):
-            rec = triangles.jacobi_stirling(n, j, triangles.CHEBYSHEV)
+        for j, rec in enumerate(triangles.triangle_row(triangles.CHEBYSHEV, n)):
             if not (
                 rec == triangles.jacobi_stirling_explicit(n, j, Fraction(1, 2))
                 == triangles.chebyshev_stirling_binsum(n, j)
@@ -105,14 +104,12 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     kmax = CONNECTION_MAX
     ok = True
     for k in range(kmax + 1):
+        odd = triangles.triangle_row(triangles.LEGENDRE, 2 * k + 1)
+        even = triangles.triangle_row(triangles.LEGENDRE, 2 * k)
         for j in range(2 * k + 2):
-            if triangles.legendre_from_chebyshev_odd(k, j) != triangles.jacobi_stirling(
-                2 * k + 1, j, triangles.LEGENDRE
-            ):
+            if triangles.legendre_from_chebyshev_odd(k, j) != odd[j]:
                 ok = False
-            if j <= 2 * k and triangles.legendre_from_chebyshev_even(
-                k, j
-            ) != triangles.jacobi_stirling(2 * k, j, triangles.LEGENDRE):
+            if j <= 2 * k and triangles.legendre_from_chebyshev_even(k, j) != even[j]:
                 ok = False
     out.append(_result(f"parity connection formulas k<={kmax}", ok))
 
@@ -168,9 +165,7 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
 
     nmax = POLY_EQUALITY_MAX
     ok = all(
-        genpoly.legendre_genpoly_recurrence(n)
-        == genpoly.legendre_genpoly(n)
-        == genpoly.legendre_genpoly_fast(n)
+        genpoly.legendre_genpoly_recurrence(n) == genpoly.legendre_genpoly_fast(n)
         for n in range(nmax + 1)
     )
     out.append(_result(f"recurrence vs triangle polynomials n<={nmax}", ok))
@@ -309,8 +304,7 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
 
     rep = clt.ratio_check(cfg.ratio_n, cfg.ratio_j, bits)
     with mp.workprec(bits):
-        lo = mp.mpf(RATIO_WINDOW[0].numerator) / RATIO_WINDOW[0].denominator
-        hi = mp.mpf(RATIO_WINDOW[1].numerator) / RATIO_WINDOW[1].denominator
+        lo, hi = to_mpf(RATIO_WINDOW[0]), to_mpf(RATIO_WINDOW[1])
         ok = lo <= rep.ratio <= hi
     out.append(
         _result(
@@ -394,7 +388,7 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
     ok = True
     with mp.workprec(bits):
         mean, var = clt.mean_variance_exact(n)
-        sigma = mp.sqrt(mp.mpf(var.numerator) / var.denominator)
+        sigma = mp.sqrt(to_mpf(var))
         cs = clt.centering_scaling(n, bits)
         mass = clt.total_mass_ratio(n, bits)
         row = triangles.modified_legendre_row(n)
@@ -520,7 +514,7 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
     row = triangles.modified_legendre_row(n)
     total = sum(row)
     with mp.workprec(bits):
-        sigma = mp.sqrt(mp.mpf(prof.variance.numerator) / prof.variance.denominator)
+        sigma = mp.sqrt(to_mpf(prof.variance))
         err2 = mp.mpf(0)
         err3 = mp.mpf(0)
         for j in range(n + 1):

@@ -1,11 +1,17 @@
-"""On-disk cache: a write that fails partway never leaves a half-written file."""
+"""On-disk cache: a write that fails partway never leaves a half-written
+file, and what is written reads back unchanged."""
 
 import os
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab import cache
-from lslab.triangles import LEGENDRE
+from lslab.triangles import LEGENDRE, GammaParam, iter_triangle, parse_record, triangle_record
 
 
 def _fail_after_writes(monkeypatch, allowed: int):
@@ -52,3 +58,21 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="simulated"):
             cache.write_cache(path, LEGENDRE, 8)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.integers(min_value=0, max_value=12),
+        q=st.integers(min_value=1, max_value=12),
+        n_max=st.integers(min_value=0, max_value=10),
+    )
+    def test_write_then_read(self, p, q, n_max):
+        gamma = GammaParam(Fraction(p, q))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = cache.cache_path(Path(tmp), gamma, n_max)
+            lines = cache.write_cache(path, gamma, n_max)
+            assert cache.read_cache(path, gamma, n_max) == lines
+        entries = list(iter_triangle(gamma, n_max))
+        assert [parse_record(line) for line in lines] == entries
+        assert all(parse_record(triangle_record(*e)) == e for e in entries)

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,52 @@ class TestCompute:
         )
         assert code == 3
         assert "resource" in err.lower()
+
+
+class TestRowCap:
+    """Row 2000 is refused with exit 3 by every command that reads rows,
+    before any work is done."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "clt --report ratio --n 2000 --j 5",
+            "clt --report cdf --n 2000",
+            "clt --report residuals --n-list 100,2000",
+            "table --family legendre --n-max 2000 --cache-dir {cache}",
+            "roots --n 2000",
+            "edgeworth --n 2000",
+            "asymptotics --report mass --n-list 50,2000",
+            "verify identities --n-max 2000",
+            "verify clt --n 2000 --j 5",
+            "compute --family legendre --n 2000 --j 2600",
+        ],
+    )
+    def test_exit_3_at_once(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli(command.format(cache=tmp_path).split(), capsys)
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+        assert time.perf_counter() - start < 5
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNegativeNMax:
+    @pytest.mark.parametrize(
+        "command",
+        ["verify identities --n-max -3", "table --family legendre --n-max -1 --cache-dir {cache}"],
+    )
+    def test_usage_error_writes_nothing(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(command.format(cache=tmp_path).split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--n-max" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTable:

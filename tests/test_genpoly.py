@@ -9,7 +9,6 @@ from lslab.genpoly import (
     chebyshev_genpoly,
     derivatives_at_one,
     genpoly_from_connection,
-    legendre_genpoly,
     legendre_genpoly_fast,
     legendre_genpoly_recurrence,
     unimodality_report,
@@ -47,11 +46,10 @@ class TestRecurrencePolynomials:
 
     def test_matches_triangle_path(self):
         for n in range(40):
-            assert legendre_genpoly_recurrence(n) == legendre_genpoly(n)
             assert legendre_genpoly_recurrence(n) == legendre_genpoly_fast(n)
 
     def test_row4_coefficients(self):
-        assert legendre_genpoly(4).coeffs == (0, 16, 1248, 14400, 40320)
+        assert legendre_genpoly_fast(4).coeffs == (0, 16, 1248, 14400, 40320)
 
     def test_shape_invariants(self):
         for n in range(1, 41):

@@ -5,17 +5,21 @@ an independent oracle run; they are frozen here as plain integers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lslab import triangles
 from lslab.errors import ResourceLimitError
 from lslab.triangles import (
     CHEBYSHEV,
     GAMMA_ZERO,
     LEGENDRE,
+    MAX_ROWS,
     GammaParam,
-    StirlingTriangle,
     chebyshev_stirling_binsum,
     format_entry,
     gamma_zero_identity,
@@ -26,15 +30,16 @@ from lslab.triangles import (
     legendre_from_chebyshev_odd,
     legendre_stirling_altsum,
     legendre_stirling_binsum,
-    modified_legendre,
     modified_legendre_row,
     odd_power_cancellation,
-    triangle_for,
+    triangle_row,
 )
 
 
+@lru_cache(maxsize=None)
 def brute_recurrence(n, j, gamma):
-    """Independent oracle: literal two-parent recursion, no memoization."""
+    """Independent oracle: the literal two-parent recursion, memoized on
+    its arguments."""
     gamma = Fraction(gamma)
     if j == 0:
         return 1 if n == 0 else 0
@@ -77,18 +82,19 @@ class TestRecurrence:
                     assert jacobi_stirling(n, j, gamma) == brute_recurrence(n, j, gamma)
 
     def test_boundaries(self):
-        tri = triangle_for(LEGENDRE)
-        assert tri.value(0, 0) == 1
+        assert triangle_row(LEGENDRE, 0) == (1,)
         for n in range(1, 12):
-            assert tri.value(n, 0) == 0
-            assert tri.value(n, n) == 1
-            assert tri.value(n, n + 1) == 0
+            row = triangle_row(LEGENDRE, n)
+            assert len(row) == n + 1
+            assert row[0] == 0 == jacobi_stirling(n, 0, LEGENDRE)
+            assert row[n] == 1 == jacobi_stirling(n, n, LEGENDRE)
+            assert jacobi_stirling(n, n + 1, LEGENDRE) == 0
 
     def test_parent_relation(self):
-        tri = triangle_for(CHEBYSHEV)
         for n in range(2, 15):
+            row, prev = triangle_row(CHEBYSHEV, n), triangle_row(CHEBYSHEV, n - 1) + (0,)
             for j in range(1, n + 1):
-                assert tri.value(n, j) == tri.value(n - 1, j - 1) + j * j * tri.value(n - 1, j)
+                assert row[j] == prev[j - 1] + j * j * prev[j]
 
     def test_integrality_special_gammas(self):
         for gamma in (GAMMA_ZERO, CHEBYSHEV, LEGENDRE):
@@ -96,9 +102,51 @@ class TestRecurrence:
                 assert isinstance(v, int) and v >= 0
 
     def test_row_cap(self):
-        tri = StirlingTriangle(LEGENDRE, max_rows=5)
-        with pytest.raises(ResourceLimitError):
-            tri.value(6, 3)
+        """Every exact kernel refuses row MAX_ROWS before doing any work."""
+        n = MAX_ROWS
+        refused = [
+            lambda: triangle_row(LEGENDRE, n),
+            lambda: jacobi_stirling(n, 3, LEGENDRE),
+            lambda: jacobi_stirling(n, n + 5, CHEBYSHEV),
+            lambda: modified_legendre_row(n),
+            lambda: next(iter_triangle(LEGENDRE, n)),
+            lambda: legendre_stirling_binsum(n, 5),
+            lambda: chebyshev_stirling_binsum(n, 5),
+            lambda: legendre_stirling_altsum(n, 5),
+            lambda: jacobi_stirling_explicit(n, 5, 1),
+        ]
+        for call in refused:
+            with pytest.raises(ResourceLimitError):
+                call()
+        assert jacobi_stirling(MAX_ROWS - 1, MAX_ROWS - 1, LEGENDRE) == 1
+
+    def test_row_memo_bounded(self):
+        for n in range(3 * triangles.ROW_MEMO_SIZE):
+            triangle_row(GAMMA_ZERO, n)
+            modified_legendre_row(n)
+        assert len(triangles._ROWS) <= triangles.ROW_MEMO_SIZE
+        assert len(triangles._SCALED_ROWS) <= triangles.ROW_MEMO_SIZE
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(min_value=0, max_value=12),
+        q=st.integers(min_value=1, max_value=12),
+        n=st.integers(min_value=0, max_value=30),
+        data=st.data(),
+    )
+    def test_banded_entry_equals_row_and_oracle(self, p, q, n, data):
+        j = data.draw(st.integers(min_value=0, max_value=n + 1))
+        gamma = Fraction(p, q)
+        from_row = triangle_row(gamma, n)[j] if j <= n else 0
+        assert jacobi_stirling(n, j, gamma) == from_row == brute_recurrence(n, j, gamma)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=60), data=st.data())
+    def test_modified_row_is_scaled_entry(self, n, data):
+        j = data.draw(st.integers(min_value=0, max_value=n))
+        assert modified_legendre_row(n)[j] == factorial(2 * j) * jacobi_stirling(n, j, 1)
 
 
 class TestExplicit:
@@ -139,21 +187,20 @@ class TestDirectSums:
 class TestModified:
     @pytest.mark.parametrize("n,j,expected", [(3, 2, 192), (3, 3, 720), (1, 1, 2)])
     def test_examples(self, n, j, expected):
-        assert modified_legendre(n, j) == expected
+        assert modified_legendre_row(n)[j] == expected
 
     def test_row_matches_scaled_triangle(self):
-        tri = triangle_for(LEGENDRE)
         for n in range(15):
             row = modified_legendre_row(n)
-            assert list(row) == [factorial(2 * j) * tri.value(n, j) for j in range(n + 1)]
+            assert list(row) == [factorial(2 * j) * brute_recurrence(n, j, 1) for j in range(n + 1)]
 
     def test_banded_matches_row(self):
         for n, j in [(10, 3), (25, 20), (40, 12), (40, 40), (17, 0)]:
-            assert modified_legendre(n, j) == modified_legendre_row(n)[j]
+            assert factorial(2 * j) * jacobi_stirling(n, j, LEGENDRE) == modified_legendre_row(n)[j]
 
     def test_banded_matches_direct_sum(self):
         for n, j in [(60, 55), (80, 20)]:
-            assert modified_legendre(n, j) == factorial(2 * j) * legendre_stirling_binsum(n, j)
+            assert jacobi_stirling(n, j, LEGENDRE) == legendre_stirling_binsum(n, j)
 
 
 class TestConnections:
