@@ -83,25 +83,33 @@ def write_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str]:
 
 
 def read_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str] | None:
-    """Data lines from a compatible cache file; None when absent or
-    version/parameter incompatible; CacheCorruptionError on a bad hash."""
+    """Data lines from a compatible cache file; None when absent, empty or
+    version/parameter incompatible; CacheCorruptionError on a bad hash or
+    a last line without its newline.  The file is read line by line, so
+    the whole text is never held next to its lines."""
     if not path.exists():
         return None
     with open(path) as fp:
-        raw = fp.read().splitlines()
-    if not raw:
-        return None
-    try:
-        header = json.loads(raw[0])
-    except json.JSONDecodeError:
-        raise CacheCorruptionError(f"unreadable header in {path}")
-    if (
-        header.get("schema") != SCHEMA_VERSION
-        or header.get("gamma") != str(gamma.value)
-        or header.get("n_max") != n_max
-    ):
-        return None
-    lines = raw[1:]
+        first = fp.readline()
+        if not first:
+            return None
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict):
+            raise CacheCorruptionError(f"unreadable header in {path}")
+        if (
+            header.get("schema") != SCHEMA_VERSION
+            or header.get("gamma") != str(gamma.value)
+            or header.get("n_max") != n_max
+        ):
+            return None
+        lines = []
+        for line in fp:
+            if not line.endswith("\n"):
+                raise CacheCorruptionError(f"truncated last line in {path}")
+            lines.append(line[:-1])
     if _digest(lines) != header.get("sha256"):
         raise CacheCorruptionError(f"content hash mismatch in {path}")
     return lines
@@ -109,13 +117,13 @@ def read_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str] | None:
 
 def load_or_build(gamma: GammaParam, n_max: int, cache_dir: Path):
     """(data lines, from_cache, was_corrupted); corrupted files are rebuilt
-    and rewritten in place."""
+    and rewritten in place.  The rebuild runs after the except block, so
+    the failed read's frame and lines are already released."""
     path = cache_path(cache_dir, gamma, n_max)
     try:
-        cached = read_cache(path, gamma, n_max)
+        cached, corrupted = read_cache(path, gamma, n_max), False
     except CacheCorruptionError:
-        lines = write_cache(path, gamma, n_max)
-        return lines, False, True
+        cached, corrupted = None, True
     if cached is not None:
         return cached, True, False
-    return write_cache(path, gamma, n_max), False, False
+    return write_cache(path, gamma, n_max), False, corrupted

@@ -40,21 +40,16 @@ from .triangles import (
 
 
 def saddle_constant(precision_bits: int = 256) -> mp.mpf:
-    """2 log((sqrt 5 + 1)/2), cross-checked against a bisection solve of
-    its defining equation 2 (cosh w - 1) = 1."""
+    """2 log((sqrt 5 + 1)/2), checked against its defining equation
+    2 (cosh w - 1) = 1.  Near the root f(x) = 2 (cosh x - 1) - 1 has
+    f'(x) = 2 sinh x > 2, so a residual of at most 2^-(bits-3) puts the
+    closed form within 2^-(bits-4) of the root."""
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     with mp.workprec(precision_bits + 16):
         closed = 2 * mp.log((mp.sqrt(5) + 1) / 2)
-        lo, hi = mp.mpf("0.9"), mp.mpf("1.0")
-        for _ in range(precision_bits + 8):
-            mid = (lo + hi) / 2
-            if 2 * (mp.cosh(mid) - 1) < 1:
-                lo = mid
-            else:
-                hi = mid
-        if abs(closed - (lo + hi) / 2) > mp.mpf(2) ** (-precision_bits + 4):
-            raise KernelInvariantError("closed form and root solve disagree")
+        if abs(2 * (mp.cosh(closed) - 1) - 1) > mp.mpf(2) ** (-precision_bits + 3):
+            raise KernelInvariantError("closed form misses 2 (cosh w - 1) = 1")
     with mp.workprec(precision_bits):
         return +closed
 
@@ -225,48 +220,21 @@ def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
         return +worst
 
 
-@dataclass(frozen=True)
-class CdfDetail:
-    value: mp.mpf
-    value_exclusive: mp.mpf
-    cutoff: mp.mpf
-    knife_edge: bool
-
-
-def scaled_cdf_detail(n: int, y, precision_bits: int = 256) -> CdfDetail:
+def scaled_cdf(n: int, y, precision_bits: int = 256) -> mp.mpf:
     """Partial-sum distribution value
 
-        w^(2n+1)/(2n)! * sum_{j <= floor(center + y sqrt(spread))} (2j)! T(n, j)
-
-    with a knife-edge flag when the cutoff sits within 2^(-precision/2)
-    of an integer (both the inclusive and exclusive sums are reported)."""
+        w^(2n+1)/(2n)! * sum_{j <= floor(center + y sqrt(spread))} (2j)! T(n, j)."""
     if n < 2:
         raise ValueError("requires n >= 2")
     row = modified_legendre_row(n)
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        yv = mp.mpf(y)
-        cutoff = cs.center + yv * mp.sqrt(cs.spread)
-        j_inc = int(mp.floor(cutoff))
-        knife = abs(cutoff - mp.nint(cutoff)) < mp.mpf(2) ** (-(precision_bits // 2))
+        cutoff = cs.center + mp.mpf(y) * mp.sqrt(cs.spread)
+        j_hi = min(int(mp.floor(cutoff)), n)
         scale = cs.w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
-
-        def partial(j_hi: int) -> mp.mpf:
-            j_hi = min(j_hi, n)
-            if j_hi < 0:
-                return mp.mpf(0)
-            return mp.mpf(sum(row[: j_hi + 1])) * scale
-
-        inclusive = partial(j_inc)
-        exclusive = partial(j_inc - 1) if knife else inclusive
-        return CdfDetail(
-            value=+inclusive, value_exclusive=+exclusive, cutoff=+cutoff, knife_edge=knife
-        )
-
-
-def scaled_cdf(n: int, y, precision_bits: int = 256) -> mp.mpf:
+        value = mp.mpf(sum(row[: j_hi + 1])) * scale if j_hi >= 0 else mp.mpf(0)
     with mp.workprec(precision_bits):
-        return +scaled_cdf_detail(n, y, precision_bits).value
+        return +value
 
 
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:

@@ -25,7 +25,6 @@ M-series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
@@ -37,33 +36,12 @@ from .precision import to_mpf
 ZETA_DIRECT_TERMS = 10_000
 
 
-def _bernoulli_numbers(count: int) -> list[Fraction]:
-    # Akiyama-Tanigawa; second convention (B_1 = +1/2), only even indices used.
-    a = [Fraction(0)] * (count + 1)
-    out = []
-    for m in range(count + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-        out.append(a[0])
-    return out
-
-
-_BERNOULLI: list[Fraction] = []
-
-
-def _bernoulli(k: int) -> Fraction:
-    global _BERNOULLI
-    if k >= len(_BERNOULLI):
-        _BERNOULLI = _bernoulli_numbers(max(k, 2 * len(_BERNOULLI), 40))
-    return _BERNOULLI[k]
-
-
 def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
     """zeta(s) for real s > 1 by direct summation to ZETA_DIRECT_TERMS plus
     an Euler-Maclaurin tail at the cutoff.  Correction terms are added
     until they drop below 2^-(precision_bits + 8); at this cutoff that
-    happens long before the asymptotic tail could turn."""
+    happens long before the asymptotic tail could turn.  B_2i is exact
+    from mpmath.bernfrac."""
     with mp.workprec(precision_bits + 32):
         sv = to_mpf(s)
         if sv <= 1:
@@ -77,8 +55,8 @@ def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
         npow_i = npow / n  # n^(-s - 2i + 1)
         i = 1
         while True:
-            b = _bernoulli(2 * i)
-            term = to_mpf(b) / factorial(2 * i) * rising * npow_i
+            p, q = mp.bernfrac(2 * i)
+            term = mp.mpf(p) / q / factorial(2 * i) * rising * npow_i
             total += term
             if abs(term) < target:
                 break
@@ -117,9 +95,9 @@ def _check_imag(total, precision_bits: int) -> mp.mpf:
     return total.real
 
 
-def eisenstein_chebyshev(n: int, w, m_max: int, precision_bits: int = 256) -> mp.mpf:
-    """Truncated lattice sum approximating L_n(g(w)); real by conjugate
-    pairing, summed in fixed order."""
+def _lattice_sum(n: int, w, m_max: int, precision_bits: int, term, prefactor) -> mp.mpf:
+    """prefactor(w) times the sum of term(z) over z = w + 2 pi i m,
+    |m| <= m_max, in the fixed order; real by conjugate pairing."""
     if n < 1:
         raise ValueError("requires n >= 1")
     if m_max < 0:
@@ -128,35 +106,32 @@ def eisenstein_chebyshev(n: int, w, m_max: int, precision_bits: int = 256) -> mp
         wv = mp.mpf(w)
         if wv <= 0:
             raise ValueError("w must be positive")
-        power = 2 * n + 1
         total = mp.mpc(0)
         for z in _lattice_points(wv, m_max):
-            total += z ** (-power)
-        total *= mp.mpf(factorial(2 * n)) * 2 * (mp.cosh(wv) - 1) / mp.sinh(wv)
+            total += term(z)
+        total *= prefactor(wv)
         real = _check_imag(total, precision_bits)
     with mp.workprec(precision_bits):
         return +real
+
+
+def eisenstein_chebyshev(n: int, w, m_max: int, precision_bits: int = 256) -> mp.mpf:
+    """Truncated lattice sum approximating L_n(g(w))."""
+    return _lattice_sum(
+        n, w, m_max, precision_bits,
+        lambda z: z ** (-(2 * n + 1)),
+        lambda wv: mp.mpf(factorial(2 * n)) * 2 * (mp.cosh(wv) - 1) / mp.sinh(wv),
+    )
 
 
 def eisenstein_legendre(n: int, w, m_max: int, precision_bits: int = 256) -> mp.mpf:
     """Truncated lattice sum approximating M_n(g(w)) via the closed-form
     integrals J(n, n; w + 2 pi i m)."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
-    closed = laplace_closed_form(n, n)
-    with mp.workprec(precision_bits + 32):
-        wv = mp.mpf(w)
-        if wv <= 0:
-            raise ValueError("w must be positive")
-        total = mp.mpc(0)
-        for z in _lattice_points(wv, m_max):
-            total += closed.eval(z)
-        total *= (mp.cosh(wv) - 1) / mp.sinh(wv)
-        real = _check_imag(total, precision_bits)
-    with mp.workprec(precision_bits):
-        return +real
+    return _lattice_sum(
+        n, w, m_max, precision_bits,
+        laplace_closed_form(n, n).eval,
+        lambda wv: (mp.cosh(wv) - 1) / mp.sinh(wv),
+    )
 
 
 def squeeze_argument(w, precision_bits: int = 256) -> mp.mpf:
@@ -178,8 +153,6 @@ class CertifiedValue:
 
     value: mp.mpf
     bound: mp.mpf
-    m_max: int
-    precision_bits: int
 
 
 def certified_legendre(n: int, w, m_max: int = 16, precision_bits: int = 256) -> CertifiedValue:
@@ -188,8 +161,6 @@ def certified_legendre(n: int, w, m_max: int = 16, precision_bits: int = 256) ->
     return CertifiedValue(
         value=eisenstein_legendre(n, w, m_max, precision_bits),
         bound=tail_bound(n, w, precision_bits),
-        m_max=m_max,
-        precision_bits=precision_bits,
     )
 
 
@@ -198,6 +169,4 @@ def certified_chebyshev(n: int, w, m_max: int = 16, precision_bits: int = 256) -
     return CertifiedValue(
         value=eisenstein_chebyshev(n, w, m_max, precision_bits),
         bound=tail_bound(2 * n, w, precision_bits),
-        m_max=m_max,
-        precision_bits=precision_bits,
     )

@@ -29,7 +29,6 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .errors import PrecisionError
 from .precision import print_digits
 
 
@@ -91,9 +90,13 @@ def saddle_coefficients(nu: int, z, precision_bits: int = 256) -> SaddleCoeffici
         return SaddleCoefficients(nu=nu, z=zz, leading=ch, correction=corr)
 
 
-def _normalized_value(nu: int, z, n: int, bits: int) -> mp.mpf:
-    """Q(n) = J(n+nu, n; z) * sqrt(pi n) * (z/2)^(2n+nu+1) / (n! (n+nu)!)."""
-    with mp.workprec(bits):
+def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
+    """Q(n) = J(n+nu, n; z) * sqrt(pi n) * (z/2)^(2n+nu+1) / (n! (n+nu)!),
+    evaluated once with 48 guard bits.  For real z > 0 every term of
+    J(n+nu, n; z) is positive, so nothing cancels and the guard bits cover
+    the rounding; every caller passes such a z, because
+    saddle_coefficients rejects any other."""
+    with mp.workprec(precision_bits + 48):
         zz = mp.mpf(z)
         val = laplace_closed_form(n + nu, n).eval(zz)
         return (
@@ -102,23 +105,6 @@ def _normalized_value(nu: int, z, n: int, bits: int) -> mp.mpf:
             * (zz / 2) ** (2 * n + nu + 1)
             / (mp.mpf(factorial(n)) * factorial(n + nu))
         )
-
-
-def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
-    """Q(n) with a self-check against cancellation: the value is recomputed
-    with extra guard bits and escalated to 1024 bits if the two disagree."""
-    q1 = _normalized_value(nu, z, n, precision_bits + 16)
-    q2 = _normalized_value(nu, z, n, precision_bits + 48)
-    tol = mp.mpf(2) ** (-(precision_bits // 2))
-    if abs(q1 - q2) > abs(q2) * tol:
-        hi = max(1024, 2 * precision_bits)
-        q1 = _normalized_value(nu, z, n, hi)
-        q2 = _normalized_value(nu, z, n, hi + 64)
-        if abs(q1 - q2) > abs(q2) * tol:
-            raise PrecisionError(
-                f"normalized integral at n={n} unstable even at {hi} bits"
-            )
-    return q2
 
 
 @dataclass(frozen=True)

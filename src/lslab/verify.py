@@ -367,20 +367,17 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
             ok = False
     out.append(_result("total-mass ratio doubling decay", ok, ", ".join(detail)))
 
+    # At w, g(w) = 1 and (cosh w - 1)/sinh w = 1/sqrt5, so the certified
+    # Legendre lattice sum is the row mass itself.
     ok = True
     detail = ""
+    w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        w = clt.saddle_constant(bits + 64)
-        s5 = mp.sqrt(5)
         for n in range(2, 51):
-            closed = laplace.laplace_closed_form(n, n)
-            total = mp.mpc(0)
-            for m in range(-16, 17):
-                total += closed.eval(mp.mpc(w, 2 * mp.pi * m))
-            lattice = total.real
-            exact = s5 * mp.mpf(sum(triangles.modified_legendre_row(n)))
-            rel = abs(lattice - exact) / exact
-            if rel > eisenstein.tail_bound(n, w, bits):
+            cert = eisenstein.certified_legendre(n, w, 16, bits)
+            exact = mp.mpf(sum(triangles.modified_legendre_row(n)))
+            rel = abs(cert.value - exact) / exact
+            if rel > cert.bound:
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
     out.append(_result("lattice identity for sqrt5 * row mass n<=50", ok, detail))
 

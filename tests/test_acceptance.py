@@ -6,12 +6,15 @@ module can never drift apart.  Run with `pytest tests/test_acceptance.py -s`
 to see the per-criterion lines.
 """
 
+import hashlib
 import time
 
+import mpmath as mp
 import pytest
 
-from lslab import verify
-from lslab.genpoly import legendre_genpoly_recurrence
+from lslab import edgeworth, verify
+from lslab.genpoly import legendre_genpoly_fast, legendre_genpoly_recurrence
+from lslab.precision import to_mpf
 from lslab.triangles import gamma_zero_identity
 
 CFG = verify.SuiteConfig()
@@ -60,6 +63,29 @@ def edgeworth_run():
     return _run(verify.suite_edgeworth, CFG)
 
 
+# sha256 of the lines `lslab verify <suite>` prints at the default
+# configuration, recorded before the lattice identity of the clt suite was
+# routed through eisenstein.certified_legendre and before Q(n), w and the
+# Bernoulli numbers each went to a single production path.
+SUITE_DIGESTS = {
+    "clt": "c9f7ac9c6c6b21b0e63da8e0700ec7ab777914dafa29187fc8a7342b2b01a682",
+    "eisenstein": "6f44ba9e5c9178271b99caa51df87aae5b31aa95c282eb6f70c1666fb733a60f",
+}
+
+
+def _digest(run: SuiteRun) -> str:
+    text = "".join(result.line() + "\n" for result in run.results)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_clt_suite_lines_unchanged(clt_run):
+    assert _digest(clt_run) == SUITE_DIGESTS["clt"]
+
+
+def test_eisenstein_suite_lines_unchanged(eisenstein_run):
+    assert _digest(eisenstein_run) == SUITE_DIGESTS["eisenstein"]
+
+
 def _criterion(num: int, description: str, ok: bool, detail: str = ""):
     line = f"{'PASS' if ok else 'FAIL'} criterion {num:2d}: {description}"
     if detail:
@@ -80,6 +106,26 @@ def test_criterion_01_ratio_window():
         check.passed and in_time,
         f"{check.detail}; {elapsed:.1f}s",
     )
+
+
+def test_criterion_01_explained_by_local_expansion():
+    """The exact entry at (1000, 930) matches the order-4 local expansion
+    built from the exact cumulants of row 1000 to about 1.5e-5, so no
+    correction term comes near the 4.1% the reference window asks for.
+    Ratios sigma * P(S = 930) / density_expansion(k), measured: 1.002867
+    at k = 2, 0.998843 at k = 3 and 0.9999846 at k = 4."""
+    bits = 256
+    poly = legendre_genpoly_fast(1000)
+    prof = edgeworth.cumulants_from_genpoly(poly, 6, bits)
+    with mp.workprec(bits):
+        sigma = mp.sqrt(to_mpf(prof.variance))
+        prob = mp.mpf(poly.coeffs[930]) / sum(poly.coeffs)
+        ratios = {
+            k: sigma * prob / edgeworth.density_expansion(prof, 930, k, bits)
+            for k in (2, 3, 4)
+        }
+        assert abs(ratios[4] - 1) < 1e-4
+        assert abs(ratios[4] - 1) < abs(ratios[3] - 1) < abs(ratios[2] - 1)
 
 
 def test_criterion_02_printed_polynomials():

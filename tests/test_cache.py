@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lslab import cache
+from lslab.cli import EXIT_CACHE, EXIT_OK, main
 from lslab.triangles import LEGENDRE, GammaParam, iter_triangle, parse_record, triangle_record
 
 
@@ -76,3 +77,42 @@ class TestRoundTrip:
         entries = list(iter_triangle(gamma, n_max))
         assert [parse_record(line) for line in lines] == entries
         assert all(parse_record(triangle_record(*e)) == e for e in entries)
+
+
+class TestDamagedFiles:
+    """What `lslab table` does with a damaged cache file: it always prints
+    the cold table, and exits 4 only when the file was corrupt."""
+
+    N_MAX = 8
+
+    def _table(self, tmp_path, capsys):
+        argv = f"table --family legendre --n-max {self.N_MAX} --cache-dir {tmp_path}"
+        code = main(argv.split())
+        return code, capsys.readouterr().out
+
+    def _damage(self, tmp_path, capsys, damage):
+        cold_code, cold_out = self._table(tmp_path, capsys)
+        path = cache.cache_path(tmp_path, LEGENDRE, self.N_MAX)
+        intact = path.read_bytes()
+        path.write_bytes(damage(intact))
+        code, out = self._table(tmp_path, capsys)
+        assert cold_code == EXIT_OK and out == cold_out
+        assert path.read_bytes() == intact
+        return code
+
+    def test_empty_file_rebuilds_silently(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+        assert self._damage(tmp_path, capsys, lambda b: b"") == EXIT_OK
+
+    def test_header_only_file_is_corrupt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+        header_only = lambda b: b[: b.index(b"\n") + 1]
+        assert self._damage(tmp_path, capsys, header_only) == EXIT_CACHE
+
+    def test_missing_final_newline_is_corrupt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+        assert self._damage(tmp_path, capsys, lambda b: b[:-1]) == EXIT_CACHE
+
+    def test_non_object_header_is_corrupt(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+        assert self._damage(tmp_path, capsys, lambda b: b"[1]\n") == EXIT_CACHE

@@ -3,6 +3,8 @@ stdout must not change.  `verify all` is left out for its run time.
 The last five commands cover the Chebyshev, gamma-zero and Fraction
 tables and two far-out single entries; their hashes were recorded before
 the triangle rows and entries were merged into one recurrence kernel.
+The two saddle tables off z = w (nu 1 at z 2, nu 2 at z 1) were recorded
+before Q(n) went from two evaluations to one.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -56,6 +58,10 @@ GOLDEN = [
      "ff349060548207f70408d591ecd1452b5070d03b4d5f448e94f54169d9cb3c4e"),
     ("compute --family jacobi --gamma 2/3 --n 30 --j 11", 0,
      "eaf92cc860e038f963e40f6b7c5967d9d13ada868bd4c8b89f6a6000de9a28f9"),
+    ("asymptotics --report saddle --nu 1 --z 2 --n-list 50,100,400", 0,
+     "bb7cc469e4466c4f1529de139bb241d2bd4806f9432137fa360ce59736d74329"),
+    ("asymptotics --report saddle --nu 2 --z 1 --n-list 100,200,400", 0,
+     "d3b2aac01bde330c76c85c23247828a9d9e5d1bb2e0351eba0f942920732e361"),
 ]
 
 

@@ -10,7 +10,6 @@ import mpmath as mp
 import pytest
 
 from lslab.clt import (
-    CdfDetail,
     centering_scaling,
     max_density_residual,
     mean_variance_exact,
@@ -20,7 +19,6 @@ from lslab.clt import (
     ratio_check,
     saddle_constant,
     scaled_cdf,
-    scaled_cdf_detail,
     total_mass_ratio,
 )
 from lslab.errors import DegenerateVarianceError
@@ -168,19 +166,6 @@ class TestScaledCdf:
     def test_reference_values(self):
         assert abs(float(scaled_cdf(400, 0, 256)) - 0.47373736) < 1e-6
         assert float(scaled_cdf(400, -8, 256)) < 1e-6
-
-    def test_knife_edge_flagging(self):
-        n = 100
-        cs = centering_scaling(n, 256)
-        with mp.workprec(256):
-            y_exact = (93 - cs.center) / mp.sqrt(cs.spread)
-        detail = scaled_cdf_detail(n, y_exact, 256)
-        assert isinstance(detail, CdfDetail)
-        assert detail.knife_edge
-        assert detail.value != detail.value_exclusive
-        off = scaled_cdf_detail(n, 0.5, 256)
-        assert not off.knife_edge
-        assert off.value == off.value_exclusive
 
     def test_monotone_in_y(self):
         vals = [float(scaled_cdf(100, y, 128)) for y in (-2, -1, 0, 1, 2)]

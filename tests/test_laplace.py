@@ -1,9 +1,12 @@
 """Closed-form integral tests, including a quadrature cross-check."""
 
 import io
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.laplace import (
     derivative_identity_holds,
@@ -94,6 +97,22 @@ class TestSaddle:
         with mp.workprec(256):
             q = normalized_value(0, w, 400, 256)
             assert abs(q - mp.sqrt(5) / 2) < mp.mpf("0.001")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nu=st.integers(min_value=0, max_value=3),
+        z=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=64),
+        n=st.integers(min_value=1, max_value=400),
+    )
+    def test_single_evaluation_is_stable(self, nu, z, n):
+        # every term of J(n+nu, n; z) is positive for real z > 0, so one
+        # evaluation with guard bits agrees with a 1024-bit one to 2^-128
+        with mp.workprec(1100):
+            zz = mp.mpf(z.numerator) / z.denominator
+        q = normalized_value(nu, zz, n, 256)
+        q_hi = normalized_value(nu, zz, n, 976)
+        with mp.workprec(1100):
+            assert abs(q - q_hi) <= abs(q_hi) * mp.mpf(2) ** -128
 
     def test_expansion_report(self):
         from lslab.clt import saddle_constant
