@@ -17,9 +17,9 @@ from contextlib import contextmanager
 
 import mpmath as mp
 
-from . import cache, clt, edgeworth, genpoly, laplace, sturm, triangles, verify
+from . import cache, clt, edgeworth, laplace, sturm, triangles, verify
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
-from .precision import print_digits, to_mpf
+from .precision import print_digits
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -85,8 +85,7 @@ def cmd_verify(parser, args) -> int:
         ratio_only = True
     triangles.check_row_cap(max(args.n or 0, args.n_max or 0))
     if args.n_max is not None:
-        cfg.identities_max = args.n_max
-        cfg.certificate_max = args.n_max
+        cfg.n_max = args.n_max
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, cfg, ratio_only=ratio_only)
     for result in results:
@@ -127,36 +126,21 @@ def cmd_clt(parser, args) -> int:
     if args.n is None:
         parser.error("cdf report needs --n")
     digits = print_digits(bits)
-    lines = ["y,scaled_cdf,normal_cdf\n"]
-    with mp.workprec(bits):
-        for i in range(-40, 41):
-            y = mp.mpf(i) / 10
-            lhs = clt.scaled_cdf(args.n, y, bits)
-            rhs = clt.normal_cdf(y, bits)
-            lines.append(f"{mp.nstr(y, 3)},{mp.nstr(lhs, digits)},{mp.nstr(rhs, digits)}\n")
+    lines = ["y,scaled_cdf,normal_cdf\n"] + [
+        f"{mp.nstr(y, 3)},{mp.nstr(lhs, digits)},{mp.nstr(rhs, digits)}\n"
+        for y, lhs, rhs in clt.cdf_grid(args.n, bits)
+    ]
     with _open_out(args.out) as fp:
         fp.writelines(lines)
     return EXIT_OK
 
 
 def cmd_edgeworth(parser, args) -> int:
-    bits = args.precision_bits
-    n = args.n
-    prof = edgeworth.cumulants_from_genpoly(genpoly.legendre_genpoly_fast(n), 6, bits)
-    row = triangles.modified_legendre_row(n)
-    total = sum(row)
-    digits = print_digits(bits)
-    lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"]
-    with mp.workprec(bits):
-        sigma = mp.sqrt(to_mpf(prof.variance))
-        mean = to_mpf(prof.mean)
-        for j in range(n + 1):
-            x = (j - mean) / sigma
-            target = sigma * mp.mpf(row[j]) / total
-            v2 = edgeworth.density_expansion(prof, j, 2, bits)
-            v3 = edgeworth.density_expansion(prof, j, 3, bits)
-            values = (x, target, v2, v3, abs(target - v2), abs(target - v3))
-            lines.append(",".join([str(j)] + [mp.nstr(v, digits) for v in values]) + "\n")
+    digits = print_digits(args.precision_bits)
+    lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"] + [
+        ",".join([str(j)] + [mp.nstr(v, digits) for v in values]) + "\n"
+        for j, *values in edgeworth.comparison_table(args.n, args.precision_bits)
+    ]
     with _open_out(args.out) as fp:
         fp.writelines(lines)
     return EXIT_OK
@@ -164,15 +148,16 @@ def cmd_edgeworth(parser, args) -> int:
 
 def cmd_asymptotics(parser, args) -> int:
     bits = args.precision_bits
-    if args.report == "saddle":
+    saddle = args.report == "saddle"
+    n_list = args.n_list or ([100, 200, 400] if saddle else [50, 100, 200, 400])
+    triangles.check_row_cap(n_list[-1])
+    if saddle:
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
-        rep = laplace.saddle_expansion_check(args.nu, z, args.n_list or [100, 200, 400], bits)
+        rep = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
         with _open_out(args.out) as fp:
             rep.to_csv(fp)
         return EXIT_OK
     # mass: total-mass ratio decay table
-    n_list = args.n_list or [50, 100, 200, 400]
-    triangles.check_row_cap(n_list[-1])
     digits = print_digits(bits)
     lines = ["n,mass_ratio,abs_deviation\n"]
     for n in n_list:
@@ -183,7 +168,7 @@ def cmd_asymptotics(parser, args) -> int:
     return EXIT_OK
 
 
-def _n_max(text: str) -> int:
+def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -217,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("table", help="emit a triangle as CSV or JSON lines")
     p.add_argument("--family", required=True, choices=["legendre", "chebyshev", "jacobi"])
     p.add_argument("--gamma")
-    p.add_argument("--n-max", type=_n_max, required=True)
+    p.add_argument("--n-max", type=_non_negative, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default="-")
     p.add_argument("--cache-dir")
@@ -228,12 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, help="ratio-check row (suite clt)")
     p.add_argument("--j", type=int, help="ratio-check column (suite clt)")
-    p.add_argument("--n-max", type=_n_max, help="cap for the exhaustive identity scans")
+    p.add_argument("--n-max", type=_non_negative, help="cap for the exhaustive identity scans")
     p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("roots", help="certify the generating polynomial roots")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--refine-bits", type=int, default=0)
+    p.add_argument("--refine-bits", type=_non_negative, default=0)
 
     p = subs.add_parser("clt", help="ratio / residual / cdf reports")
     p.add_argument("--report", choices=["ratio", "residuals", "cdf"], default="ratio")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 import mpmath as mp
@@ -220,21 +221,35 @@ def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
         return +worst
 
 
-def scaled_cdf(n: int, y, precision_bits: int = 256) -> mp.mpf:
-    """Partial-sum distribution value
+def scaled_cdf(n: int, ys, precision_bits: int = 256) -> list:
+    """Partial-sum distribution values, one for each y in ys:
 
-        w^(2n+1)/(2n)! * sum_{j <= floor(center + y sqrt(spread))} (2j)! T(n, j)."""
+        w^(2n+1)/(2n)! * sum_{j <= floor(center + y sqrt(spread))} (2j)! T(n, j).
+
+    The row, its prefix sums, the centering and the scale are built once."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    row = modified_legendre_row(n)
+    prefix = list(accumulate(modified_legendre_row(n)))
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        cutoff = cs.center + mp.mpf(y) * mp.sqrt(cs.spread)
-        j_hi = min(int(mp.floor(cutoff)), n)
+        sqrt_spread = mp.sqrt(cs.spread)
         scale = cs.w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
-        value = mp.mpf(sum(row[: j_hi + 1])) * scale if j_hi >= 0 else mp.mpf(0)
+        values = []
+        for y in ys:
+            j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * sqrt_spread)), n)
+            values.append(mp.mpf(prefix[j_hi]) * scale if j_hi >= 0 else mp.mpf(0))
     with mp.workprec(precision_bits):
-        return +value
+        return [+v for v in values]
+
+
+def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
+    """(y, scaled cdf, normal cdf) at y = -4.0, -3.9, ..., 4.0: the table
+    `lslab clt --report cdf` prints and the grid of the clt suite's KS
+    distance."""
+    with mp.workprec(precision_bits):
+        ys = [mp.mpf(i) / 10 for i in range(-40, 41)]
+    scaled = scaled_cdf(n, ys, precision_bits)
+    return [(y, s, normal_cdf(y, precision_bits)) for y, s in zip(ys, scaled)]
 
 
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:

@@ -24,7 +24,7 @@ from math import comb, factorial
 import mpmath as mp
 
 from .errors import DegenerateVarianceError, ExpansionConditionError
-from .genpoly import IntPolynomial
+from .genpoly import IntPolynomial, legendre_genpoly_fast
 from .precision import to_mpf
 
 DEFAULT_CUMULANT_ORDER = 6
@@ -267,3 +267,24 @@ def density_expansion(
                 mp.mpf(nu) / 2
             )
         return +value
+
+
+def comparison_table(n: int, precision_bits: int = 256) -> list[tuple]:
+    """Rows (j, x, sigma p_j, order-2 value, order-3 value and the two
+    absolute errors) for the scaled Legendre row n, where p_j is its
+    normalized coefficient and x = (j - mean)/sigma with the row's exact
+    mean and variance."""
+    poly = legendre_genpoly_fast(n)
+    prof = cumulants_from_genpoly(poly, DEFAULT_CUMULANT_ORDER, precision_bits)
+    total = sum(poly.coeffs)
+    rows = []
+    with mp.workprec(precision_bits):
+        sigma = mp.sqrt(to_mpf(prof.variance))
+        mean = to_mpf(prof.mean)
+        for j, c in enumerate(poly.coeffs):
+            target = sigma * mp.mpf(c) / total
+            v2 = density_expansion(prof, j, 2, precision_bits)
+            v3 = density_expansion(prof, j, 3, precision_bits)
+            x = (j - mean) / sigma
+            rows.append((j, x, target, v2, v3, abs(target - v2), abs(target - v3)))
+    return rows

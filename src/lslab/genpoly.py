@@ -13,7 +13,6 @@ starting from M_0 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import UnimodalityError
 from .triangles import CHEBYSHEV, modified_legendre_row, scale_row, triangle_row
@@ -92,25 +91,6 @@ def legendre_genpoly_recurrence(n: int) -> IntPolynomial:
             new[i + 2] += c
         coeffs = new
     return IntPolynomial(coeffs)
-
-
-def genpoly_from_connection(k: int, parity: str) -> IntPolynomial:
-    """Binomially mixed Chebyshev polynomials; equals the Legendre
-    polynomial of index 2k+1 ('odd') or 2k ('even')."""
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    if parity == "odd":
-        parts = [(comb(2 * k + 1, 2 * mu + 1), k + mu + 1) for mu in range(k + 1)]
-    else:
-        parts = [(comb(2 * k, 2 * mu), k + mu) for mu in range(k + 1)]
-    out: list[int] = []
-    for weight, idx in parts:
-        poly = chebyshev_genpoly(idx)
-        if len(poly.coeffs) > len(out):
-            out.extend([0] * (len(poly.coeffs) - len(out)))
-        for i, c in enumerate(poly.coeffs):
-            out[i] += weight * c
-    return IntPolynomial(out)
 
 
 def derivatives_at_one(p: IntPolynomial) -> tuple[int, int, int]:

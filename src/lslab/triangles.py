@@ -113,26 +113,20 @@ def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
 
 
 _ROWS: dict[tuple[Fraction, int], tuple] = {}
-_SCALED_ROWS: dict[int, tuple[int, ...]] = {}
-
-
-def _remember(memo: dict, key, value):
-    """Store value, dropping the oldest entry past ROW_MEMO_SIZE."""
-    memo[key] = value
-    if len(memo) > ROW_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    return value
 
 
 def triangle_row(gamma, n: int) -> tuple:
-    """Row n of the triangle, memoized; a missing row is rolled forward
-    from the nearest lower memoized row of the same gamma."""
+    """Row n of the triangle, memoized up to ROW_MEMO_SIZE rows (the
+    oldest goes first); a missing row is rolled forward from the nearest
+    lower memoized row of the same gamma."""
     g = _as_gamma(gamma)
     row = _ROWS.get((g.value, n))
     if row is None:
         below = [k for gv, k in _ROWS if gv == g.value and k < n]
         start = (max(below), _ROWS[g.value, max(below)]) if below else None
-        row = _remember(_ROWS, (g.value, n), tuple(_sweep(g, n, 0, n, start)))
+        row = _ROWS[g.value, n] = tuple(_sweep(g, n, 0, n, start))
+        if len(_ROWS) > ROW_MEMO_SIZE:
+            del _ROWS[next(iter(_ROWS))]
     return row
 
 
@@ -247,11 +241,8 @@ def scale_row(row) -> tuple:
 
 def modified_legendre_row(n: int) -> tuple[int, ...]:
     """Row n of c(n, j) = (2j)! * T_1(n, j), the coefficients of the
-    Legendre generating polynomial; memoized like the triangle rows."""
-    row = _SCALED_ROWS.get(n)
-    if row is None:
-        row = _remember(_SCALED_ROWS, n, scale_row(triangle_row(LEGENDRE, n)))
-    return row
+    Legendre generating polynomial, scaled afresh on every call."""
+    return scale_row(triangle_row(LEGENDRE, n))
 
 
 def odd_power_cancellation(j: int, ell: int) -> int:
@@ -263,31 +254,30 @@ def odd_power_cancellation(j: int, ell: int) -> int:
     return total
 
 
-def _row_entry(gamma, n: int, j: int):
-    """Entry (n, j) read off the memoized row n; zero right of the row."""
-    return triangle_row(gamma, n)[j] if j <= n else 0
+def legendre_from_chebyshev(n: int) -> tuple[int, ...]:
+    """Legendre row n as a binomial mix of the Chebyshev rows whose index
+    has the parity of n:
 
+        T_1(n, j) = sum_{i = n mod 2, step 2, i <= n} C(n, i) T_{1/2}((n+i)/2, j),
 
-def legendre_from_chebyshev_odd(k: int, j: int) -> int:
-    """Odd-index Legendre entry as a binomial mix of Chebyshev entries:
-    T_1(2k+1, j) = sum_mu C(2k+1, 2mu+1) T_{1/2}(k+mu+1, j)."""
-    return sum(
-        comb(2 * k + 1, 2 * mu + 1) * _row_entry(CHEBYSHEV, k + mu + 1, j)
-        for mu in range(k + 1)
-    )
-
-
-def legendre_from_chebyshev_even(k: int, j: int) -> int:
-    """Even-index analogue: T_1(2k, j) = sum_mu C(2k, 2mu) T_{1/2}(k+mu, j)."""
-    return sum(comb(2 * k, 2 * mu) * _row_entry(CHEBYSHEV, k + mu, j) for mu in range(k + 1))
+    that is sum_mu C(2k+1, 2mu+1) T_{1/2}(k+mu+1, j) for n = 2k+1 and
+    sum_mu C(2k, 2mu) T_{1/2}(k+mu, j) for n = 2k."""
+    out = [0] * (n + 1)
+    for i in range(n % 2, n + 1, 2):
+        weight = comb(n, i)
+        for j, value in enumerate(triangle_row(CHEBYSHEV, (n + i) // 2)):
+            out[j] += weight * value
+    return tuple(out)
 
 
 def gamma_zero_identity(n: int, j: int) -> int:
     """Check T_0(n, j) == T_1(n-1, j-1) and return the common value."""
     if n < 1 or j < 1:
         raise ValueError("requires n, j >= 1")
-    lhs = _row_entry(GAMMA_ZERO, n, j)
-    rhs = _row_entry(LEGENDRE, n - 1, j - 1)
+    if j > n:
+        return 0
+    lhs = triangle_row(GAMMA_ZERO, n)[j]
+    rhs = triangle_row(LEGENDRE, n - 1)[j - 1]
     if lhs != rhs:
         raise KernelInvariantError(f"gamma-zero shift failed at ({n}, {j}): {lhs} != {rhs}")
     return int(lhs)

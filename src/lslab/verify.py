@@ -28,7 +28,7 @@ VAR_RESIDUAL_CEILING = 0.031         # reference run: 0.0296..0.0300 over n=100.
 VAR_RESIDUAL_SLACK = 5e-4            # trendwise non-increase allowance
 SADDLE_REL_TOLERANCE = 0.05          # reference run: <= 0.0061 at n=400
 
-# Scan sizes no caller varies (`verify --n-max` sets the two in SuiteConfig)
+# Scan sizes no caller varies (`verify --n-max` sets SuiteConfig.n_max)
 UNIMODALITY_MAX = 300
 POLY_EQUALITY_MAX = 200
 CONNECTION_MAX = 20
@@ -53,8 +53,7 @@ class SuiteConfig:
     precision_bits: int = 256
     ratio_n: int = 1000
     ratio_j: int = 930
-    identities_max: int = 30
-    certificate_max: int = 30
+    n_max: int = 30
 
 
 def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -67,7 +66,7 @@ def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
 
 def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     out: list[CheckResult] = []
-    nmax = cfg.identities_max
+    nmax = cfg.n_max
 
     def row_ok_legendre(n: int) -> bool:
         for j, rec in enumerate(triangles.triangle_row(triangles.LEGENDRE, n)):
@@ -102,15 +101,10 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result("odd-power binomial cancellation j,l<=12", ok))
 
     kmax = CONNECTION_MAX
-    ok = True
-    for k in range(kmax + 1):
-        odd = triangles.triangle_row(triangles.LEGENDRE, 2 * k + 1)
-        even = triangles.triangle_row(triangles.LEGENDRE, 2 * k)
-        for j in range(2 * k + 2):
-            if triangles.legendre_from_chebyshev_odd(k, j) != odd[j]:
-                ok = False
-            if j <= 2 * k and triangles.legendre_from_chebyshev_even(k, j) != even[j]:
-                ok = False
+    ok = all(
+        triangles.legendre_from_chebyshev(n) == triangles.triangle_row(triangles.LEGENDRE, n)
+        for n in range(2 * kmax + 2)
+    )
     out.append(_result(f"parity connection formulas k<={kmax}", ok))
 
     ok = all(
@@ -171,19 +165,14 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result(f"recurrence vs triangle polynomials n<={nmax}", ok))
 
     kmax = CONNECTION_POLY_MAX
-    ok = True
-    for k in range(kmax + 1):
-        if genpoly.genpoly_from_connection(k, "odd") != genpoly.legendre_genpoly_fast(
-            2 * k + 1
-        ):
-            ok = False
-        if genpoly.genpoly_from_connection(k, "even") != genpoly.legendre_genpoly_fast(
-            2 * k
-        ):
-            ok = False
+    ok = all(
+        triangles.scale_row(triangles.legendre_from_chebyshev(n))
+        == genpoly.legendre_genpoly_fast(n).coeffs
+        for n in range(2 * kmax + 2)
+    )
     out.append(_result(f"connection polynomials k<={kmax}", ok))
 
-    cmax = cfg.certificate_max
+    cmax = cfg.n_max
     ok = True
     detail = ""
     for n in range(1, cmax + 1):
@@ -287,17 +276,6 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
 # clt
 
 
-def _ks_distance(n: int, bits: int) -> mp.mpf:
-    worst = mp.mpf(0)
-    with mp.workprec(bits):
-        for i in range(-40, 41):
-            y = mp.mpf(i) / 10
-            d = abs(clt.scaled_cdf(n, y, bits) - clt.normal_cdf(y, bits))
-            if d > worst:
-                worst = d
-    return worst
-
-
 def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
     out: list[CheckResult] = []
     bits = max(cfg.precision_bits, 256)
@@ -348,7 +326,10 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
         )
     )
 
-    ks100, ks400 = _ks_distance(100, bits), _ks_distance(400, bits)
+    with mp.workprec(bits):
+        ks100, ks400 = (
+            max(abs(s - p) for _, s, p in clt.cdf_grid(n, bits)) for n in (100, 400)
+        )
     out.append(
         _result(
             "grid KS distance decay n=100 -> n=400",
@@ -399,8 +380,7 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
                 ok = False
     out.append(_result("scaled row matches rescaled row-sum distribution at n=20", ok))
 
-    center = clt.scaled_cdf(400, 0, bits)
-    tail = clt.scaled_cdf(400, -8, bits)
+    center, tail = clt.scaled_cdf(400, [0, -8], bits)
     ok = abs(float(center) - 0.5) < 0.05 and float(tail) < 1e-6
     out.append(
         _result(
@@ -506,19 +486,8 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
         poly = nxt
     out.append(_result("hermite recurrence matches derivative form m<=6", ok))
 
-    n = 200
-    prof = edgeworth.cumulants_from_genpoly(genpoly.legendre_genpoly_fast(n), 6, bits)
-    row = triangles.modified_legendre_row(n)
-    total = sum(row)
-    with mp.workprec(bits):
-        sigma = mp.sqrt(to_mpf(prof.variance))
-        err2 = mp.mpf(0)
-        err3 = mp.mpf(0)
-        for j in range(n + 1):
-            target = sigma * mp.mpf(row[j]) / total
-            e2 = abs(target - edgeworth.density_expansion(prof, j, 2, bits))
-            e3 = abs(target - edgeworth.density_expansion(prof, j, 3, bits))
-            err2, err3 = max(err2, e2), max(err3, e3)
+    table = edgeworth.comparison_table(200, bits)  # each row ends with |err2|, |err3|
+    err2, err3 = max(row[-2] for row in table), max(row[-1] for row in table)
     out.append(
         _result(
             "order-3 expansion beats order-2 at n=200",

@@ -64,12 +64,18 @@ def edgeworth_run():
 
 
 # sha256 of the lines `lslab verify <suite>` prints at the default
-# configuration, recorded before the lattice identity of the clt suite was
-# routed through eisenstein.certified_legendre and before Q(n), w and the
-# Bernoulli numbers each went to a single production path.
+# configuration.  The clt and eisenstein hashes were recorded before the
+# lattice identity of the clt suite was routed through
+# eisenstein.certified_legendre and before Q(n), w and the Bernoulli
+# numbers each went to a single production path; the identities, roots
+# and edgeworth hashes before the cdf grid, the Edgeworth table and the
+# connection formula each went to one builder.
 SUITE_DIGESTS = {
+    "identities": "e370f0604c2bf30c6138185908455f52908a83b17db2b2072e8ef5e630cedaa8",
+    "roots": "4dea8ec8fadffc5c214a87904bdf506f1f13dd9d83e962ffaaab0ef4cfd05924",
     "clt": "c9f7ac9c6c6b21b0e63da8e0700ec7ab777914dafa29187fc8a7342b2b01a682",
     "eisenstein": "6f44ba9e5c9178271b99caa51df87aae5b31aa95c282eb6f70c1666fb733a60f",
+    "edgeworth": "ca2f31f93aba76cb99983828e4bb9c9b64d03a61a50801083576a895936ab5e9",
 }
 
 
@@ -84,6 +90,18 @@ def test_clt_suite_lines_unchanged(clt_run):
 
 def test_eisenstein_suite_lines_unchanged(eisenstein_run):
     assert _digest(eisenstein_run) == SUITE_DIGESTS["eisenstein"]
+
+
+def test_identities_suite_lines_unchanged(identities_run):
+    assert _digest(identities_run) == SUITE_DIGESTS["identities"]
+
+
+def test_roots_suite_lines_unchanged(roots_run):
+    assert _digest(roots_run) == SUITE_DIGESTS["roots"]
+
+
+def test_edgeworth_suite_lines_unchanged(edgeworth_run):
+    assert _digest(edgeworth_run) == SUITE_DIGESTS["edgeworth"]
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = ""):

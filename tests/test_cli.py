@@ -4,6 +4,7 @@ recovery."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lslab
 from lslab.cli import main
 from lslab.triangles import jacobi_stirling
 
@@ -73,6 +75,7 @@ class TestRowCap:
             "roots --n 2000",
             "edgeworth --n 2000",
             "asymptotics --report mass --n-list 50,2000",
+            "asymptotics --report saddle --n-list 2000",
             "verify identities --n-max 2000",
             "verify clt --n 2000 --j 5",
             "compute --family legendre --n 2000 --j 2600",
@@ -103,6 +106,14 @@ class TestNegativeNMax:
         assert out == ""
         assert "--n-max" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_refine_bits_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--n", "5", "--refine-bits", "-3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--refine-bits" in err
 
 
 class TestTable:
@@ -311,11 +322,16 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the child finds the package where this process imported it from,
+        # also when pytest put src/ on sys.path and not in PYTHONPATH
+        src = os.path.dirname(os.path.dirname(lslab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lslab.cli", "compute", "--family", "legendre",
              "--n", "4", "--j", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "52"

@@ -4,7 +4,9 @@ The last five commands cover the Chebyshev, gamma-zero and Fraction
 tables and two far-out single entries; their hashes were recorded before
 the triangle rows and entries were merged into one recurrence kernel.
 The two saddle tables off z = w (nu 1 at z 2, nu 2 at z 1) were recorded
-before Q(n) went from two evaluations to one.
+before Q(n) went from two evaluations to one.  The cdf table at n 800 and
+the Edgeworth table at n 400 carry the hashes of `perfbench/golden.json`
+and were recorded before each table went to one builder.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -62,6 +64,10 @@ GOLDEN = [
      "bb7cc469e4466c4f1529de139bb241d2bd4806f9432137fa360ce59736d74329"),
     ("asymptotics --report saddle --nu 2 --z 1 --n-list 100,200,400", 0,
      "d3b2aac01bde330c76c85c23247828a9d9e5d1bb2e0351eba0f942920732e361"),
+    ("clt --report cdf --n 800", 0,
+     "880344b7feb148555fb9648b1f7b0298742a895085d1a3f9f997f60ecada7e94"),
+    ("edgeworth --n 400", 0,
+     "1951fd16cf90e2c992abc01354cefed891222a35b42392f2d67edb9e34a30a8b"),
 ]
 
 

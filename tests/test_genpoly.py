@@ -8,13 +8,18 @@ from lslab.genpoly import (
     IntPolynomial,
     chebyshev_genpoly,
     derivatives_at_one,
-    genpoly_from_connection,
     legendre_genpoly_fast,
     legendre_genpoly_recurrence,
     unimodality_report,
 )
 from lslab.clt import centering_scaling
+from lslab.triangles import legendre_from_chebyshev, scale_row
 from math import factorial
+
+
+def connection_genpoly(n):
+    """Legendre generating polynomial from the scaled connection row."""
+    return IntPolynomial(scale_row(legendre_from_chebyshev(n)))
 
 
 class TestIntPolynomial:
@@ -70,18 +75,13 @@ class TestChebyshevPolynomials:
 
 class TestConnectionPolynomials:
     def test_examples(self):
-        assert genpoly_from_connection(1, "odd") == legendre_genpoly_recurrence(3)
-        assert genpoly_from_connection(0, "even") == IntPolynomial([1])
-        assert genpoly_from_connection(1, "even") == legendre_genpoly_recurrence(2)
+        assert connection_genpoly(3) == legendre_genpoly_recurrence(3)
+        assert connection_genpoly(0) == IntPolynomial([1])
+        assert connection_genpoly(2) == legendre_genpoly_recurrence(2)
 
     def test_range(self):
-        for k in range(10):
-            assert genpoly_from_connection(k, "odd") == legendre_genpoly_fast(2 * k + 1)
-            assert genpoly_from_connection(k, "even") == legendre_genpoly_fast(2 * k)
-
-    def test_bad_parity(self):
-        with pytest.raises(ValueError):
-            genpoly_from_connection(1, "either")
+        for n in range(20):
+            assert connection_genpoly(n) == legendre_genpoly_fast(n)
 
 
 class TestDerivatives:

@@ -26,8 +26,7 @@ from lslab.triangles import (
     iter_triangle,
     jacobi_stirling,
     jacobi_stirling_explicit,
-    legendre_from_chebyshev_even,
-    legendre_from_chebyshev_odd,
+    legendre_from_chebyshev,
     legendre_stirling_altsum,
     legendre_stirling_binsum,
     modified_legendre_row,
@@ -125,7 +124,6 @@ class TestRecurrence:
             triangle_row(GAMMA_ZERO, n)
             modified_legendre_row(n)
         assert len(triangles._ROWS) <= triangles.ROW_MEMO_SIZE
-        assert len(triangles._SCALED_ROWS) <= triangles.ROW_MEMO_SIZE
 
 
 class TestProperties:
@@ -206,18 +204,18 @@ class TestModified:
 class TestConnections:
     @pytest.mark.parametrize("k,j,expected", [(1, 2, 8), (0, 1, 1), (1, 1, 4)])
     def test_odd(self, k, j, expected):
-        assert legendre_from_chebyshev_odd(k, j) == expected
+        assert legendre_from_chebyshev(2 * k + 1)[j] == expected
 
     @pytest.mark.parametrize("k,j,expected", [(1, 1, 2), (0, 0, 1), (2, 2, 52)])
     def test_even(self, k, j, expected):
-        assert legendre_from_chebyshev_even(k, j) == expected
+        assert legendre_from_chebyshev(2 * k)[j] == expected
 
     def test_equals_legendre_triangle(self):
-        for k in range(8):
-            for j in range(2 * k + 2):
-                assert legendre_from_chebyshev_odd(k, j) == jacobi_stirling(2 * k + 1, j, LEGENDRE)
-                if j <= 2 * k:
-                    assert legendre_from_chebyshev_even(k, j) == jacobi_stirling(2 * k, j, LEGENDRE)
+        for n in range(16):
+            row = legendre_from_chebyshev(n)
+            assert len(row) == n + 1
+            for j in range(n + 1):
+                assert row[j] == jacobi_stirling(n, j, LEGENDRE)
 
 
 class TestGammaZero:
