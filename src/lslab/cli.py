@@ -118,7 +118,10 @@ def cmd_clt(parser, args) -> int:
         print(json.dumps(rep.to_json_dict()))
         return EXIT_OK
     if args.report == "residuals":
-        rep = clt.mean_variance_residuals(args.n_list or [100, 200, 400], bits)
+        n_list = args.n_list or [100, 200, 400]
+        if n_list[0] < 2:
+            parser.error("residuals report needs every n >= 2")
+        rep = clt.mean_variance_residuals(n_list, bits)
         with _open_out(args.out) as fp:
             rep.to_csv(fp)
         return EXIT_OK
@@ -136,6 +139,8 @@ def cmd_clt(parser, args) -> int:
 
 
 def cmd_edgeworth(parser, args) -> int:
+    if args.n < 2:
+        parser.error("edgeworth needs --n >= 2")
     digits = print_digits(args.precision_bits)
     lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"] + [
         ",".join([str(j)] + [mp.nstr(v, digits) for v in values]) + "\n"

@@ -25,7 +25,7 @@ M-series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import ceil, factorial, log, tau
 
 import mpmath as mp
 
@@ -33,37 +33,50 @@ from .errors import PrecisionError
 from .laplace import laplace_closed_form
 from .precision import to_mpf
 
-ZETA_DIRECT_TERMS = 10_000
-
 
 def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
-    """zeta(s) for real s > 1 by direct summation to ZETA_DIRECT_TERMS plus
-    an Euler-Maclaurin tail at the cutoff.  Correction terms are added
-    until they drop below 2^-(precision_bits + 8); at this cutoff that
-    happens long before the asymptotic tail could turn.  B_2i is exact
-    from mpmath.bernfrac."""
+    """zeta(s) for real s > 1: the direct sum over k < N plus the
+    Euler-Maclaurin tail at N, with B_2i exact from mpmath.bernfrac.
+
+    Let b = precision_bits + 40.  The tail's correction terms shrink
+    until 2i + s ~ 2 pi N and then grow; the smallest is at most about
+    2 N^(-1/2) (2 pi)^(s-1)/Gamma(s) e^(-2 pi N) < 2^5 e^(-2 pi N) for
+    every s > 1.  So N = max(64, ceil((b + 24) ln 2 / (2 pi))) puts it
+    below 2^-b with room to spare: N = 64 up to 512 bits, 121 at 1024.
+    Correction terms are added while they are at least 2^-b, the working
+    precision.  Every even derivative of x^-s is positive, so the
+    remainder lies between 0 and the first term left out, and the
+    truncation error is below 2^-b (zeta(s) > 1, so also relatively).
+    A term that stops shrinking before it drops below 2^-b raises
+    PrecisionError; the loop ends either way."""
+    bits = precision_bits + 40
+    n = max(64, ceil((bits + 24) * log(2) / tau))
     with mp.workprec(precision_bits + 32):
         sv = to_mpf(s)
         if sv <= 1:
             raise ValueError("requires s > 1")
-        n = ZETA_DIRECT_TERMS
         head = mp.fsum(mp.mpf(k) ** (-sv) for k in range(1, n))
         npow = mp.mpf(n) ** (-sv)
         total = head + npow / 2 + mp.mpf(n) ** (1 - sv) / (sv - 1)
-        target = mp.mpf(2) ** (-(precision_bits + 8))
+        target = mp.mpf(2) ** (-bits)
         rising = sv  # s (s+1) ... (s + 2i - 2)
         npow_i = npow / n  # n^(-s - 2i + 1)
+        last = mp.inf
         i = 1
         while True:
             p, q = mp.bernfrac(2 * i)
             term = mp.mpf(p) / q / factorial(2 * i) * rising * npow_i
-            total += term
             if abs(term) < target:
-                break
+                return +total
+            if abs(term) >= last:
+                raise PrecisionError(
+                    f"zeta({mp.nstr(sv, 8)}) tail turned at term {i} above 2^-{bits}"
+                )
+            total += term
+            last = abs(term)
             i += 1
             rising *= (sv + 2 * i - 3) * (sv + 2 * i - 2)
             npow_i /= n * n
-        return +total
 
 
 def tail_bound(r: int, w, precision_bits: int = 256) -> mp.mpf:

@@ -116,6 +116,29 @@ class TestNegativeNMax:
         assert "--refine-bits" in err
 
 
+class TestDegenerateRows:
+    """Rows 0 and 1 have no spread; asking for them is a usage error (exit 2,
+    nothing on stdout), as for `clt --report cdf --n 1`."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "edgeworth --n 0",
+            "edgeworth --n 1",
+            "clt --report residuals --n-list 1,2",
+        ],
+    )
+    def test_exit_2(self, command, capsys):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "n >= 2" in err
+
+
 class TestTable:
     def test_csv_row_count_and_determinism(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LSLAB_CACHE_DIR", str(tmp_path / "cache"))

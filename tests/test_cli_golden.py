@@ -6,7 +6,9 @@ the triangle rows and entries were merged into one recurrence kernel.
 The two saddle tables off z = w (nu 1 at z 2, nu 2 at z 1) were recorded
 before Q(n) went from two evaluations to one.  The cdf table at n 800 and
 the Edgeworth table at n 400 carry the hashes of `perfbench/golden.json`
-and were recorded before each table went to one builder.
+and were recorded before each table went to one builder.  The three
+saddle tables at 64, 512 and 1024 bits were recorded before the zeta
+direct sum was sized from the precision.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -68,6 +70,12 @@ GOLDEN = [
      "880344b7feb148555fb9648b1f7b0298742a895085d1a3f9f997f60ecada7e94"),
     ("edgeworth --n 400", 0,
      "1951fd16cf90e2c992abc01354cefed891222a35b42392f2d67edb9e34a30a8b"),
+    ("asymptotics --report saddle --nu 0 --z w --n-list 100,200,400 --precision-bits 64", 0,
+     "459153c08be2d32760eba00ed4b7287d87e9ecfbb05ce734cb3c68386a5c6532"),
+    ("asymptotics --report saddle --nu 0 --z w --n-list 100,200,400 --precision-bits 512", 0,
+     "654022b4495535c075f8ce0b6c9c43a484ca80c8fb686682379e601360c34382"),
+    ("asymptotics --report saddle --nu 1 --z 2 --n-list 50,100 --precision-bits 1024", 0,
+     "a1cc44f4c1e8801ba6c741798defcf8ec4e2437432428888756c3de28dec5795"),
 ]
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lslab.clt import saddle_constant
 from lslab.eisenstein import (
@@ -34,7 +36,22 @@ class TestZeta:
         with mp.workprec(300):
             ours = zeta_series(s, 256)
             reference = mp.zeta(mp.mpf(s.numerator) / s.denominator)
-            assert abs(ours - reference) < mp.mpf(2) ** -128
+            assert abs(ours - reference) < mp.mpf(2) ** -(256 + 24) * reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(min_value=2, max_value=800),
+        bits=st.sampled_from([64, 128, 256, 512, 1024, 2048]),
+    )
+    @example(r=2, bits=2048)
+    @example(r=800, bits=64)
+    def test_every_lattice_exponent_and_precision(self, r, bits):
+        """s = (r+1)/2 as the lattice bounds use it; the direct sum is
+        sized from the precision, so every call returns, 2048 bits too."""
+        ours = zeta_series(Fraction(r + 1, 2), bits)
+        with mp.workprec(bits + 64):
+            reference = mp.zeta(mp.mpf(r + 1) / 2)
+            assert abs(ours - reference) <= mp.mpf(2) ** -(bits + 24) * reference
 
     def test_rejects_pole_side(self):
         with pytest.raises(ValueError):
