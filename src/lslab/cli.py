@@ -68,7 +68,10 @@ def cmd_table(parser, args) -> int:
             for line in lines:
                 fp.write(line + "\n")
         else:
-            triangles.write_triangle_csv(fp, map(triangles.parse_record, lines))
+            fp.write("n,j,value\n")
+            for line in lines:
+                record = json.loads(line)
+                fp.write(f"{record['n']},{record['j']},{record['value']}\n")
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE
@@ -263,6 +266,9 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact entries pass the 4300-digit str(int) limit from about row
+    # 1122; argv was parsed above under the default limit.
+    sys.set_int_max_str_digits(0)
     if getattr(args, "precision_bits", 256) < 64:
         parser.error("--precision-bits must be at least 64")
     try:

@@ -33,7 +33,7 @@ from math import factorial
 import mpmath as mp
 
 from .errors import DegenerateVarianceError, KernelInvariantError
-from .genpoly import derivatives_at_one, legendre_genpoly_fast
+from .genpoly import derivatives_at_one
 from .precision import print_digits, to_mpf
 from .triangles import (
     LEGENDRE, check_row_cap, jacobi_stirling, legendre_stirling_binsum, modified_legendre_row
@@ -79,7 +79,7 @@ def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
     derivative sums of the row polynomial."""
     if n < 2:
         raise DegenerateVarianceError("the n = 1 row is a single atom")
-    total, d1, d2 = derivatives_at_one(legendre_genpoly_fast(n))
+    total, d1, d2 = derivatives_at_one(modified_legendre_row(n))
     mean = Fraction(d1, total)
     variance = Fraction(d2, total) + mean - mean * mean
     if variance == 0:

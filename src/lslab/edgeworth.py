@@ -24,29 +24,19 @@ from math import comb, factorial
 import mpmath as mp
 
 from .errors import DegenerateVarianceError, ExpansionConditionError
-from .genpoly import IntPolynomial, legendre_genpoly_fast
 from .precision import to_mpf
+from .triangles import modified_legendre_row
 
 DEFAULT_CUMULANT_ORDER = 6
 VARIANCE_FLOOR = 0.01  # lower bound on variance/n for the expansion
 MAX_EXPANSION_ORDER = 4
 
 
-@dataclass(frozen=True)
-class BernoulliArray:
-    """Success probabilities of one row of the triangular array.  All
-    entries are Fractions (exact path) or all mpf (refined-root path)."""
-
-    probabilities: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.probabilities)
-
-
-def probabilities_from_roots(roots, precision_bits: int = 256) -> BernoulliArray:
-    """Map zeros (all <= 0) to success probabilities p = 1/(1 - zero).
-    A zero at the origin maps to p = 1 (a deterministic success)."""
+def probabilities_from_roots(roots, precision_bits: int = 256) -> tuple:
+    """Map zeros (all <= 0) to success probabilities p = 1/(1 - zero),
+    one row of the triangular array.  A zero at the origin maps to p = 1
+    (a deterministic success).  All probabilities are Fractions when all
+    zeros are exact, else all mpf."""
     probs = []
     exact = all(isinstance(r, (int, Fraction)) for r in roots)
     with mp.workprec(precision_bits):
@@ -57,19 +47,19 @@ def probabilities_from_roots(roots, precision_bits: int = 256) -> BernoulliArray
                 probs.append(Fraction(1, 1) / (1 - Fraction(r)))
             else:
                 probs.append(+(1 / (1 - mp.mpf(r))))
-    return BernoulliArray(probabilities=tuple(probs))
+    return tuple(probs)
 
 
-def _is_exact(arr: BernoulliArray) -> bool:
-    return all(isinstance(p, (int, Fraction)) for p in arr.probabilities)
+def _is_exact(probs) -> bool:
+    return all(isinstance(p, (int, Fraction)) for p in probs)
 
 
-def distribution(arr: BernoulliArray, precision_bits: int = 256) -> list:
+def distribution(probs, precision_bits: int = 256) -> list:
     """P(S = j) for j = 0..n by convolution of the factors; exact rationals
     in, exact rationals out (precision_bits only matters on the mpf path)."""
     with mp.workprec(precision_bits):
-        poly = [Fraction(1) if _is_exact(arr) else mp.mpf(1)]
-        for p in arr.probabilities:
+        poly = [Fraction(1) if _is_exact(probs) else mp.mpf(1)]
+        for p in probs:
             q = 1 - p
             new = [0 * p] * (len(poly) + 1)
             for i, c in enumerate(poly):
@@ -128,20 +118,20 @@ def _normalize_cumulants(n, kappas, precision_bits) -> CumulantProfile:
 
 
 def cumulants_from_probabilities(
-    arr: BernoulliArray, order: int = DEFAULT_CUMULANT_ORDER, precision_bits: int = 256
+    probs, order: int = DEFAULT_CUMULANT_ORDER, precision_bits: int = 256
 ) -> CumulantProfile:
     """Per-factor moment-to-cumulant recursion (every raw moment of a
     Bernoulli variable equals p), summed across the row by independence."""
     if order < 2:
         raise ValueError("order must be at least 2")
     with mp.workprec(precision_bits):
-        zero = Fraction(0) if _is_exact(arr) else mp.mpf(0)
+        zero = Fraction(0) if _is_exact(probs) else mp.mpf(0)
         totals = [zero] * order
-        for p in arr.probabilities:
+        for p in probs:
             kappas = _cumulants_from_raw([p] * order)
             for i in range(order):
                 totals[i] += kappas[i]
-    return _normalize_cumulants(arr.n, totals, precision_bits)
+    return _normalize_cumulants(len(probs), totals, precision_bits)
 
 
 def _stirling2(r: int, k: int) -> int:
@@ -159,18 +149,18 @@ def _stirling2(r: int, k: int) -> int:
 
 
 def cumulants_from_genpoly(
-    poly: IntPolynomial, order: int = DEFAULT_CUMULANT_ORDER, precision_bits: int = 256
+    coeffs: tuple[int, ...], order: int = DEFAULT_CUMULANT_ORDER, precision_bits: int = 256
 ) -> CumulantProfile:
-    """Independent route: factorial moments p^(m)(1)/p(1) from exact
-    derivative sums, converted to raw moments with classical second-kind
-    Stirling numbers, then the same cumulant recursion."""
-    coeffs = poly.coeffs
+    """Independent route: factorial moments p^(m)(1)/p(1) of the
+    polynomial with these coefficients (ascending, no trailing zeros)
+    from exact derivative sums, converted to raw moments with classical
+    second-kind Stirling numbers, then the same cumulant recursion."""
     if any(c < 0 for c in coeffs):
         raise ValueError("coefficients must be non-negative")
     total = sum(coeffs)
     if total <= 0:
         raise ValueError("polynomial must be positive at 1")
-    n = poly.degree
+    n = len(coeffs) - 1
     factorial_moments = [Fraction(1)]
     for m in range(1, order + 1):
         s = 0
@@ -274,14 +264,14 @@ def comparison_table(n: int, precision_bits: int = 256) -> list[tuple]:
     absolute errors) for the scaled Legendre row n, where p_j is its
     normalized coefficient and x = (j - mean)/sigma with the row's exact
     mean and variance."""
-    poly = legendre_genpoly_fast(n)
-    prof = cumulants_from_genpoly(poly, DEFAULT_CUMULANT_ORDER, precision_bits)
-    total = sum(poly.coeffs)
+    row = modified_legendre_row(n)
+    prof = cumulants_from_genpoly(row, DEFAULT_CUMULANT_ORDER, precision_bits)
+    total = sum(row)
     rows = []
     with mp.workprec(precision_bits):
         sigma = mp.sqrt(to_mpf(prof.variance))
         mean = to_mpf(prof.mean)
-        for j, c in enumerate(poly.coeffs):
+        for j, c in enumerate(row):
             target = sigma * mp.mpf(c) / total
             v2 = density_expansion(prof, j, 2, precision_bits)
             v3 = density_expansion(prof, j, 3, precision_bits)

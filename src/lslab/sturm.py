@@ -19,7 +19,6 @@ from math import gcd
 import mpmath as mp
 
 from .errors import CertificationError
-from .genpoly import IntPolynomial
 from .precision import to_mpf
 from .triangles import modified_legendre_row
 
@@ -68,8 +67,8 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of p as primitive integer polynomials.  Ends with (a
     positive multiple of) gcd(p, p'); a constant tail certifies p is
     squarefree."""
-    chain = [_primitive(IntPolynomial(p).coeffs)]
-    d = IntPolynomial(chain[0]).derivative().coeffs
+    chain = [_primitive(p)]
+    d = tuple(i * c for i, c in enumerate(chain[0]))[1:]
     if not d:
         return chain
     chain.append(_primitive(d))
@@ -123,12 +122,6 @@ def _split_point(q: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     raise CertificationError("split-point", f"no root-free split point in ({lo}, {hi})")
 
 
-def _row_and_cofactor(n: int) -> tuple[Poly, Poly]:
-    """M_n from the scaled triangle row and q = M_n / s."""
-    m = modified_legendre_row(n)
-    return m, IntPolynomial(m[1:]).coeffs
-
-
 def certify_roots(n: int) -> RootCertificate:
     """Certify the zero set of M_n: a zero constant term, a squarefree
     cofactor q = M_n/s with exactly n-1 roots in (-1/4, 0), each isolated
@@ -139,7 +132,8 @@ def certify_roots(n: int) -> RootCertificate:
     """
     if n < 1:
         raise ValueError("requires n >= 1")
-    m, q = _row_and_cofactor(n)
+    m = modified_legendre_row(n)
+    q = m[1:]  # M_n / s
     if m[0] != 0:
         raise CertificationError("zero-root", f"M_{n} has nonzero constant term")
     quarter, zero = Fraction(-1, 4), Fraction(0)
@@ -188,7 +182,7 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     """Bisect each certified interval with exact sign tests until its width
     drops below 2^-precision_bits; returns the midpoints as mpf values,
     ascending.  Fully deterministic."""
-    _, q = _row_and_cofactor(cert.n)
+    q = modified_legendre_row(cert.n)[1:]
     eps = Fraction(1, 2**precision_bits)
     out = []
     with mp.workprec(precision_bits + 16):

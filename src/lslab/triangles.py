@@ -283,7 +283,7 @@ def gamma_zero_identity(n: int, j: int) -> int:
     return int(lhs)
 
 
-# --- row format: (n, j, value) entries as JSON-lines records or CSV --------
+# --- row format: (n, j, value) entries as JSON-lines records ---------------
 
 
 def format_entry(value) -> str:
@@ -307,18 +307,3 @@ def iter_triangle(gamma, n_max: int):
 def triangle_record(n: int, j: int, value) -> str:
     """One JSON-lines record of an entry."""
     return json.dumps({"n": n, "j": j, "value": format_entry(value)})
-
-
-def parse_record(line: str) -> tuple:
-    """Inverse of triangle_record: (n, j, value) with an exact value."""
-    obj = json.loads(line)
-    text = obj["value"]
-    value = Fraction(text) if "/" in text else int(text)
-    return obj["n"], obj["j"], value
-
-
-def write_triangle_csv(fp, entries) -> None:
-    """Write (n, j, value) entries as CSV under an `n,j,value` header."""
-    fp.write("n,j,value\n")
-    for n, j, v in entries:
-        fp.write(f"{n},{j},{format_entry(v)}\n")

@@ -41,6 +41,15 @@ class TestCompute:
         assert code == 0
         assert out.strip() == expected
 
+    def test_entry_longer_than_int_str_limit(self, capsys):
+        # Row 1999 peaks near j = 307 at about 8500 digits, past the
+        # 4300-digit default limit on int-to-str conversion.
+        code, out, _ = run_cli(
+            ["compute", "--family", "legendre", "--n", "1999", "--j", "307"], capsys
+        )
+        assert code == 0
+        assert out.strip() == str(jacobi_stirling(1999, 307, 1))
+
     def test_usage_errors_exit_2(self, capsys):
         for argv in (
             ["compute", "--family", "jacobi", "--n", "1", "--j", "1"],        # gamma missing

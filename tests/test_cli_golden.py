@@ -8,7 +8,9 @@ before Q(n) went from two evaluations to one.  The cdf table at n 800 and
 the Edgeworth table at n 400 carry the hashes of `perfbench/golden.json`
 and were recorded before each table went to one builder.  The three
 saddle tables at 64, 512 and 1024 bits were recorded before the zeta
-direct sum was sized from the precision.
+direct sum was sized from the precision.  The Legendre table at n 400,
+cold and then warm, carries the hash of `perfbench/golden.json` and was
+recorded before the CSV writer stopped parsing the stored records.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -76,6 +78,10 @@ GOLDEN = [
      "654022b4495535c075f8ce0b6c9c43a484ca80c8fb686682379e601360c34382"),
     ("asymptotics --report saddle --nu 1 --z 2 --n-list 50,100 --precision-bits 1024", 0,
      "a1cc44f4c1e8801ba6c741798defcf8ec4e2437432428888756c3de28dec5795"),
+    ("table --family legendre --n-max 400 --cache-dir {cache}", 0,
+     "23c795ca1e559cb91bb4b7a5448b15d01aeb80ad89ed2a0c0043bd4a8f8a6890"),
+    ("table --family legendre --n-max 400 --cache-dir {cache}", 0,
+     "23c795ca1e559cb91bb4b7a5448b15d01aeb80ad89ed2a0c0043bd4a8f8a6890"),
 ]
 
 

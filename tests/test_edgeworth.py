@@ -8,7 +8,6 @@ import mpmath as mp
 import pytest
 
 from lslab.edgeworth import (
-    BernoulliArray,
     cumulants_from_genpoly,
     cumulants_from_probabilities,
     density_expansion,
@@ -18,8 +17,9 @@ from lslab.edgeworth import (
     probabilities_from_roots,
 )
 from lslab.errors import DegenerateVarianceError, ExpansionConditionError
-from lslab.genpoly import legendre_genpoly_fast, legendre_genpoly_recurrence
+from lslab.genpoly import legendre_genpoly_recurrence
 from lslab.sturm import certify_roots, refine_roots
+from lslab.triangles import modified_legendre_row
 
 
 def enumerate_distribution(probs):
@@ -36,21 +36,21 @@ def enumerate_distribution(probs):
 
 class TestProbabilities:
     def test_two_point_row(self):
-        arr = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
-        assert arr.probabilities == (Fraction(1), Fraction(6, 7))
+        probs = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
+        assert probs == (Fraction(1), Fraction(6, 7))
 
     def test_single_zero_root(self):
-        arr = probabilities_from_roots([Fraction(0)])
-        assert arr.probabilities == (Fraction(1),)
-        assert distribution(arr) == [0, Fraction(1)]
+        probs = probabilities_from_roots([Fraction(0)])
+        assert probs == (Fraction(1),)
+        assert distribution(probs) == [0, Fraction(1)]
 
     def test_cubic_row_roots(self):
         roots = refine_roots(certify_roots(3), 128)
-        arr = probabilities_from_roots([mp.mpf(0)] + roots, 128)
+        probs = probabilities_from_roots([mp.mpf(0)] + roots, 128)
         with mp.workprec(128):
             expected = [1 / (1 + mp.mpf("0.21498299142")), 1 / (1 + mp.mpf("0.05168367524"))]
-            assert abs(arr.probabilities[1] - expected[0]) < 1e-9
-            assert abs(arr.probabilities[2] - expected[1]) < 1e-9
+            assert abs(probs[1] - expected[0]) < 1e-9
+            assert abs(probs[2] - expected[1]) < 1e-9
 
     def test_positive_root_rejected(self):
         with pytest.raises(ValueError):
@@ -59,13 +59,13 @@ class TestProbabilities:
 
 class TestDistribution:
     def test_two_point_row_exact(self):
-        arr = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
-        assert distribution(arr) == [0, Fraction(1, 7), Fraction(6, 7)]
+        probs = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
+        assert distribution(probs) == [0, Fraction(1, 7), Fraction(6, 7)]
 
     def test_cubic_row_matches_scaled_coefficients(self):
         roots = refine_roots(certify_roots(3), 200)
-        arr = probabilities_from_roots([mp.mpf(0)] + roots, 200)
-        dist = distribution(arr, 200)
+        probs = probabilities_from_roots([mp.mpf(0)] + roots, 200)
+        dist = distribution(probs, 200)
         with mp.workprec(200):
             for j, coeff in enumerate((0, 8, 192, 720)):
                 assert abs(dist[j] - mp.mpf(coeff) / 920) < mp.mpf(2) ** -150
@@ -77,28 +77,28 @@ class TestDistribution:
             (Fraction(1, 4),) * 6,
         ]
         for probs in arrays:
-            assert distribution(BernoulliArray(probs)) == enumerate_distribution(probs)
+            assert distribution(probs) == enumerate_distribution(probs)
 
     def test_normalization_exact(self):
         probs = tuple(Fraction(i + 2, 2 * i + 5) for i in range(10))
-        assert sum(distribution(BernoulliArray(probs))) == 1
+        assert sum(distribution(probs)) == 1
 
 
 class TestCumulants:
     def test_lambda2_is_one(self):
-        arr = BernoulliArray(tuple(Fraction(1, k + 2) for k in range(6)))
-        prof = cumulants_from_probabilities(arr, 4)
+        probs = tuple(Fraction(1, k + 2) for k in range(6))
+        prof = cumulants_from_probabilities(probs, 4)
         assert prof.normalized[0] == 1
 
     def test_symmetric_bernoulli_skewless(self):
-        prof = cumulants_from_probabilities(BernoulliArray((Fraction(1, 2),) * 4), 3)
+        prof = cumulants_from_probabilities((Fraction(1, 2),) * 4, 3)
         assert prof.normalized_cumulant(3) == 0
 
     def test_third_cumulant_formula(self):
         # kappa_3 = p(1-p)(1-2p) = -30/343 at p = 6/7, recovered through
         # the normalization lambda_3 = kappa_3 / sigma^3 (n = 1)
         p = Fraction(6, 7)
-        prof = cumulants_from_probabilities(BernoulliArray((p,)), 3, 128)
+        prof = cumulants_from_probabilities((p,), 3, 128)
         assert prof.variance == Fraction(6, 49)
         with mp.workprec(128):
             direct = (mp.mpf(-30) / 343) / (mp.mpf(6) / 49) ** mp.mpf(1.5)
@@ -123,7 +123,7 @@ class TestCumulants:
         prof_a = cumulants_from_probabilities(
             probabilities_from_roots([mp.mpf(0)] + roots, 256), 6, 256
         )
-        prof_b = cumulants_from_genpoly(legendre_genpoly_fast(5), 6, 256)
+        prof_b = cumulants_from_genpoly(modified_legendre_row(5), 6, 256)
         with mp.workprec(256):
             for nu in range(2, 7):
                 a, b = prof_a.normalized_cumulant(nu), prof_b.normalized_cumulant(nu)
@@ -161,7 +161,7 @@ class TestHermite:
 class TestCorrectionTerms:
     @pytest.fixture()
     def profile(self):
-        return cumulants_from_genpoly(legendre_genpoly_fast(20), 6, 192)
+        return cumulants_from_genpoly(modified_legendre_row(20), 6, 192)
 
     def test_odd_vanishes_at_zero(self, profile):
         assert abs(hermite_correction(1, profile, mp.mpf(0), 192)) < mp.mpf(2) ** -150
@@ -186,15 +186,15 @@ class TestCorrectionTerms:
             assert abs(hermite_correction(2, profile, x, 192) - expected) < mp.mpf(2) ** -140
 
     def test_insufficient_cumulants(self):
-        prof = cumulants_from_genpoly(legendre_genpoly_fast(6), 3, 128)
+        prof = cumulants_from_genpoly(modified_legendre_row(6), 3, 128)
         with pytest.raises(ValueError):
             hermite_correction(2, prof, mp.mpf(0), 128)
 
 
 class TestDensityExpansion:
     def test_two_point_reference_values(self):
-        arr = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
-        prof = cumulants_from_probabilities(arr, 6, 128)
+        probs = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
+        prof = cumulants_from_probabilities(probs, 6, 128)
         with mp.workprec(128):
             value = density_expansion(prof, 2, 2, 128)
             assert abs(value - mp.mpf("0.36704462")) < 1e-7
@@ -202,7 +202,7 @@ class TestDensityExpansion:
             assert abs(sigma_p - mp.mpf("0.29993751")) < 1e-7
 
     def test_near_mean_close_to_peak_density(self):
-        prof = cumulants_from_genpoly(legendre_genpoly_fast(80), 6, 128)
+        prof = cumulants_from_genpoly(modified_legendre_row(80), 6, 128)
         j = round(float(mp.mpf(prof.mean.numerator) / prof.mean.denominator))
         with mp.workprec(128):
             value = density_expansion(prof, j, 2, 128)
@@ -210,9 +210,7 @@ class TestDensityExpansion:
 
     def test_order3_improves_on_order2_small_row(self):
         n = 60
-        prof = cumulants_from_genpoly(legendre_genpoly_fast(n), 6, 160)
-        from lslab.triangles import modified_legendre_row
-
+        prof = cumulants_from_genpoly(modified_legendre_row(n), 6, 160)
         row = modified_legendre_row(n)
         total = sum(row)
         with mp.workprec(160):
@@ -228,14 +226,13 @@ class TestDensityExpansion:
         assert err3 < err2
 
     def test_order_cap(self):
-        prof = cumulants_from_genpoly(legendre_genpoly_fast(10), 6, 128)
+        prof = cumulants_from_genpoly(modified_legendre_row(10), 6, 128)
         with pytest.raises(ValueError):
             density_expansion(prof, 5, 5, 128)
         with pytest.raises(ValueError):
             density_expansion(prof, 5, 1, 128)
 
     def test_variance_floor_guard(self):
-        arr = BernoulliArray((Fraction(1, 10**6),) * 5)
-        prof = cumulants_from_probabilities(arr, 6, 128)
+        prof = cumulants_from_probabilities((Fraction(1, 10**6),) * 5, 6, 128)
         with pytest.raises(ExpansionConditionError):
             density_expansion(prof, 0, 2, 128)

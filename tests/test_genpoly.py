@@ -1,87 +1,65 @@
 """Generating polynomial tests against hand-expanded references."""
 
-from fractions import Fraction
-
 import pytest
 
-from lslab.genpoly import (
-    IntPolynomial,
-    chebyshev_genpoly,
-    derivatives_at_one,
-    legendre_genpoly_fast,
-    legendre_genpoly_recurrence,
-    unimodality_report,
-)
+from lslab.genpoly import derivatives_at_one, legendre_genpoly_recurrence, unimodality_report
 from lslab.clt import centering_scaling
-from lslab.triangles import legendre_from_chebyshev, scale_row
+from lslab.triangles import (
+    CHEBYSHEV, legendre_from_chebyshev, modified_legendre_row, scale_row, triangle_row
+)
 from math import factorial
 
 
 def connection_genpoly(n):
     """Legendre generating polynomial from the scaled connection row."""
-    return IntPolynomial(scale_row(legendre_from_chebyshev(n)))
+    return scale_row(legendre_from_chebyshev(n))
 
 
-class TestIntPolynomial:
-    def test_strip_and_degree(self):
-        assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
-        assert IntPolynomial([]).degree == -1
-        assert IntPolynomial([0]).degree == -1
-
-    def test_eval(self):
-        p = IntPolynomial([1, -3, 2])  # 2x^2 - 3x + 1
-        assert p(2) == 3
-        assert p(Fraction(1, 2)) == 0
-
-    def test_derivative(self):
-        assert IntPolynomial([5, 1, 4]).derivative().coeffs == (1, 8)
-
-    def test_immutable(self):
-        p = IntPolynomial([1, 2])
-        with pytest.raises(AttributeError):
-            p.coeffs = (3,)
+def chebyshev_genpoly(n):
+    """Generating polynomial of the scaled gamma = 1/2 row."""
+    return scale_row(triangle_row(CHEBYSHEV, n))
 
 
 class TestRecurrencePolynomials:
     def test_printed_values(self):
-        assert legendre_genpoly_recurrence(0).coeffs == (1,)
-        assert legendre_genpoly_recurrence(1).coeffs == (0, 2)
-        assert legendre_genpoly_recurrence(2).coeffs == (0, 4, 24)
-        assert legendre_genpoly_recurrence(3).coeffs == (0, 8, 192, 720)
+        assert legendre_genpoly_recurrence(0) == (1,)
+        assert legendre_genpoly_recurrence(1) == (0, 2)
+        assert legendre_genpoly_recurrence(2) == (0, 4, 24)
+        assert legendre_genpoly_recurrence(3) == (0, 8, 192, 720)
 
     def test_matches_triangle_path(self):
         for n in range(40):
-            assert legendre_genpoly_recurrence(n) == legendre_genpoly_fast(n)
+            assert legendre_genpoly_recurrence(n) == modified_legendre_row(n)
 
     def test_row4_coefficients(self):
-        assert legendre_genpoly_fast(4).coeffs == (0, 16, 1248, 14400, 40320)
+        assert modified_legendre_row(4) == (0, 16, 1248, 14400, 40320)
 
     def test_shape_invariants(self):
         for n in range(1, 41):
-            p = legendre_genpoly_fast(n)
-            assert p.degree == n
-            assert p.coeffs[0] == 0
-            assert p.coeffs[-1] == factorial(2 * n)
-            assert p.coeffs[1] == 2**n
-            assert all(c > 0 for c in p.coeffs[1:])
+            p = modified_legendre_row(n)
+            assert len(p) == n + 1
+            assert p[0] == 0
+            assert p[-1] == factorial(2 * n)
+            assert p[1] == 2**n
+            assert all(c > 0 for c in p[1:])
 
 
 class TestChebyshevPolynomials:
     def test_small_rows(self):
-        assert chebyshev_genpoly(1).coeffs == (0, 2)
-        assert chebyshev_genpoly(2).coeffs == (0, 2, 24)
-        assert chebyshev_genpoly(3).coeffs == (0, 2, 120, 720)
+        assert chebyshev_genpoly(1) == (0, 2)
+        assert chebyshev_genpoly(2) == (0, 2, 24)
+        assert chebyshev_genpoly(3) == (0, 2, 120, 720)
 
 
 class TestConnectionPolynomials:
     def test_examples(self):
         assert connection_genpoly(3) == legendre_genpoly_recurrence(3)
-        assert connection_genpoly(0) == IntPolynomial([1])
+        assert connection_genpoly(0) == (1,)
         assert connection_genpoly(2) == legendre_genpoly_recurrence(2)
 
     def test_range(self):
         for n in range(20):
-            assert connection_genpoly(n) == legendre_genpoly_fast(n)
+            assert connection_genpoly(n) == modified_legendre_row(n)
 
 
 class TestDerivatives:
@@ -94,14 +72,14 @@ class TestDerivatives:
 
 class TestUnimodality:
     def test_examples(self):
-        assert unimodality_report(4).peak_index == 4
-        assert unimodality_report(3).peak_index == 3
+        assert unimodality_report(4) == 4
+        assert unimodality_report(3) == 3
 
     def test_peak_tracks_center(self):
         for n in (50, 100):
-            report = unimodality_report(n)
+            mode = unimodality_report(n)
             center = float(centering_scaling(n, 64).center)
-            assert abs(report.mode - center) <= 3
+            assert abs(mode - center) <= 3
 
     def test_requires_n_at_least_3(self):
         with pytest.raises(ValueError):

@@ -247,14 +247,12 @@ class TestExport:
         ]
         assert items[-2][2] == 8
 
-    def test_csv_writer(self):
-        import io
+    def test_csv_writer(self, tmp_path, capsys):
+        from lslab.cli import main
 
-        from lslab.triangles import write_triangle_csv
-
-        buf = io.StringIO()
-        write_triangle_csv(buf, iter_triangle(LEGENDRE, 3))
-        lines = buf.getvalue().strip().splitlines()
+        argv = ["table", "--family", "legendre", "--n-max", "3", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,j,value"
         assert len(lines) == 11
         assert lines[-2] == "3,2,8"
@@ -262,7 +260,7 @@ class TestExport:
     def test_jsonl_writer_round_trip(self):
         import json
 
-        from lslab.triangles import parse_record, triangle_record
+        from lslab.triangles import triangle_record
 
         rows = [json.loads(triangle_record(*e)) for e in iter_triangle(CHEBYSHEV, 4)]
         assert len(rows) == 15
@@ -271,4 +269,5 @@ class TestExport:
         entries = list(iter_triangle(GammaParam(Fraction(2, 3)), 4))
         lines = [triangle_record(*e) for e in entries]
         assert '{"n": 2, "j": 1, "value": "4/3"}' in lines
-        assert [parse_record(line) for line in lines] == entries
+        records = [json.loads(line) for line in lines]
+        assert [(r["n"], r["j"], Fraction(r["value"])) for r in records] == entries
