@@ -100,15 +100,30 @@ def cmd_verify(parser, args) -> int:
     return EXIT_OK
 
 
+def _write_csv(path: str | None, header: str, rows, bits: int) -> None:
+    """A CSV table to --out: int and str cells as they are, every other
+    value to print_digits(bits) significant digits.  Every line is built
+    before --out is opened."""
+    digits = print_digits(bits)
+    lines = [header + "\n"] + [
+        ",".join(str(c) if isinstance(c, (int, str)) else mp.nstr(c, digits) for c in row) + "\n"
+        for row in rows
+    ]
+    with _open_out(path) as fp:
+        fp.writelines(lines)
+
+
 def cmd_roots(parser, args) -> int:
     cert = sturm.certify_roots(args.n)
+    payload = {
+        "n": cert.n,
+        "intervals": [[f"{x.numerator}/{x.denominator}" for x in pair] for pair in cert.intervals],
+        "sign_at_quarter": cert.sign_at_quarter,
+    }
     if args.refine_bits:
-        roots = sturm.refine_roots(cert, args.refine_bits)
-        payload = json.loads(cert.to_json())
-        payload["roots"] = [mp.nstr(r, print_digits(args.refine_bits)) for r in roots]
-        print(json.dumps(payload))
-    else:
-        print(cert.to_json())
+        digits = print_digits(args.refine_bits)
+        payload["roots"] = [mp.nstr(r, digits) for r in sturm.refine_roots(cert, args.refine_bits)]
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -117,40 +132,31 @@ def cmd_clt(parser, args) -> int:
     if args.report == "ratio":
         if args.n is None or args.j is None:
             parser.error("ratio report needs --n and --j")
-        rep = clt.ratio_check(args.n, args.j, bits)
-        print(json.dumps(rep.to_json_dict()))
+        ratio, _ = clt.ratio_check(args.n, args.j, bits)
+        payload = {"n": args.n, "j": args.j, "ratio": mp.nstr(ratio, print_digits(bits)),
+                   "precision_bits": bits}
+        print(json.dumps(payload))
         return EXIT_OK
     if args.report == "residuals":
         n_list = args.n_list or [100, 200, 400]
         if n_list[0] < 2:
             parser.error("residuals report needs every n >= 2")
-        rep = clt.mean_variance_residuals(n_list, bits)
-        with _open_out(args.out) as fp:
-            rep.to_csv(fp)
+        rows = clt.mean_variance_residuals(n_list, bits)
+        _write_csv(args.out, "n,mean_residual,var_residual", rows, bits)
         return EXIT_OK
     # cdf
     if args.n is None:
         parser.error("cdf report needs --n")
-    digits = print_digits(bits)
-    lines = ["y,scaled_cdf,normal_cdf\n"] + [
-        f"{mp.nstr(y, 3)},{mp.nstr(lhs, digits)},{mp.nstr(rhs, digits)}\n"
-        for y, lhs, rhs in clt.cdf_grid(args.n, bits)
-    ]
-    with _open_out(args.out) as fp:
-        fp.writelines(lines)
+    rows = [(mp.nstr(y, 3), s, p) for y, s, p in clt.cdf_grid(args.n, bits)]
+    _write_csv(args.out, "y,scaled_cdf,normal_cdf", rows, bits)
     return EXIT_OK
 
 
 def cmd_edgeworth(parser, args) -> int:
     if args.n < 2:
         parser.error("edgeworth needs --n >= 2")
-    digits = print_digits(args.precision_bits)
-    lines = ["j,x,sigma_p,order2,order3,abs_err2,abs_err3\n"] + [
-        ",".join([str(j)] + [mp.nstr(v, digits) for v in values]) + "\n"
-        for j, *values in edgeworth.comparison_table(args.n, args.precision_bits)
-    ]
-    with _open_out(args.out) as fp:
-        fp.writelines(lines)
+    rows = edgeworth.comparison_table(args.n, args.precision_bits)
+    _write_csv(args.out, "j,x,sigma_p,order2,order3,abs_err2,abs_err3", rows, args.precision_bits)
     return EXIT_OK
 
 
@@ -161,18 +167,16 @@ def cmd_asymptotics(parser, args) -> int:
     triangles.check_row_cap(n_list[-1])
     if saddle:
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
-        rep = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
-        with _open_out(args.out) as fp:
-            rep.to_csv(fp)
+        rows = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
+        _write_csv(args.out, "n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound", rows, bits)
         return EXIT_OK
-    # mass: total-mass ratio decay table
-    digits = print_digits(bits)
-    lines = ["n,mass_ratio,abs_deviation\n"]
+    # mass: total-mass ratio decay table; abs(m - 1) is taken at mpmath's
+    # global precision, not at bits, and the printed digits show it
+    rows = []
     for n in n_list:
         m = clt.total_mass_ratio(n, bits)
-        lines.append(f"{n},{mp.nstr(m, digits)},{mp.nstr(abs(m - 1), digits)}\n")
-    with _open_out(args.out) as fp:
-        fp.writelines(lines)
+        rows.append((n, m, abs(m - 1)))
+    _write_csv(args.out, "n,mass_ratio,abs_deviation", rows, bits)
     return EXIT_OK
 
 

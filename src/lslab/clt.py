@@ -32,9 +32,9 @@ from math import factorial
 
 import mpmath as mp
 
+from .edgeworth import exact_cumulants
 from .errors import DegenerateVarianceError, KernelInvariantError
-from .genpoly import derivatives_at_one
-from .precision import print_digits, to_mpf
+from .precision import to_mpf
 from .triangles import (
     LEGENDRE, check_row_cap, jacobi_stirling, legendre_stirling_binsum, modified_legendre_row
 )
@@ -75,44 +75,18 @@ def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
 
 
 def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
-    """Exact mean and variance of the scaled-row distribution from the
-    derivative sums of the row polynomial."""
+    """Exact mean and variance of the scaled-row distribution."""
     if n < 2:
         raise DegenerateVarianceError("the n = 1 row is a single atom")
-    total, d1, d2 = derivatives_at_one(modified_legendre_row(n))
-    mean = Fraction(d1, total)
-    variance = Fraction(d2, total) + mean - mean * mean
+    mean, variance = exact_cumulants(modified_legendre_row(n), 2)
     if variance == 0:
         raise DegenerateVarianceError(f"zero variance at n={n}")
     return mean, variance
 
 
-@dataclass(frozen=True)
-class ResidualRow:
-    n: int
-    mean_residual: mp.mpf
-    var_residual: mp.mpf
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    precision_bits: int
-    rows: tuple[ResidualRow, ...]
-    doubling_ratios: tuple[tuple[int, int, mp.mpf], ...]
-
-    def to_csv(self, fp) -> None:
-        digits = print_digits(self.precision_bits)
-        fp.write("n,mean_residual,var_residual\n")
-        for row in self.rows:
-            fp.write(
-                f"{row.n},{mp.nstr(row.mean_residual, digits)},"
-                f"{mp.nstr(row.var_residual, digits)}\n"
-            )
-
-
-def mean_variance_residuals(n_list, precision_bits: int = 256) -> ResidualReport:
-    """Distance of the exact mean/variance from center(n)/spread(n), plus
-    the |mean residual| doubling ratios for each (n, 2n) pair in the list."""
+def mean_variance_residuals(n_list, precision_bits: int = 256) -> list[tuple]:
+    """Rows (n, mean - center(n), variance - spread(n)) with the exact
+    row moments."""
     ns = list(n_list)
     if ns != sorted(ns):
         raise ValueError("n_list must be ascending")
@@ -122,23 +96,8 @@ def mean_variance_residuals(n_list, precision_bits: int = 256) -> ResidualReport
         for n in ns:
             mean, var = mean_variance_exact(n)
             cs = centering_scaling(n, precision_bits)
-            mean_f = to_mpf(mean)
-            var_f = to_mpf(var)
-            rows.append(
-                ResidualRow(
-                    n=n,
-                    mean_residual=+(mean_f - cs.center),
-                    var_residual=+(var_f - cs.spread),
-                )
-            )
-        by_n = {row.n: row for row in rows}
-        ratios = []
-        for n in ns:
-            if 2 * n in by_n:
-                ratios.append(
-                    (n, 2 * n, +abs(by_n[2 * n].mean_residual) / abs(by_n[n].mean_residual))
-                )
-    return ResidualReport(precision_bits=precision_bits, rows=tuple(rows), doubling_ratios=tuple(ratios))
+            rows.append((n, +(to_mpf(mean) - cs.center), +(to_mpf(var) - cs.spread)))
+    return rows
 
 
 def normal_approximation(n: int, j: int, precision_bits: int = 256) -> mp.mpf:
@@ -159,25 +118,8 @@ def normal_approximation(n: int, j: int, precision_bits: int = 256) -> mp.mpf:
         return +value
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    n: int
-    j: int
-    exact_digits: int
-    ratio: mp.mpf
-    precision_bits: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "j": self.j,
-            "ratio": mp.nstr(self.ratio, print_digits(self.precision_bits)),
-            "precision_bits": self.precision_bits,
-        }
-
-
-def ratio_check(n: int, j: int, precision_bits: int = 256) -> RatioReport:
-    """Exact triangle entry over A(n, j).
+def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]:
+    """(exact triangle entry over A(n, j), the exact entry).
 
     The entry is computed twice: by the single alternating big-integer
     sum and by the banded recurrence; the two must agree exactly before
@@ -189,14 +131,7 @@ def ratio_check(n: int, j: int, precision_bits: int = 256) -> RatioReport:
     with mp.workprec(precision_bits + 16):
         ratio = mp.mpf(direct) / normal_approximation(n, j, precision_bits + 16)
     with mp.workprec(precision_bits):
-        ratio = +ratio
-    return RatioReport(
-        n=n,
-        j=j,
-        exact_digits=len(str(direct)),
-        ratio=ratio,
-        precision_bits=precision_bits,
-    )
+        return +ratio, direct
 
 
 def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:

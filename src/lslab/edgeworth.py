@@ -134,49 +134,29 @@ def cumulants_from_probabilities(
     return _normalize_cumulants(len(probs), totals, precision_bits)
 
 
-def _stirling2(r: int, k: int) -> int:
-    # classical second-kind numbers for the factorial-to-raw conversion
-    if k == 0:
-        return 1 if r == 0 else 0
-    cur = [0] * (k + 1)
-    cur[0] = 1
-    for i in range(1, r + 1):
-        new = [0] * (k + 1)
-        for m in range(1, min(i, k) + 1):
-            new[m] = m * cur[m] + cur[m - 1]
-        cur = new
-    return cur[k]
+def exact_cumulants(coeffs, order: int) -> list[Fraction]:
+    """kappa_1..kappa_order, as exact Fractions, of the distribution with
+    weights coeffs[j] at j: the raw moments sum j^r c_j / sum c_j run
+    through the moment-to-cumulant recursion."""
+    total = sum(coeffs)
+    sums = [0] * order
+    for j, c in enumerate(coeffs):
+        for r in range(order):
+            c *= j
+            sums[r] += c
+    return _cumulants_from_raw([Fraction(s, total) for s in sums])
 
 
 def cumulants_from_genpoly(
     coeffs: tuple[int, ...], order: int = DEFAULT_CUMULANT_ORDER, precision_bits: int = 256
 ) -> CumulantProfile:
-    """Independent route: factorial moments p^(m)(1)/p(1) of the
-    polynomial with these coefficients (ascending, no trailing zeros)
-    from exact derivative sums, converted to raw moments with classical
-    second-kind Stirling numbers, then the same cumulant recursion."""
+    """Independent route: the exact cumulants of the polynomial with these
+    coefficients (ascending, no trailing zeros), normalized."""
     if any(c < 0 for c in coeffs):
         raise ValueError("coefficients must be non-negative")
-    total = sum(coeffs)
-    if total <= 0:
+    if sum(coeffs) <= 0:
         raise ValueError("polynomial must be positive at 1")
-    n = len(coeffs) - 1
-    factorial_moments = [Fraction(1)]
-    for m in range(1, order + 1):
-        s = 0
-        for j, c in enumerate(coeffs):
-            if j >= m:
-                f = 1
-                for t in range(m):
-                    f *= j - t
-                s += f * c
-        factorial_moments.append(Fraction(s, total))
-    raw = [
-        sum(_stirling2(r, k) * factorial_moments[k] for k in range(r + 1))
-        for r in range(1, order + 1)
-    ]
-    kappas = _cumulants_from_raw(raw)
-    return _normalize_cumulants(n, kappas, precision_bits)
+    return _normalize_cumulants(len(coeffs) - 1, exact_cumulants(coeffs, order), precision_bits)
 
 
 def hermite_value(m: int, x):

@@ -17,12 +17,15 @@ from .errors import UnimodalityError
 from .triangles import modified_legendre_row
 
 
-def legendre_genpoly_recurrence(n: int) -> tuple[int, ...]:
-    """Legendre generating polynomial via the differential recurrence; a
-    cross-check of modified_legendre_row."""
+def legendre_genpoly_recurrence(n: int):
+    """Yield the Legendre generating polynomials M_0..M_n from one pass of
+    the differential recurrence; a cross-check of modified_legendre_row.
+    One row is held at a time; the 201 rows up to n = 200 take about 4 MB
+    together."""
     if n < 0:
         raise ValueError("n must be non-negative")
     coeffs = [1]
+    yield (1,)
     for _ in range(n):
         d1 = [i * c for i, c in enumerate(coeffs)][1:]
         d2 = [i * c for i, c in enumerate(d1)][1:]
@@ -40,16 +43,7 @@ def legendre_genpoly_recurrence(n: int) -> tuple[int, ...]:
             new[i + 3] += 4 * c
             new[i + 2] += c
         coeffs = new
-    return tuple(coeffs)
-
-
-def derivatives_at_one(coeffs: tuple[int, ...]) -> tuple[int, int, int]:
-    """Exact (p(1), p'(1), p''(1)) of the polynomial with these coefficients."""
-    return (
-        sum(coeffs),
-        sum(j * c for j, c in enumerate(coeffs)),
-        sum(j * (j - 1) * c for j, c in enumerate(coeffs)),
-    )
+        yield tuple(coeffs)
 
 
 def unimodality_report(n: int) -> int:

@@ -29,8 +29,6 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .precision import print_digits
-
 
 @dataclass(frozen=True)
 class InversePowerSum:
@@ -107,42 +105,11 @@ def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
         )
 
 
-@dataclass(frozen=True)
-class SaddleRow:
-    n: int
-    q: mp.mpf
-    q_minus_b: mp.mpf
-    scaled: mp.mpf        # n * (Q - b)
-    residual: mp.mpf      # n * (Q - b) - b_nu
-    tail: mp.mpf          # lattice truncation bound at r = n + nu
-
-
-@dataclass(frozen=True)
-class SaddleReport:
-    nu: int
-    z: mp.mpf
-    precision_bits: int
-    leading: mp.mpf
-    correction: mp.mpf
-    rows: tuple[SaddleRow, ...]
-
-    def residual_shrinks(self) -> bool:
-        res = [abs(row.residual) for row in self.rows]
-        return all(b < a for a, b in zip(res, res[1:]))
-
-    def to_csv(self, fp) -> None:
-        digits = print_digits(self.precision_bits)
-        fp.write("n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound\n")
-        for row in self.rows:
-            cells = (row.q, row.q_minus_b, row.scaled, row.residual, row.tail)
-            fp.write(f"{row.n}," + ",".join(mp.nstr(c, digits) for c in cells) + "\n")
-
-
-def saddle_expansion_check(
-    nu: int, z, n_list, precision_bits: int = 256
-) -> SaddleReport:
-    """Evaluate Q(n) along n_list and report its distance from the two-term
-    expansion; the residual n*(Q - b) - b_nu must shrink along the list."""
+def saddle_expansion_check(nu: int, z, n_list, precision_bits: int = 256) -> list[tuple]:
+    """Rows (n, Q, Q - b, n (Q - b), residual, tail) along n_list: Q(n),
+    its distance from the two-term expansion, the residual
+    n (Q - b) - b_nu, which must shrink along the list, and the lattice
+    truncation bound at r = n + nu (nan below r = 2)."""
     from .eisenstein import tail_bound
 
     ns = list(n_list)
@@ -155,23 +122,6 @@ def saddle_expansion_check(
             q = normalized_value(nu, z, n, precision_bits)
             diff = q - coeffs.leading
             scaled = n * diff
-            rows.append(
-                SaddleRow(
-                    n=n,
-                    q=q,
-                    q_minus_b=diff,
-                    scaled=scaled,
-                    residual=scaled - coeffs.correction,
-                    tail=tail_bound(n + nu, coeffs.z, precision_bits)
-                    if n + nu >= 2
-                    else mp.mpf("nan"),
-                )
-            )
-    return SaddleReport(
-        nu=nu,
-        z=coeffs.z,
-        precision_bits=precision_bits,
-        leading=coeffs.leading,
-        correction=coeffs.correction,
-        rows=tuple(rows),
-    )
+            tail = tail_bound(n + nu, coeffs.z, precision_bits) if n + nu >= 2 else mp.mpf("nan")
+            rows.append((n, q, diff, scaled, scaled - coeffs.correction, tail))
+    return rows

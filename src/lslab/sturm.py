@@ -6,12 +6,13 @@ simple, and inside (-1/4, 0).  This module certifies that claim for each
 concrete n with a Sturm chain built as a primitive pseudo-remainder
 sequence: every rescaling along the chain is by a positive integer, so
 the classical sign-variation count is preserved while coefficients stay
-near subresultant size.  No floating point enters anywhere.
+near subresultant size.  No floating point enters anywhere.  A
+polynomial is a tuple of integer coefficients, ascending, with no
+trailing zeros.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,15 +23,13 @@ from .errors import CertificationError
 from .precision import to_mpf
 from .triangles import modified_legendre_row
 
-Poly = tuple[int, ...]  # ascending integer coefficients, no trailing zeros
 
-
-def _primitive(p: Poly) -> Poly:
+def _primitive(p: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*p) or 1
     return tuple(c // g for c in p)
 
 
-def _pseudo_rem_pos(a: Poly, b: Poly) -> Poly:
+def _pseudo_rem_pos(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Pseudo-remainder of a by b where every intermediate rescaling is by
     the positive constant |lc(b)|, so signs are preserved up to a positive
     factor."""
@@ -52,7 +51,7 @@ def _pseudo_rem_pos(a: Poly, b: Poly) -> Poly:
         r.pop()
 
 
-def sign_at(p: Poly, x: Fraction) -> int:
+def sign_at(p: tuple[int, ...], x: Fraction) -> int:
     """Exact sign of p at a rational point (homogeneous Horner)."""
     num, den = x.numerator, x.denominator
     acc = 0
@@ -63,7 +62,7 @@ def sign_at(p: Poly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
+def sturm_chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Sturm chain of p as primitive integer polynomials.  Ends with (a
     positive multiple of) gcd(p, p'); a constant tail certifies p is
     squarefree."""
@@ -80,12 +79,12 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def sign_variations(chain: list[Poly], x: Fraction) -> int:
+def sign_variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
     signs = [s for s in (sign_at(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
+def count_roots(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots in (lo, hi]; needs p(lo) != 0."""
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
@@ -99,20 +98,8 @@ class RootCertificate:
     intervals: tuple[tuple[Fraction, Fraction], ...]
     sign_at_quarter: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "intervals": [
-                    [f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"]
-                    for lo, hi in self.intervals
-                ],
-                "sign_at_quarter": self.sign_at_quarter,
-            }
-        )
 
-
-def _split_point(q: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+def _split_point(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Fraction:
     """A point strictly inside (lo, hi) where q does not vanish."""
     width = hi - lo
     for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7)):

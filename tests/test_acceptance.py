@@ -154,11 +154,7 @@ def test_criterion_01_explained_by_local_expansion():
 
 def test_criterion_02_printed_polynomials():
     start = time.monotonic()
-    ok = (
-        legendre_genpoly_recurrence(1) == (0, 2)
-        and legendre_genpoly_recurrence(2) == (0, 4, 24)
-        and legendre_genpoly_recurrence(3) == (0, 8, 192, 720)
-    )
+    ok = list(legendre_genpoly_recurrence(3))[1:] == [(0, 2), (0, 4, 24), (0, 8, 192, 720)]
     elapsed = time.monotonic() - start
     _criterion(2, "generating polynomials n=1..3 exact", ok and elapsed < 1, f"{elapsed:.3f}s")
 

@@ -352,6 +352,19 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+class TestOneFormatter:
+    def test_only_cli_formats(self):
+        # modules return values and rows; cli.py alone turns them into text
+        package = os.path.dirname(lslab.__file__)
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py") or name in ("cli.py", "precision.py"):
+                continue
+            with open(os.path.join(package, name)) as fp:
+                text = fp.read()
+            assert "print_digits" not in text, name
+            assert "def to_csv" not in text and "def to_json" not in text, name
+
+
 class TestEntryPoint:
     def test_console_script(self):
         # the child finds the package where this process imported it from,

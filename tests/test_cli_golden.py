@@ -11,6 +11,10 @@ saddle tables at 64, 512 and 1024 bits were recorded before the zeta
 direct sum was sized from the precision.  The Legendre table at n 400,
 cold and then warm, carries the hash of `perfbench/golden.json` and was
 recorded before the CSV writer stopped parsing the stored records.
+The last six commands (a saddle table whose n = 1 tail bound is `nan`,
+residual and ratio reports at 64 bits, and three root certificates, one
+refined) were recorded before every table and JSON object went through
+the CLI's own writers.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -82,6 +86,18 @@ GOLDEN = [
      "23c795ca1e559cb91bb4b7a5448b15d01aeb80ad89ed2a0c0043bd4a8f8a6890"),
     ("table --family legendre --n-max 400 --cache-dir {cache}", 0,
      "23c795ca1e559cb91bb4b7a5448b15d01aeb80ad89ed2a0c0043bd4a8f8a6890"),
+    ("asymptotics --report saddle --nu 0 --z 1 --n-list 1,2,4", 0,
+     "8011d030428585d445335a12ca458270f2624f65e0c8959579422c4fccf6fbaa"),
+    ("clt --report residuals --n-list 2,4,8 --precision-bits 64", 0,
+     "9ccd4634ee34c58a59474bd08482a9bc776c38b897e127c22a605fcdf6a11b6b"),
+    ("clt --report ratio --n 30 --j 20 --precision-bits 64", 0,
+     "e6fed6a7b1e23399e15e37b2345d50c50f05247185cf1709460fb5db2c702803"),
+    ("roots --n 1", 0,
+     "3de1c67cc34c508aae462015e1ec62e55fdf982049e93c21624824bc18115ab5"),
+    ("roots --n 3", 0,
+     "bfdfb4af86716b382269f7cea7d8a6dcc96611904b16e7133533b3a663164e3b"),
+    ("roots --n 2 --refine-bits 70", 0,
+     "784794f9801839c629ccf724bd95faa3745f4fbcf266d2c84c1e0b8921ccd5a5"),
 ]
 
 

@@ -3,12 +3,14 @@
 Reference decimals were frozen from an independent 320-bit oracle run.
 """
 
+import json
 from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
 import pytest
 
+from lslab.cli import main
 from lslab.clt import (
     centering_scaling,
     max_density_residual,
@@ -22,6 +24,7 @@ from lslab.clt import (
     total_mass_ratio,
 )
 from lslab.errors import DegenerateVarianceError
+from lslab.triangles import legendre_stirling_binsum
 
 
 class TestSaddleConstant:
@@ -86,25 +89,21 @@ class TestExactMoments:
 
 class TestResiduals:
     def test_reference_window(self):
-        rep = mean_variance_residuals([100, 200], 256)
-        by_n = {r.n: r for r in rep.rows}
-        assert abs(float(by_n[100].mean_residual) - 5.40712e-4) < 1e-8
-        assert abs(float(by_n[100].var_residual) - 0.029585) < 1e-5
-        (pair,) = rep.doubling_ratios
-        assert pair[:2] == (100, 200)
-        assert 0.3 < float(pair[2]) < 0.7
+        (n100, mean100, var100), (n200, mean200, _) = mean_variance_residuals([100, 200], 256)
+        assert (n100, n200) == (100, 200)
+        assert abs(float(mean100) - 5.40712e-4) < 1e-8
+        assert abs(float(var100) - 0.029585) < 1e-5
+        assert 0.3 < float(abs(mean200) / abs(mean100)) < 0.7
 
     def test_small_row_finite(self):
-        rep = mean_variance_residuals([2], 128)
-        assert mp.isfinite(rep.rows[0].mean_residual)
-        assert mp.isfinite(rep.rows[0].var_residual)
+        ((_, mean_residual, var_residual),) = mean_variance_residuals([2], 128)
+        assert mp.isfinite(mean_residual)
+        assert mp.isfinite(var_residual)
 
-    def test_csv(self):
-        import io
-
-        buf = io.StringIO()
-        mean_variance_residuals([2, 4], 128).to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv(self, capsys):
+        argv = ["clt", "--report", "residuals", "--n-list", "2,4", "--precision-bits", "128"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,mean_residual,var_residual"
         assert len(lines) == 3
 
@@ -142,13 +141,13 @@ class TestNormalApproximation:
 
 class TestRatioCheck:
     def test_small_case_consistency(self):
-        rep = ratio_check(50, 45, 256)
-        assert rep.precision_bits == 256
-        assert rep.exact_digits == len(str(__import__("lslab.triangles", fromlist=["x"]).legendre_stirling_binsum(50, 45)))
-        assert 0.5 < float(rep.ratio) < 2.0
+        ratio, entry = ratio_check(50, 45, 256)
+        assert entry == legendre_stirling_binsum(50, 45)
+        assert 0.5 < float(ratio) < 2.0
 
-    def test_json_payload(self):
-        payload = ratio_check(20, 18, 256).to_json_dict()
+    def test_json_payload(self, capsys):
+        assert main(["clt", "--report", "ratio", "--n", "20", "--j", "18"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"n", "j", "ratio", "precision_bits"}
         assert payload["precision_bits"] == 256
         assert payload["ratio"].startswith("0.") or payload["ratio"].startswith("1.")

@@ -1,9 +1,12 @@
 """Generating polynomial tests against hand-expanded references."""
 
+from fractions import Fraction
+
 import pytest
 
-from lslab.genpoly import derivatives_at_one, legendre_genpoly_recurrence, unimodality_report
 from lslab.clt import centering_scaling
+from lslab.edgeworth import exact_cumulants
+from lslab.genpoly import legendre_genpoly_recurrence, unimodality_report
 from lslab.triangles import (
     CHEBYSHEV, legendre_from_chebyshev, modified_legendre_row, scale_row, triangle_row
 )
@@ -22,14 +25,14 @@ def chebyshev_genpoly(n):
 
 class TestRecurrencePolynomials:
     def test_printed_values(self):
-        assert legendre_genpoly_recurrence(0) == (1,)
-        assert legendre_genpoly_recurrence(1) == (0, 2)
-        assert legendre_genpoly_recurrence(2) == (0, 4, 24)
-        assert legendre_genpoly_recurrence(3) == (0, 8, 192, 720)
+        assert list(legendre_genpoly_recurrence(0)) == [(1,)]
+        assert list(legendre_genpoly_recurrence(3)) == [(1,), (0, 2), (0, 4, 24), (0, 8, 192, 720)]
 
     def test_matches_triangle_path(self):
-        for n in range(40):
-            assert legendre_genpoly_recurrence(n) == modified_legendre_row(n)
+        rows = list(legendre_genpoly_recurrence(39))
+        assert len(rows) == 40
+        for n, row in enumerate(rows):
+            assert row == modified_legendre_row(n)
 
     def test_row4_coefficients(self):
         assert modified_legendre_row(4) == (0, 16, 1248, 14400, 40320)
@@ -53,9 +56,10 @@ class TestChebyshevPolynomials:
 
 class TestConnectionPolynomials:
     def test_examples(self):
-        assert connection_genpoly(3) == legendre_genpoly_recurrence(3)
+        rows = list(legendre_genpoly_recurrence(3))
+        assert connection_genpoly(3) == rows[3]
         assert connection_genpoly(0) == (1,)
-        assert connection_genpoly(2) == legendre_genpoly_recurrence(2)
+        assert connection_genpoly(2) == rows[2]
 
     def test_range(self):
         for n in range(20):
@@ -63,11 +67,19 @@ class TestConnectionPolynomials:
 
 
 class TestDerivatives:
+    @staticmethod
+    def mean_variance(total, d1, d2):
+        # from the derivative sums (p(1), p'(1), p''(1))
+        mean = Fraction(d1, total)
+        return [mean, Fraction(d2, total) + mean - mean * mean]
+
     def test_examples(self):
-        assert derivatives_at_one(legendre_genpoly_recurrence(2)) == (28, 52, 48)
-        assert derivatives_at_one(legendre_genpoly_recurrence(1)) == (2, 2, 0)
+        # the exact cumulants carry the derivative sums at 1
+        rows = list(legendre_genpoly_recurrence(3))
+        assert exact_cumulants(rows[2], 2) == self.mean_variance(28, 52, 48)
+        assert exact_cumulants(rows[1], 2) == self.mean_variance(2, 2, 0)
         # from the printed cubic 720 s^3 + 192 s^2 + 8 s
-        assert derivatives_at_one(legendre_genpoly_recurrence(3)) == (920, 2552, 4704)
+        assert exact_cumulants(rows[3], 2) == self.mean_variance(920, 2552, 4704)
 
 
 class TestUnimodality:

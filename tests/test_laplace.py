@@ -1,6 +1,5 @@
 """Closed-form integral tests, including a quadrature cross-check."""
 
-import io
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lslab.cli import main
 from lslab.laplace import (
     derivative_identity_holds,
     laplace_closed_form,
@@ -118,21 +118,21 @@ class TestSaddle:
         from lslab.clt import saddle_constant
 
         w = saddle_constant(256)
-        rep = saddle_expansion_check(0, w, [100, 200, 400], 256)
-        assert rep.residual_shrinks()
-        final_rel = abs(rep.rows[-1].residual) / abs(rep.correction)
+        res = [abs(row[4]) for row in saddle_expansion_check(0, w, [100, 200, 400], 256)]
+        assert res[0] > res[1] > res[2]
+        final_rel = res[-1] / abs(saddle_coefficients(0, w, 256).correction)
         assert float(final_rel) < 0.05
 
     def test_second_order_halving(self):
-        rep = saddle_expansion_check(2, mp.mpf(1), [100, 200], 256)
-        ratio = abs(rep.rows[1].residual) / abs(rep.rows[0].residual)
+        rows = saddle_expansion_check(2, mp.mpf(1), [100, 200], 256)
+        ratio = abs(rows[1][4]) / abs(rows[0][4])
         assert 0.35 < float(ratio) < 0.65
 
-    def test_csv_shape(self):
-        rep = saddle_expansion_check(1, mp.mpf(2), [50, 100], 128)
-        buf = io.StringIO()
-        rep.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv_shape(self, capsys):
+        argv = ["asymptotics", "--report", "saddle", "--nu", "1", "--z", "2",
+                "--n-list", "50,100", "--precision-bits", "128"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound"
         assert len(lines) == 3
 

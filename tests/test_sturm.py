@@ -68,10 +68,13 @@ class TestCertificates:
                 assert lo >= prev_hi or lo == prev_hi
                 prev_hi = hi
 
-    def test_json_shape(self):
+    def test_json_shape(self, capsys):
         import json
 
-        payload = json.loads(certify_roots(3).to_json())
+        from lslab.cli import main
+
+        assert main(["roots", "--n", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 3
         assert payload["sign_at_quarter"] == -1
         assert len(payload["intervals"]) == 2
@@ -99,7 +102,7 @@ class TestRefinement:
         from lslab.genpoly import legendre_genpoly_recurrence
 
         cert = certify_roots(5)
-        p = legendre_genpoly_recurrence(5)
+        p = list(legendre_genpoly_recurrence(5))[5]
         for bits in (64, 128):
             roots = refine_roots(cert, bits)
             with mp.workprec(bits + 32):
