@@ -80,17 +80,11 @@ def cmd_table(parser, args) -> int:
 
 def cmd_verify(parser, args) -> int:
     cfg = verify.SuiteConfig(precision_bits=args.precision_bits)
-    ratio_only = False
-    if args.n is not None or args.j is not None:
-        if args.suite != "clt" or args.n is None or args.j is None:
-            parser.error("--n/--j select the ratio target and need suite 'clt'")
-        cfg.ratio_n, cfg.ratio_j = args.n, args.j
-        ratio_only = True
-    triangles.check_row_cap(max(args.n or 0, args.n_max or 0))
     if args.n_max is not None:
+        triangles.check_row_cap(args.n_max)
         cfg.n_max = args.n_max
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, cfg, ratio_only=ratio_only)
+    results = verify.run_suites(names, cfg)
     for result in results:
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -164,7 +158,8 @@ def cmd_asymptotics(parser, args) -> int:
     bits = args.precision_bits
     saddle = args.report == "saddle"
     n_list = args.n_list or ([100, 200, 400] if saddle else [50, 100, 200, 400])
-    triangles.check_row_cap(n_list[-1])
+    # the saddle report's cost grows with n + nu through J(n + nu, n; z)
+    triangles.check_row_cap(n_list[-1] + (args.nu if saddle else 0))
     if saddle:
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
         rows = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
@@ -223,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "suite", choices=["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
     )
-    p.add_argument("--n", type=int, help="ratio-check row (suite clt)")
-    p.add_argument("--j", type=int, help="ratio-check column (suite clt)")
     p.add_argument("--n-max", type=_non_negative, help="cap for the exhaustive identity scans")
     p.add_argument("--precision-bits", type=int, default=256)
 
@@ -270,9 +263,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Exact entries pass the 4300-digit str(int) limit from about row
-    # 1122; argv was parsed above under the default limit.
-    sys.set_int_max_str_digits(0)
     if getattr(args, "precision_bits", 256) < 64:
         parser.error("--precision-bits must be at least 64")
     try:

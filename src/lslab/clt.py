@@ -74,6 +74,12 @@ def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
         return CenteringScaling(n=n, center=+center, spread=+spread, w=+w)
 
 
+def row_scale(n: int, w) -> mp.mpf:
+    """w^(2n+1)/(2n)! at the working precision: the factor that takes
+    row n's coefficient sum to a mass near 1."""
+    return w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+
+
 def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the scaled-row distribution."""
     if n < 2:
@@ -143,7 +149,7 @@ def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
         sqrt_spread = mp.sqrt(cs.spread)
-        scale = cs.w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+        scale = row_scale(n, cs.w)
         inv_sqrt2pi = 1 / mp.sqrt(2 * mp.pi)
         worst = mp.mpf(0)
         for j in range(n + 1):
@@ -168,7 +174,7 @@ def scaled_cdf(n: int, ys, precision_bits: int = 256) -> list:
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
         sqrt_spread = mp.sqrt(cs.spread)
-        scale = cs.w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+        scale = row_scale(n, cs.w)
         values = []
         for y in ys:
             j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * sqrt_spread)), n)
@@ -191,45 +197,15 @@ def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
     """M_n(1) w^(2n+1) / (2n)!; approaches 1 at rate 1/n."""
     row = modified_legendre_row(n)
     with mp.workprec(precision_bits + 16):
-        w = saddle_constant(precision_bits + 16)
-        value = mp.mpf(sum(row)) * w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+        value = mp.mpf(sum(row)) * row_scale(n, saddle_constant(precision_bits + 16))
     with mp.workprec(precision_bits):
         return +value
 
 
 def normal_cdf(y, precision_bits: int = 256) -> mp.mpf:
-    """Standard normal distribution function.
-
-    For |y| <= 8 a positive-term series off the error integral,
-    Phi(y) = 1/2 + phi(y) * sum_{k>=0} y^(2k+1)/(1*3*...*(2k+1)); beyond
-    that a Laplace continued fraction for the tail.  Negative arguments
-    go through the reflection Phi(-y) = 1 - Phi(y).
-    """
+    """Standard normal distribution function, `mpmath.ncdf` at 32 guard
+    bits."""
     with mp.workprec(precision_bits + 32):
-        yv = mp.mpf(y)
-        if yv < 0:
-            result = 1 - normal_cdf(-yv, precision_bits + 32)
-        elif yv == 0:
-            result = mp.mpf(1) / 2
-        elif yv <= 8:
-            phi = mp.e ** (-yv * yv / 2) / mp.sqrt(2 * mp.pi)
-            term = yv
-            total = term
-            k = 0
-            target = mp.mpf(2) ** (-(precision_bits + 16))
-            while True:
-                k += 1
-                term *= yv * yv / (2 * k + 1)
-                total += term
-                if term < target * (1 + total):
-                    break
-            result = mp.mpf(1) / 2 + phi * total
-        else:
-            phi = mp.e ** (-yv * yv / 2) / mp.sqrt(2 * mp.pi)
-            depth = precision_bits + 32
-            tail = yv
-            for i in range(depth, 0, -1):
-                tail = yv + i / tail
-            result = 1 - phi / tail
+        result = mp.ncdf(mp.mpf(y))
     with mp.workprec(precision_bits):
         return +result

@@ -10,9 +10,9 @@ ways, and evaluates the Hermite-corrected density expansion
 
     sigma * P(S = j)  ~  phi(x) + sum_{nu=1..k-2} q_nu(x) / n^(nu/2),
 
-at x = (j - mean)/sigma, where each q_nu is a sum over the weighted
-partitions mu_1 + 2 mu_2 + ... + nu mu_nu = nu of Hermite values
-H_{nu+2s}(x) (s = sum mu_m) against normalized-cumulant powers.
+at x = (j - mean)/sigma, where q_nu pairs Hermite values with
+normalized-cumulant powers (Petrov, Sums of Independent Random
+Variables, 1975, ch. VI); the order cap k <= 4 leaves q_1 and q_2.
 """
 
 from __future__ import annotations
@@ -172,40 +172,28 @@ def hermite_value(m: int, x):
     return cur
 
 
-def _weight_tuples(nu: int):
-    """All (mu_1..mu_nu) with sum m*mu_m = nu, lexicographically ascending."""
-
-    def rec(pos: int, remaining: int, prefix: tuple):
-        if pos > nu:
-            if remaining == 0:
-                yield prefix
-            return
-        for mu in range(remaining // pos + 1):
-            yield from rec(pos + 1, remaining - pos * mu, prefix + (mu,))
-
-    yield from rec(1, nu, ())
-
-
 def hermite_correction(nu: int, profile: CumulantProfile, x, precision_bits: int = 256):
-    """Correction term q_nu(x), normal density factor included.  Needs
-    normalized cumulants up to order nu + 2 in the profile."""
-    if nu < 1:
-        raise ValueError("nu must be at least 1")
+    """Correction term q_nu(x), normal density factor included, for the
+    two orders that MAX_EXPANSION_ORDER reaches:
+
+        q_1 = phi H_3 lambda_3/3!,
+        q_2 = phi (H_4 lambda_4/4! + H_6 (lambda_3/3!)^2/2!).
+
+    Needs normalized cumulants up to order nu + 2 in the profile."""
+    if nu not in (1, 2):
+        raise ValueError(f"nu must be 1 or 2, got {nu}")
     if profile.order < nu + 2:
         raise ValueError(
             f"profile holds cumulants to order {profile.order}, need {nu + 2}"
         )
     with mp.workprec(precision_bits):
         xv = mp.mpf(x)
-        total = mp.mpf(0)
-        for tup in _weight_tuples(nu):
-            s = sum(tup)
-            prod = mp.mpf(1)
-            for m, mu in enumerate(tup, start=1):
-                if mu:
-                    lam = profile.normalized_cumulant(m + 2)
-                    prod *= (lam / factorial(m + 2)) ** mu / factorial(mu)
-            total += hermite_value(nu + 2 * s, xv) * prod
+        lam3 = profile.normalized_cumulant(3) / factorial(3)
+        if nu == 1:
+            total = hermite_value(3, xv) * lam3
+        else:
+            lam4 = profile.normalized_cumulant(4) / factorial(4)
+            total = hermite_value(4, xv) * lam4 + hermite_value(6, xv) * (lam3**2 / factorial(2))
         phi = mp.e ** (-xv * xv / 2) / mp.sqrt(2 * mp.pi)
         return +(phi * total)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
@@ -286,11 +287,21 @@ def gamma_zero_identity(n: int, j: int) -> int:
 # --- row format: (n, j, value) entries as JSON-lines records ---------------
 
 
+def _decimal(i: int) -> str:
+    """str(i), or str(Decimal(i)) past the interpreter's str(int) digit
+    limit (sys.get_int_max_str_digits(), 4300 by default), which Decimal
+    does not have.  Trying str first keeps the common case fast."""
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))
+
+
 def format_entry(value) -> str:
     """Serialize an entry as a decimal string ('p/q' for non-integers)."""
     if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    return _decimal(int(value))
 
 
 def iter_triangle(gamma, n_max: int):

@@ -22,6 +22,7 @@ from .errors import LslabError
 from .precision import to_mpf
 
 RATIO_WINDOW = (Fraction("1.0438485"), Fraction("1.0438495"))
+RATIO_TARGET = (1000, 930)           # the (n, j) the window is published for
 DOUBLING_WINDOW = (0.3, 0.7)
 DENSITY_RESIDUAL_CEILING = 0.05      # reference run: 0.0284 at n=100
 VAR_RESIDUAL_CEILING = 0.031         # reference run: 0.0296..0.0300 over n=100..400
@@ -51,8 +52,6 @@ class CheckResult:
 @dataclass
 class SuiteConfig:
     precision_bits: int = 256
-    ratio_n: int = 1000
-    ratio_j: int = 930
     n_max: int = 30
 
 
@@ -281,24 +280,24 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
 # clt
 
 
-def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    bits = max(cfg.precision_bits, 256)
-
-    ratio, entry = clt.ratio_check(cfg.ratio_n, cfg.ratio_j, bits)
+def ratio_window_check(bits: int) -> CheckResult:
+    """The exact entry over A(n, j) at RATIO_TARGET against RATIO_WINDOW."""
+    n, j = RATIO_TARGET
+    ratio, entry = clt.ratio_check(n, j, bits)
     with mp.workprec(bits):
         lo, hi = to_mpf(RATIO_WINDOW[0]), to_mpf(RATIO_WINDOW[1])
         ok = lo <= ratio <= hi
-    out.append(
-        _result(
-            f"pointwise ratio window at ({cfg.ratio_n}, {cfg.ratio_j})",
-            ok,
-            f"computed {mp.nstr(ratio, 12)} vs window [{float(lo)}, {float(hi)}], "
-            f"exact value has {len(str(entry))} digits",
-        )
+    return _result(
+        f"pointwise ratio window at ({n}, {j})",
+        ok,
+        f"computed {mp.nstr(ratio, 12)} vs window [{float(lo)}, {float(hi)}], "
+        f"exact value has {len(str(entry))} digits",
     )
-    if ratio_only:
-        return out
+
+
+def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
+    bits = max(cfg.precision_bits, 256)
+    out = [ratio_window_check(bits)]
 
     resid = clt.mean_variance_residuals([100, 200, 400], bits)
     mean_res = {n: m for n, m, _ in resid}
@@ -379,7 +378,7 @@ def suite_clt(cfg: SuiteConfig, ratio_only: bool = False) -> list[CheckResult]:
         mass = clt.total_mass_ratio(n, bits)
         row = triangles.modified_legendre_row(n)
         total = sum(row)
-        scale = cs.w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+        scale = clt.row_scale(n, cs.w)
         for j in range(n + 1):
             lhs = mp.sqrt(cs.spread) * scale * mp.mpf(row[j])
             sigma_p = sigma * mp.mpf(row[j]) / total
@@ -521,17 +520,14 @@ SUITES = {
 }
 
 
-def run_suites(names, cfg: SuiteConfig, ratio_only: bool = False):
+def run_suites(names, cfg: SuiteConfig):
     """A raised invariant error (the modules raise on violated exact
     identities rather than returning falsy values) becomes a FAIL record
     carrying the first counterexample."""
     results: list[CheckResult] = []
     for name in names:
         try:
-            if name == "clt":
-                results.extend(suite_clt(cfg, ratio_only=ratio_only))
-            else:
-                results.extend(SUITES[name](cfg))
+            results.extend(SUITES[name](cfg))
         except LslabError as exc:
             results.append(CheckResult(name=f"{name} suite aborted", passed=False, detail=str(exc)))
     return results

@@ -120,9 +120,8 @@ def _criterion(num: int, description: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_ratio_window():
     start = time.monotonic()
-    results = verify.suite_clt(CFG, ratio_only=True)
+    check = verify.ratio_window_check(256)
     elapsed = time.monotonic() - start
-    check = results[0]
     in_time = elapsed < 60
     _criterion(
         1,

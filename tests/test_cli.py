@@ -16,8 +16,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lslab
+from lslab import cache
 from lslab.cli import main
-from lslab.triangles import jacobi_stirling
+from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling, triangle_record
+
+
+@pytest.fixture()
+def int_str_limit():
+    """The interpreter's default 4300-digit str(int) limit, set here and
+    restored afterwards, whatever an earlier test left it at.  Row 1999
+    peaks near j = 307 at about 8500 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _unlimited_str(value: int) -> str:
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestIntStrLimit:
+    """Exact entries print from Python without lifting the limit."""
+
+    def test_format_entry_and_record(self, int_str_limit):
+        value = jacobi_stirling(1999, 307, 1)
+        expected = _unlimited_str(value)
+        assert len(expected) > 4300
+        assert format_entry(value) == expected
+        assert json.loads(triangle_record(1999, 307, value))["value"] == expected
+        odd = 2 * value + 1
+        assert format_entry(Fraction(odd, 2)) == f"{_unlimited_str(odd)}/2"
+
+    def test_write_cache(self, int_str_limit, tmp_path, monkeypatch):
+        # the whole triangle to row 1999 is far too large, so the cache
+        # file holds just this one entry
+        value = jacobi_stirling(1999, 307, 1)
+        monkeypatch.setattr(cache, "iter_triangle", lambda gamma, n_max: [(1999, 307, value)])
+        path = tmp_path / "t.jsonl"
+        lines = cache.write_cache(path, LEGENDRE, 1999)
+        assert cache.read_cache(path, LEGENDRE, 1999) == lines
+        assert json.loads(lines[0])["value"] == _unlimited_str(value)
+        assert sys.get_int_max_str_digits() == 4300
 
 
 def run_cli(argv, capsys):
@@ -41,14 +86,14 @@ class TestCompute:
         assert code == 0
         assert out.strip() == expected
 
-    def test_entry_longer_than_int_str_limit(self, capsys):
-        # Row 1999 peaks near j = 307 at about 8500 digits, past the
-        # 4300-digit default limit on int-to-str conversion.
+    def test_entry_longer_than_int_str_limit(self, int_str_limit, capsys):
+        # the command prints the entry and leaves the limit as it found it
         code, out, _ = run_cli(
             ["compute", "--family", "legendre", "--n", "1999", "--j", "307"], capsys
         )
         assert code == 0
-        assert out.strip() == str(jacobi_stirling(1999, 307, 1))
+        assert sys.get_int_max_str_digits() == 4300
+        assert out.strip() == _unlimited_str(jacobi_stirling(1999, 307, 1))
 
     def test_usage_errors_exit_2(self, capsys):
         for argv in (
@@ -86,7 +131,7 @@ class TestRowCap:
             "asymptotics --report mass --n-list 50,2000",
             "asymptotics --report saddle --n-list 2000",
             "verify identities --n-max 2000",
-            "verify clt --n 2000 --j 5",
+            "asymptotics --report saddle --nu 200000 --n-list 100",
             "compute --family legendre --n 2000 --j 2600",
         ],
     )
@@ -350,6 +395,13 @@ class TestVerifyCommand:
             main(["verify", "identities", "--precision-bits", "32"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_ratio_target_options_retired(self, capsys):
+        # the ratio at any (n, j) is `clt --report ratio`
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "clt", "--n", "1000", "--j", "930"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOneFormatter:

@@ -14,7 +14,11 @@ recorded before the CSV writer stopped parsing the stored records.
 The last six commands (a saddle table whose n = 1 tail bound is `nan`,
 residual and ratio reports at 64 bits, and three root certificates, one
 refined) were recorded before every table and JSON object went through
-the CLI's own writers.
+the CLI's own writers.  The cdf tables at n 100 and the Edgeworth
+tables at n 60, each at 64 and 1024 bits, and the mass table at 512
+bits pin the normal distribution function, the Hermite corrections and
+the shared row scale away from the 256-bit default; they were recorded
+before each of those formulas was reduced to one copy.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -42,8 +46,6 @@ GOLDEN = [
      "62943ee4ec95586e997de4dfd9db51b7188e49cc55b39346d1b43f663450f435"),
     ("table --family jacobi --gamma 2/3 --n-max 10 --format csv --cache-dir {cache}", 0,
      "fe99b0359e9604acb9ba375055603d2bad1f70439d8cb68f8fe497fcf3652b65"),
-    ("verify clt --n 1000 --j 930", 1,
-     "bf8ac1682f94a72c394853783094635106781633f27832859fd6a7aa68ff3d91"),
     ("roots --n 12 --refine-bits 128", 0,
      "c4dd8ca731b9d382c78aa9919eb1bfedff469ace80abab166c4a82bb06115872"),
     ("clt --report ratio --n 1000 --j 930", 0,
@@ -98,6 +100,16 @@ GOLDEN = [
      "bfdfb4af86716b382269f7cea7d8a6dcc96611904b16e7133533b3a663164e3b"),
     ("roots --n 2 --refine-bits 70", 0,
      "784794f9801839c629ccf724bd95faa3745f4fbcf266d2c84c1e0b8921ccd5a5"),
+    ("clt --report cdf --n 100 --precision-bits 64", 0,
+     "0caa85fd622d2ff8cdd5cb6e65dfff24e0e0dab7822ab737da60d7172a53bb93"),
+    ("clt --report cdf --n 100 --precision-bits 1024", 0,
+     "09641fd72ec4e0440d2b49ca6cd11f645484df63b502175af2ffd79bf0b24fc9"),
+    ("edgeworth --n 60 --precision-bits 64", 0,
+     "a0e640e47fed9dd7c1a6f94129f1d0b1bfa4fc9cac639f249da9e5e33361c852"),
+    ("edgeworth --n 60 --precision-bits 1024", 0,
+     "8fb03086abbfe1c4a73f6ff81965d929d07726384eb43606ccf3d6408b48eb7a"),
+    ("asymptotics --report mass --n-list 20,50 --precision-bits 512", 0,
+     "e26c842806e06f620652f1906f12c4159d4b1593f006d279b02c0d59739fb43a"),
 ]
 
 

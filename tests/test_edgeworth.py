@@ -185,6 +185,12 @@ class TestCorrectionTerms:
             )
             assert abs(hermite_correction(2, profile, x, 192) - expected) < mp.mpf(2) ** -140
 
+    def test_order_past_cap(self, profile):
+        # MAX_EXPANSION_ORDER = 4 reaches q_1 and q_2 only
+        for nu in (0, 3):
+            with pytest.raises(ValueError):
+                hermite_correction(nu, profile, mp.mpf(0), 192)
+
     def test_insufficient_cumulants(self):
         prof = cumulants_from_genpoly(modified_legendre_row(6), 3, 128)
         with pytest.raises(ValueError):
