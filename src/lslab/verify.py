@@ -35,6 +35,7 @@ POLY_EQUALITY_MAX = 200
 CONNECTION_MAX = 20
 CONNECTION_POLY_MAX = 40
 LATTICE_MAX = 50
+STURM_CROSSCHECK_MAX = 30
 
 
 @dataclass
@@ -172,6 +173,11 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
         cert = sturm.certify_roots(n)  # raises CertificationError on any clause
         if len(cert.intervals) != n - 1 or cert.sign_at_quarter != (-1) ** n:
             ok, detail = False, f"certificate shape wrong at n={n}"
+            break
+        if n <= STURM_CROSSCHECK_MAX and list(cert.intervals) != sturm.sturm_intervals(
+            triangles.modified_legendre_row(n)[1:], Fraction(-1, 4), Fraction(0)
+        ):
+            ok, detail = False, f"Descartes and Sturm intervals differ at n={n}"
             break
     out.append(_result(f"root certificates 1<=n<={cmax}", ok, detail))
 

@@ -117,7 +117,8 @@ class TestCompute:
 
 class TestRowCap:
     """Row 2000 is refused with exit 3 by every command that reads rows,
-    before any work is done."""
+    and root work past row 200 by `roots` and `verify roots|all`, before
+    any work is done."""
 
     @pytest.mark.parametrize(
         "command",
@@ -133,6 +134,9 @@ class TestRowCap:
             "verify identities --n-max 2000",
             "asymptotics --report saddle --nu 200000 --n-list 100",
             "compute --family legendre --n 2000 --j 2600",
+            "roots --n 1999",
+            "verify roots --n-max 1999",
+            "verify all --n-max 1999",
         ],
     )
     def test_exit_3_at_once(self, command, tmp_path, capsys, monkeypatch):

@@ -18,7 +18,11 @@ the CLI's own writers.  The cdf tables at n 100 and the Edgeworth
 tables at n 60, each at 64 and 1024 bits, and the mass table at 512
 bits pin the normal distribution function, the Hermite corrections and
 the shared row scale away from the 256-bit default; they were recorded
-before each of those formulas was reduced to one copy.
+before each of those formulas was reduced to one copy.  The three
+refined root certificates at the end (n 40 and n 8 at 300 bits, n 30 at
+64 bits) were recorded while the intervals came from Sturm chains and
+the midpoints from plain bisection; at n 8 and 300 bits a converged
+Newton step lands on a bracket end.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -110,6 +114,12 @@ GOLDEN = [
      "8fb03086abbfe1c4a73f6ff81965d929d07726384eb43606ccf3d6408b48eb7a"),
     ("asymptotics --report mass --n-list 20,50 --precision-bits 512", 0,
      "e26c842806e06f620652f1906f12c4159d4b1593f006d279b02c0d59739fb43a"),
+    ("roots --n 40 --refine-bits 300", 0,
+     "001bddddf8523c9cb218c8eae9a8511ae9f769f876faf241dcdfe90fa21a7d4a"),
+    ("roots --n 30 --refine-bits 64", 0,
+     "4f3fde900232a390e90be18c9b2b8dab5b3b43e9f0a6f144f46132973941879d"),
+    ("roots --n 8 --refine-bits 300", 0,
+     "ea0029542aab3f731ac869c1355a886e0468f2adf4468e8b5f80a815a0cd8143"),
 ]
 
 

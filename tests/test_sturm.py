@@ -1,10 +1,17 @@
-"""Root certification tests against hand-solved small cases."""
+"""Root certification tests against hand-solved small cases, and the
+Descartes isolation and seeded refinement against the Sturm isolation and
+plain bisection they replace."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lslab import sturm
+from lslab.errors import CertificationError, ResourceLimitError
+from lslab.precision import to_mpf
 from lslab.sturm import (
     certify_roots,
     count_roots,
@@ -12,6 +19,32 @@ from lslab.sturm import (
     sign_at,
     sturm_chain,
 )
+from lslab.triangles import modified_legendre_row
+
+QUARTER, ZERO = Fraction(-1, 4), Fraction(0)
+
+
+def bisection_midpoints(cert, bits):
+    """The refinement by plain exact bisection, as refine_roots gave it
+    before the Newton seed."""
+    q = modified_legendre_row(cert.n)[1:]
+    eps = Fraction(1, 2**bits)
+    out = []
+    with mp.workprec(bits + 16):
+        for lo, hi in cert.intervals:
+            s_lo = sign_at(q, lo)
+            while hi - lo >= eps:
+                mid = (lo + hi) / 2
+                s_mid = sign_at(q, mid)
+                if s_mid == 0:
+                    lo = hi = mid
+                    break
+                if s_mid == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(to_mpf((lo + hi) / 2))
+    return out
 
 
 class TestChainBasics:
@@ -120,3 +153,89 @@ class TestValidation:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             certify_roots(0)
+
+    def test_cap(self, monkeypatch):
+        def no_row(n):
+            raise AssertionError("row built past the cap")
+
+        monkeypatch.setattr(sturm, "modified_legendre_row", no_row)
+        with pytest.raises(ResourceLimitError):
+            certify_roots(sturm.ROOTS_MAX_N + 1)
+
+
+class TestDescartes:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=30), bits=st.sampled_from([64, 70, 128, 256, 300]))
+    def test_matches_sturm_and_bisection(self, n, bits):
+        cert = certify_roots(n)
+        q = modified_legendre_row(n)[1:]
+        assert list(cert.intervals) == sturm.sturm_intervals(q, QUARTER, ZERO)
+        assert [r._mpf_ for r in refine_roots(cert, bits)] == [
+            r._mpf_ for r in bisection_midpoints(cert, bits)
+        ]
+
+    def test_verify_roots_cross_checks_sturm(self, monkeypatch):
+        from lslab import verify
+
+        real = sturm.sturm_intervals
+
+        def drop_last_at_n8(q, lo, hi):
+            intervals = real(q, lo, hi)
+            return intervals[:-1] if len(q) == 8 else intervals
+
+        monkeypatch.setattr(sturm, "sturm_intervals", drop_last_at_n8)
+        results = verify.suite_roots(verify.SuiteConfig())
+        (line,) = [r for r in results if r.name == "root certificates 1<=n<=30"]
+        assert not line.passed
+        assert line.detail == "Descartes and Sturm intervals differ at n=8"
+
+    def test_no_sturm_chain_in_production(self, monkeypatch):
+        def no_chain(p):
+            raise AssertionError("Sturm chain built")
+
+        monkeypatch.setattr(sturm, "sturm_chain", no_chain)
+        for n in (2, 12, 40):
+            refine_roots(certify_roots(n), 64)
+
+    def test_midpoint_root_falls_back_to_sturm(self, monkeypatch):
+        # (8s + 1)(16s + 1): the first split of (-1/4, 0) is at -1/8, a root
+        q = (1, 24, 128)
+        assert sturm.descartes_intervals(q, QUARTER, ZERO) is None
+        calls = []
+        real_chain = sturm.sturm_chain
+        monkeypatch.setattr(sturm, "sturm_chain", lambda p: calls.append(p) or real_chain(p))
+        intervals = sturm.isolate_roots(q, QUARTER, ZERO)
+        assert calls == [q]
+        assert intervals == [
+            (Fraction(-1, 6), Fraction(-1, 12)),
+            (Fraction(-1, 12), Fraction(0)),
+        ]
+
+    def test_repeated_root_falls_back_to_sturm(self):
+        # (12s + 1)^2: bisection towards -1/12 never ends, so the depth cap
+        # hands over to Sturm, whose chain finds the repeated factor
+        q = (1, 24, 144)
+        assert sturm.descartes_intervals(q, QUARTER, ZERO) is None
+        with pytest.raises(CertificationError) as exc:
+            sturm.isolate_roots(q, QUARTER, ZERO)
+        assert exc.value.clause == "simple-roots"
+
+    def test_complex_pair_fails_root_count(self):
+        # (10s + 1)(100 s^2 + 20 s + 2): one real root, and -1/10 +- i/10
+        q = (2, 40, 300, 1000)
+        assert sturm.descartes_intervals(q, QUARTER, ZERO) == [(Fraction(-1, 8), ZERO)]
+        with pytest.raises(CertificationError) as exc:
+            sturm.isolate_roots(q, QUARTER, ZERO)
+        assert exc.value.clause == "root-count"
+
+    def test_wrong_newton_seed_falls_back_to_bisection(self, monkeypatch):
+        cert = certify_roots(8)
+        expected = [r._mpf_ for r in bisection_midpoints(cert, 128)]
+        fallbacks = []
+        real_bisect = sturm._bisect
+        monkeypatch.setattr(sturm, "_newton", lambda coeffs, lo, hi, s_lo, tol: to_mpf(lo))
+        monkeypatch.setattr(
+            sturm, "_bisect", lambda *args: fallbacks.append(args) or real_bisect(*args)
+        )
+        assert [r._mpf_ for r in refine_roots(cert, 128)] == expected
+        assert len(fallbacks) == len(cert.intervals)
