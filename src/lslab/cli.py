@@ -2,7 +2,9 @@
 
 Subcommands: compute, table, verify, roots, clt, edgeworth, asymptotics.
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 resource limit,
-4 cache corruption (the table is still produced from a fresh build).
+4 cache corruption (the table is still produced from a fresh build,
+except for a record that passes the file's hash but is not in the form
+triangles.triangle_record writes: the CSV table stops there).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
@@ -70,8 +72,8 @@ def cmd_table(parser, args) -> int:
         else:
             fp.write("n,j,value\n")
             for line in lines:
-                record = json.loads(line)
-                fp.write(f"{record['n']},{record['j']},{record['value']}\n")
+                n, j, value = triangles.parse_record(line)
+                fp.write(f"{n},{j},{value}\n")
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE

@@ -36,7 +36,8 @@ from .edgeworth import exact_cumulants
 from .errors import DegenerateVarianceError, KernelInvariantError
 from .precision import to_mpf
 from .triangles import (
-    LEGENDRE, check_row_cap, jacobi_stirling, legendre_stirling_binsum, modified_legendre_row
+    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass, legendre_stirling_binsum,
+    modified_legendre_row,
 )
 
 
@@ -194,10 +195,11 @@ def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
 
 
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
-    """M_n(1) w^(2n+1) / (2n)!; approaches 1 at rate 1/n."""
-    row = modified_legendre_row(n)
+    """M_n(1) w^(2n+1) / (2n)!; approaches 1 at rate 1/n.  The exact mass
+    M_n(1) comes from `legendre_row_mass`, so no triangle row is built."""
+    mass = legendre_row_mass(n)
     with mp.workprec(precision_bits + 16):
-        value = mp.mpf(sum(row)) * row_scale(n, saddle_constant(precision_bits + 16))
+        value = mp.mpf(mass) * row_scale(n, saddle_constant(precision_bits + 16))
     with mp.workprec(precision_bits):
         return +value
 

@@ -10,7 +10,11 @@ numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 (factor j^2).  Entries are exact rationals, and integers whenever
 2*gamma is an integer.  One banded loop, `_sweep`, computes every row
 and entry; rows are memoized up to ROW_MEMO_SIZE, and every kernel
-refuses row MAX_ROWS and beyond before doing any work.
+refuses row MAX_ROWS and beyond before doing any work.  The mass of a
+(2j)!-scaled Legendre row, `legendre_row_mass`, needs no row: a
+regrouped binomial sum gives it in O(n) big-integer steps.  Entries are
+stored as JSON-lines records that `triangle_record` renders with one
+f-string and `parse_record` reads back strictly, without a JSON parser.
 
 Everything in this module runs on Python integers and fractions.  The
 alternating direct sums below pit terms of size (j^2)^n against results
@@ -21,14 +25,13 @@ the correctness contract.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import KernelInvariantError, ResourceLimitError
+from .errors import CacheCorruptionError, KernelInvariantError, ResourceLimitError
 
 MAX_ROWS = 2000
 ROW_MEMO_SIZE = 16
@@ -165,14 +168,18 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
     if n == 0:
         return 1 if j == 0 else 0
     two_g = 2 * g
-    total = Fraction(0)
+    total, prod = Fraction(0), None
     for r in range(j + 1):
         base = r + two_g - 1
         if base == 0:
             continue  # regularized r = 0 summand at gamma = 1/2
-        prod = Fraction(1)
-        for t in range(j + 1):
-            prod *= base + t
+        if prod is None:
+            prod = Fraction(1)
+            for t in range(j + 1):
+                prod *= base + t
+        else:
+            # the product at r-1 ran over base-1..base+j-1
+            prod = prod * (base + j) / (base - 1)
         if prod == 0:
             raise ArithmeticError(
                 f"zero product factor at r={r} for gamma={g}; outside the regularized case"
@@ -246,6 +253,41 @@ def modified_legendre_row(n: int) -> tuple[int, ...]:
     return scale_row(triangle_row(LEGENDRE, n))
 
 
+def legendre_row_mass(n: int) -> int:
+    """M_n(1) = sum_j (2j)! T_1(n, j), the mass of the scaled row, in O(n)
+    big-integer steps and without building the row.
+
+    Put k = j - nu in `legendre_stirling_binsum` and pair k with -1-k,
+    which give the same k(k+1); swapping the sums gives, for n >= 1,
+
+        M_n(1) = sum_{k=1..n} (-1)^k S_k (k(k+1))^n,
+        S_k = sum_{j=k..n} (-1)^j B(j, k),
+
+    with the ballot numbers B(j, k) = C(2j, j-k) - C(2j, j-k-1).  From
+    C(2j, i) = C(2j-2, i-2) + 2 C(2j-2, i-1) + C(2j-2, i), B(j, k) =
+    B(j-1, k-1) + 2 B(j-1, k) + B(j-1, k+1), and summing over j gives
+
+        S_{k-1} = -3 S_k - S_{k+1} + (-1)^n B(n+1, k),
+
+    run down from S_{n+1} = 0 and S_n = (-1)^n.  B(n+1, .) comes from one
+    pass of exact ratio updates along C(2n+2, .).
+    """
+    check_row_cap(n)
+    if n == 0:
+        return 1
+    binom = [1]  # C(2n+2, i) for i = 0..n+1
+    for i in range(n + 1):
+        binom.append(binom[-1] * (2 * n + 2 - i) // (i + 1))
+    sign = -1 if n & 1 else 1
+    s_k, s_next, total = sign, 0, 0
+    for k in range(n, 0, -1):
+        term = s_k * (k * (k + 1)) ** n
+        total += -term if k & 1 else term
+        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
+        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
+    return total
+
+
 def odd_power_cancellation(j: int, ell: int) -> int:
     """The signed binomial sum over (j - nu)^(2*ell + 1); identically zero."""
     total = 0
@@ -316,5 +358,35 @@ def iter_triangle(gamma, n_max: int):
 
 
 def triangle_record(n: int, j: int, value) -> str:
-    """One JSON-lines record of an entry."""
-    return json.dumps({"n": n, "j": j, "value": format_entry(value)})
+    """One JSON-lines record of an entry, byte for byte what
+    json.dumps({"n": n, "j": j, "value": format_entry(value)}) gives: the
+    value is digits or 'p/q', which JSON does not escape."""
+    return f'{{"n": {n}, "j": {j}, "value": "{format_entry(value)}"}}'
+
+
+def _is_number(text: str) -> bool:
+    """ASCII digits without a leading zero, as str(int) prints a
+    non-negative integer.  bytes.isdigit reads ASCII only and is several
+    times faster than str.isdigit on long values."""
+    return text.isascii() and text.encode().isdigit() and (text[0] != "0" or text == "0")
+
+
+def parse_record(line: str) -> tuple[int, int, str]:
+    """(n, j, value text) of a `triangle_record` line, its strict inverse:
+    a line that differs from the record of its own (n, j, value) in any
+    byte, or whose n, j or value parts are not digits as str(int) prints
+    them, raises CacheCorruptionError.  The value is checked digit by
+    digit and returned as text, never converted to an int."""
+    n_text, _, rest = line.removeprefix('{"n": ').partition(', "j": ')
+    j_text, _, value = rest.partition(', "value": "')
+    value = value.removesuffix('"}')
+    num, slash, den = value.partition("/")
+    if n_text.isdecimal() and j_text.isdecimal() and _is_number(num) and (
+        not slash or _is_number(den)
+    ):
+        # int() reads any decimal digits; comparing with the re-rendered
+        # line keeps only the ASCII digits without leading zeros
+        n, j = int(n_text), int(j_text)
+        if line == f'{{"n": {n}, "j": {j}, "value": "{value}"}}':
+            return n, j, value
+    raise CacheCorruptionError(f"not a triangle record: {line[:80]!r}")

@@ -362,14 +362,15 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result("total-mass ratio doubling decay", ok, ", ".join(detail)))
 
     # At w, g(w) = 1 and (cosh w - 1)/sinh w = 1/sqrt5, so the certified
-    # Legendre lattice sum is the row mass itself.
+    # Legendre lattice sum is the row mass itself; its exact side comes
+    # from legendre_row_mass, which this checks against the lattice sum.
     ok = True
     detail = ""
     w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
         for n in range(2, 51):
             cert = eisenstein.certified_legendre(n, w, 16, bits)
-            exact = mp.mpf(sum(triangles.modified_legendre_row(n)))
+            exact = mp.mpf(triangles.legendre_row_mass(n))
             rel = abs(cert.value - exact) / exact
             if rel > cert.bound:
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"

@@ -2,6 +2,7 @@
 recovery."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lslab
-from lslab import cache
+from lslab import cache, triangles
 from lslab.cli import main
-from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling, triangle_record
+from lslab.triangles import (
+    LEGENDRE, format_entry, jacobi_stirling, parse_record, triangle_record
+)
 
 
 @pytest.fixture()
@@ -49,7 +52,9 @@ class TestIntStrLimit:
         expected = _unlimited_str(value)
         assert len(expected) > 4300
         assert format_entry(value) == expected
-        assert json.loads(triangle_record(1999, 307, value))["value"] == expected
+        line = triangle_record(1999, 307, value)
+        assert line == json.dumps({"n": 1999, "j": 307, "value": expected})
+        assert parse_record(line) == (1999, 307, expected)
         odd = 2 * value + 1
         assert format_entry(Fraction(odd, 2)) == f"{_unlimited_str(odd)}/2"
 
@@ -237,6 +242,23 @@ class TestTable:
         assert code == 0
         assert out == clean
 
+    def test_hash_valid_bad_record_exit_4(self, tmp_path, capsys, monkeypatch):
+        # valid JSON with a valid hash, but not the form triangle_record writes
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("LSLAB_CACHE_DIR", str(cache_dir))
+        argv = ["table", "--family", "legendre", "--n-max", "3", "--format", "csv"]
+        assert run_cli(argv, capsys)[0] == 0
+        cache_file = next(cache_dir.glob("*.jsonl"))
+        header, *lines = cache_file.read_text().splitlines()
+        lines[1] = '{"n":1, "j": 0, "value": "0"}'
+        header = json.loads(header)
+        header["sha256"] = cache._digest(lines)
+        cache_file.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == "n,j,value\n0,0,1\n"  # the table streams up to the bad record
+        assert "cache error: not a triangle record" in err
+
     def test_write_to_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LSLAB_CACHE_DIR", str(tmp_path / "cache"))
         target = tmp_path / "triangle.csv"
@@ -386,6 +408,46 @@ class TestAsymptoticsCommand:
             main(["asymptotics", "--n-list", "100,50"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestSkippedWork:
+    """Work the commands must not do, pinned against golden bytes."""
+
+    def test_mass_report_builds_no_row(self, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the mass report built a triangle row")
+
+        monkeypatch.setattr(triangles, "_sweep", no_rows)
+        code, out, _ = run_cli(["asymptotics", "--report", "mass", "--n-list", "200,1600"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "21e0db405f21e276c21c6de36c27985645c2e252e8ad68f72aef698e44087d4e"
+        )
+
+    @pytest.mark.parametrize(
+        "gamma,digest",
+        [
+            ("1", "8eaf5f065911c342cf8ee7ac72ca2142940e60f84f47861e16de1485b9bbd400"),
+            ("2/3", "fe99b0359e9604acb9ba375055603d2bad1f70439d8cb68f8fe497fcf3652b65"),
+        ],
+    )
+    def test_csv_table_parses_no_json_record(self, gamma, digest, tmp_path, capsys, monkeypatch):
+        # only the cache header, which carries the hash, goes through json
+        def header_only(fn):
+            def guarded(obj, *args, **kwargs):
+                if "sha256" not in obj:
+                    raise AssertionError(f"json used on a triangle record: {obj!r:.60}")
+                return fn(obj, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(json, "loads", header_only(json.loads))
+        monkeypatch.setattr(json, "dumps", header_only(json.dumps))
+        argv = ["table", "--family", "jacobi", "--gamma", gamma, "--n-max", "10",
+                "--cache-dir", str(tmp_path)]
+        for _ in ("cold", "warm"):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lslab import triangles
-from lslab.errors import ResourceLimitError
+from lslab.errors import CacheCorruptionError, ResourceLimitError
 from lslab.triangles import (
     CHEBYSHEV,
     GAMMA_ZERO,
@@ -27,10 +27,13 @@ from lslab.triangles import (
     jacobi_stirling,
     jacobi_stirling_explicit,
     legendre_from_chebyshev,
+    legendre_row_mass,
     legendre_stirling_altsum,
     legendre_stirling_binsum,
     modified_legendre_row,
     odd_power_cancellation,
+    parse_record,
+    triangle_record,
     triangle_row,
 )
 
@@ -113,6 +116,7 @@ class TestRecurrence:
             lambda: chebyshev_stirling_binsum(n, 5),
             lambda: legendre_stirling_altsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
+            lambda: legendre_row_mass(n),
         ]
         for call in refused:
             with pytest.raises(ResourceLimitError):
@@ -157,7 +161,9 @@ class TestExplicit:
             jacobi_stirling_explicit(3, 2, 0)
 
     def test_matches_recurrence_small_grid(self):
-        for gamma in (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2)):
+        gammas = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(2, 3),
+                  Fraction(7, 3))
+        for gamma in gammas:
             for n in range(10):
                 for j in range(n + 1):
                     assert jacobi_stirling_explicit(n, j, gamma) == jacobi_stirling(n, j, gamma)
@@ -201,6 +207,19 @@ class TestModified:
             assert jacobi_stirling(n, j, LEGENDRE) == legendre_stirling_binsum(n, j)
 
 
+class TestRowMass:
+    """legendre_row_mass regroups the binomial sum; the scaled row summed
+    entry by entry is the independent side."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=300))
+    def test_equals_row_sum(self, n):
+        assert legendre_row_mass(n) == sum(modified_legendre_row(n))
+
+    def test_equals_row_sum_far_out(self):
+        assert legendre_row_mass(800) == sum(modified_legendre_row(800))
+
+
 class TestConnections:
     @pytest.mark.parametrize("k,j,expected", [(1, 2, 8), (0, 1, 1), (1, 1, 4)])
     def test_odd(self, k, j, expected):
@@ -239,6 +258,47 @@ class TestExport:
         assert format_entry(8) == "8"
         assert format_entry(Fraction(5, 1)) == "5"
         assert format_entry(Fraction(7, 3)) == "7/3"
+
+    def test_record_is_json_dumps_and_parses_back(self):
+        import json
+
+        entries = [*iter_triangle(LEGENDRE, 8), *iter_triangle(GammaParam(Fraction(2, 3)), 8),
+                   (7, 3, 10**60), (0, 0, Fraction(10**40 + 1, 3))]
+        for n, j, value in entries:
+            line = triangle_record(n, j, value)
+            assert line == json.dumps({"n": n, "j": j, "value": format_entry(value)})
+            assert parse_record(line) == (n, j, format_entry(value))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"j": 2, "n": 3, "value": "8"}',       # swapped keys
+            '{"n": 3,  "j": 2, "value": "8"}',      # extra space
+            '{"n": 3, "j": 2, "value": "8" }',
+            '{"n":3, "j": 2, "value": "8"}',        # missing space
+            '{"n": 3, "j": 2, "value": "8a"}',      # non-digit value
+            '{"n": 3, "j": 2, "value": "-8"}',
+            '{"n": 3, "j": 2, "value": "8.0"}',
+            '{"n": 3, "j": 2, "value": ""}',
+            '{"n": 3, "j": 2, "value": "8}',        # missing quote
+            '{"n": 3, "j": 2, "value": 8}',
+            '{"n": 03, "j": 2, "value": "8"}',      # leading zeros
+            '{"n": 3, "j": 2, "value": "08"}',
+            '{"n": 3, "j": 2, "value": "4/03"}',
+            '{"n": 3, "j": 2, "value": "4/"}',      # empty or doubled fraction parts
+            '{"n": 3, "j": 2, "value": "/3"}',
+            '{"n": 3, "j": 2, "value": "4/3/2"}',
+            '{"n": \u0663, "j": 2, "value": "8"}',  # non-ASCII digits
+            '{"n": 3, "j": 2, "value": "\u0668"}',
+            '{"n": \u00b2, "j": 2, "value": "8"}',
+            '{"n": 3, "j": 2, "value": "\ud800"}',
+            '{"n": 3, "j": 2, "value": "8"}\n',
+            "",
+        ],
+    )
+    def test_parse_record_rejects(self, line):
+        with pytest.raises(CacheCorruptionError):
+            parse_record(line)
 
     def test_iter_row_major(self):
         items = list(iter_triangle(LEGENDRE, 3))
