@@ -1,12 +1,16 @@
-"""On-disk triangle cache.
+"""On-disk triangle cache, the one source of what `lslab table` prints.
 
 A cache file is JSON-lines: a header with schema version, family tag and
-a sha256 over the data lines, followed by one triangles.triangle_record
-per entry, row-major.  A file whose hash does not match raises
-CacheCorruptionError; callers are expected to fall back to recomputation
-(the CLI does, and reports it via its exit code).  Files are written to
-a temporary name and moved into place, so a reader never sees a
-half-written file."""
+a sha256 over the data bytes, followed by one triangles.triangle_record
+per entry, row-major.  Records are streamed into a temporary file under
+a header with a zero digest, the header is rewritten in place once the
+data are hashed (a hex digest is always 64 characters, so no byte
+moves), and the file is moved into place: a reader never sees a
+half-written file.  A reader gets the file back, open at its first
+record, only once its data bytes as they are on disk hash to the
+header's digest; otherwise CacheCorruptionError, and callers rebuild the
+file (the CLI does, and reports it via its exit code).  No table is held
+in memory."""
 
 from __future__ import annotations
 
@@ -20,18 +24,11 @@ from .errors import CacheCorruptionError
 from .triangles import GammaParam, iter_triangle, triangle_record
 
 SCHEMA_VERSION = 1
-ENV_CACHE_DIR = "LSLAB_CACHE_DIR"
 
 
 def resolve_cache_dir(explicit) -> Path:
-    """An explicit directory first, then LSLAB_CACHE_DIR, then
-    ~/.cache/lslab."""
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "lslab"
+    """An explicit directory first, then ~/.cache/lslab."""
+    return Path(explicit) if explicit else Path.home() / ".cache" / "lslab"
 
 
 def _gamma_tag(gamma: GammaParam) -> str:
@@ -45,85 +42,96 @@ def cache_path(cache_dir: Path, gamma: GammaParam, n_max: int) -> Path:
     return Path(cache_dir) / f"triangle_{_gamma_tag(gamma)}_n{n_max}.jsonl"
 
 
-def _data_lines(gamma: GammaParam, n_max: int) -> list[str]:
-    return [triangle_record(n, j, v) for n, j, v in iter_triangle(gamma, n_max)]
-
-
-def _digest(lines: list[str]) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-def write_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str]:
-    lines = _data_lines(gamma, n_max)
-    header = json.dumps(
+def _header(gamma: GammaParam, n_max: int, digest: str) -> bytes:
+    return json.dumps(
         {
             "schema": SCHEMA_VERSION,
             "family": gamma.family or "jacobi",
             "gamma": str(gamma.value),
             "n_max": n_max,
-            "sha256": _digest(lines),
+            "sha256": digest,
         }
-    )
+    ).encode() + b"\n"
+
+
+def write_cache(path: Path, gamma: GammaParam, n_max: int) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(header + "\n")
-            for line in lines:
-                fp.write(line + "\n")
+        with os.fdopen(fd, "wb") as fp:
+            fp.write(_header(gamma, n_max, "0" * 64))
+            digest = hashlib.sha256()
+            for n, j, value in iter_triangle(gamma, n_max):
+                line = (triangle_record(n, j, value) + "\n").encode()
+                digest.update(line)
+                fp.write(line)
+            fp.seek(0)
+            fp.write(_header(gamma, n_max, digest.hexdigest()))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return lines
 
 
-def read_cache(path: Path, gamma: GammaParam, n_max: int) -> list[str] | None:
-    """Data lines from a compatible cache file; None when absent, empty or
-    version/parameter incompatible; CacheCorruptionError on a bad hash or
-    a last line without its newline.  The file is read line by line, so
-    the whole text is never held next to its lines."""
-    if not path.exists():
-        return None
-    with open(path) as fp:
-        first = fp.readline()
-        if not first:
-            return None
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            header = None
-        if not isinstance(header, dict):
-            raise CacheCorruptionError(f"unreadable header in {path}")
-        if (
-            header.get("schema") != SCHEMA_VERSION
-            or header.get("gamma") != str(gamma.value)
-            or header.get("n_max") != n_max
-        ):
-            return None
-        lines = []
-        for line in fp:
-            if not line.endswith("\n"):
-                raise CacheCorruptionError(f"truncated last line in {path}")
-            lines.append(line[:-1])
-    if _digest(lines) != header.get("sha256"):
+def _matches(fp, path: Path, gamma: GammaParam, n_max: int) -> bool:
+    """Whether the header of fp is this table's, leaving fp at the first
+    record; CacheCorruptionError when it is and the data bytes do not
+    hash to its digest or their last line has no newline."""
+    first = fp.readline()
+    if not first:
+        return False
+    try:
+        header = json.loads(first.decode())
+    except ValueError:  # not UTF-8, or not JSON
+        header = None
+    if not isinstance(header, dict):
+        raise CacheCorruptionError(f"unreadable header in {path}")
+    if (
+        header.get("schema") != SCHEMA_VERSION
+        or header.get("gamma") != str(gamma.value)
+        or header.get("n_max") != n_max
+    ):
+        return False
+    start, digest, last = fp.tell(), hashlib.sha256(), b"\n"
+    for block in iter(lambda: fp.read(1 << 20), b""):
+        digest.update(block)
+        last = block[-1:]
+    if last != b"\n":
+        raise CacheCorruptionError(f"truncated last line in {path}")
+    if digest.hexdigest() != header.get("sha256"):
         raise CacheCorruptionError(f"content hash mismatch in {path}")
-    return lines
+    fp.seek(start)
+    return True
+
+
+def read_cache(path: Path, gamma: GammaParam, n_max: int):
+    """The cache file, open in binary mode at its first record, once its
+    data bytes hashed to its header's digest; None when it is absent,
+    empty or of another schema, gamma or n_max; CacheCorruptionError
+    otherwise.  The caller closes the file."""
+    try:
+        fp = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    matched = False
+    try:
+        matched = _matches(fp, path, gamma, n_max)
+    finally:
+        if not matched:
+            fp.close()
+    return fp if matched else None
 
 
 def load_or_build(gamma: GammaParam, n_max: int, cache_dir: Path):
-    """(data lines, from_cache, was_corrupted); corrupted files are rebuilt
-    and rewritten in place.  The rebuild runs after the except block, so
-    the failed read's frame and lines are already released."""
+    """(open cache file, from_cache, was_corrupted).  A missing,
+    incompatible or corrupted file is written first and then read back
+    through the same hash check as a warm one."""
     path = cache_path(cache_dir, gamma, n_max)
     try:
-        cached, corrupted = read_cache(path, gamma, n_max), False
+        source, corrupted = read_cache(path, gamma, n_max), False
     except CacheCorruptionError:
-        cached, corrupted = None, True
-    if cached is not None:
-        return cached, True, False
-    return write_cache(path, gamma, n_max), False, corrupted
+        source, corrupted = None, True
+    if source is not None:
+        return source, True, False
+    write_cache(path, gamma, n_max)
+    return read_cache(path, gamma, n_max), False, corrupted

@@ -1,10 +1,13 @@
 """Command-line front door.
 
 Subcommands: compute, table, verify, roots, clt, edgeworth, asymptotics.
+Every output goes to stdout; redirect it to keep a file.  `table` prints
+from its cache file (--cache-dir, else ~/.cache/lslab) once the file's
+hash is checked, building or rebuilding the file first when needed.
 Exit codes: 0 success, 1 invariant failure, 2 usage, 3 resource limit,
-4 cache corruption (the table is still produced from a fresh build,
+4 cache corruption (the table is still printed from a fresh build,
 except for a record that passes the file's hash but is not in the form
-triangles.triangle_record writes: the CSV table stops there).
+triangles.triangle_record writes: the table, CSV or JSON, stops there).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 
 import mpmath as mp
 
@@ -44,17 +46,6 @@ def _gamma(parser, args) -> triangles.GammaParam:
     return triangles.FAMILY_GAMMAS[args.family]
 
 
-@contextmanager
-def _open_out(path: str | None):
-    """stdout for None or '-', else the file.  Callers validate and compute
-    first, so a failed command leaves an existing file as it was."""
-    if path in (None, "-"):
-        yield sys.stdout
-        return
-    with open(path, "w") as fp:
-        yield fp
-
-
 def cmd_compute(parser, args) -> int:
     value = triangles.jacobi_stirling(args.n, args.j, _gamma(parser, args))
     print(triangles.format_entry(value))
@@ -63,17 +54,17 @@ def cmd_compute(parser, args) -> int:
 
 def cmd_table(parser, args) -> int:
     gamma = _gamma(parser, args)
+    triangles.check_row_cap(args.n_max)
     cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    lines, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
-    with _open_out(args.out) as fp:
-        if args.format == "json":
-            for line in lines:
-                fp.write(line + "\n")
-        else:
-            fp.write("n,j,value\n")
-            for line in lines:
-                n, j, value = triangles.parse_record(line)
-                fp.write(f"{n},{j},{value}\n")
+    source, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
+    with source:
+        if args.format == "csv":
+            sys.stdout.write("n,j,value\n")
+        for raw in source:
+            # a non-ASCII byte becomes U+FFFD, which parse_record rejects
+            line = raw.decode("ascii", "replace")
+            n, j, value = triangles.parse_record(line[:-1])
+            sys.stdout.write(line if args.format == "json" else f"{n},{j},{value}\n")
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE
@@ -98,17 +89,14 @@ def cmd_verify(parser, args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str | None, header: str, rows, bits: int) -> None:
-    """A CSV table to --out: int and str cells as they are, every other
-    value to print_digits(bits) significant digits.  Every line is built
-    before --out is opened."""
+def _write_csv(header: str, rows, bits: int) -> None:
+    """A CSV table on stdout, each row printed as it is formatted: int and
+    str cells as they are, every other value to print_digits(bits)
+    significant digits."""
     digits = print_digits(bits)
-    lines = [header + "\n"] + [
-        ",".join(str(c) if isinstance(c, (int, str)) else mp.nstr(c, digits) for c in row) + "\n"
-        for row in rows
-    ]
-    with _open_out(path) as fp:
-        fp.writelines(lines)
+    print(header)
+    for row in rows:
+        print(",".join(str(c) if isinstance(c, (int, str)) else mp.nstr(c, digits) for c in row))
 
 
 def cmd_roots(parser, args) -> int:
@@ -140,13 +128,13 @@ def cmd_clt(parser, args) -> int:
         if n_list[0] < 2:
             parser.error("residuals report needs every n >= 2")
         rows = clt.mean_variance_residuals(n_list, bits)
-        _write_csv(args.out, "n,mean_residual,var_residual", rows, bits)
+        _write_csv("n,mean_residual,var_residual", rows, bits)
         return EXIT_OK
     # cdf
     if args.n is None:
         parser.error("cdf report needs --n")
     rows = [(mp.nstr(y, 3), s, p) for y, s, p in clt.cdf_grid(args.n, bits)]
-    _write_csv(args.out, "y,scaled_cdf,normal_cdf", rows, bits)
+    _write_csv("y,scaled_cdf,normal_cdf", rows, bits)
     return EXIT_OK
 
 
@@ -154,7 +142,7 @@ def cmd_edgeworth(parser, args) -> int:
     if args.n < 2:
         parser.error("edgeworth needs --n >= 2")
     rows = edgeworth.comparison_table(args.n, args.precision_bits)
-    _write_csv(args.out, "j,x,sigma_p,order2,order3,abs_err2,abs_err3", rows, args.precision_bits)
+    _write_csv("j,x,sigma_p,order2,order3,abs_err2,abs_err3", rows, args.precision_bits)
     return EXIT_OK
 
 
@@ -167,7 +155,7 @@ def cmd_asymptotics(parser, args) -> int:
     if saddle:
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
         rows = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
-        _write_csv(args.out, "n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound", rows, bits)
+        _write_csv("n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound", rows, bits)
         return EXIT_OK
     # mass: total-mass ratio decay table; abs(m - 1) is taken at mpmath's
     # global precision, not at bits, and the printed digits show it
@@ -175,7 +163,7 @@ def cmd_asymptotics(parser, args) -> int:
     for n in n_list:
         m = clt.total_mass_ratio(n, bits)
         rows.append((n, m, abs(m - 1)))
-    _write_csv(args.out, "n,mass_ratio,abs_deviation", rows, bits)
+    _write_csv("n,mass_ratio,abs_deviation", rows, bits)
     return EXIT_OK
 
 
@@ -215,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma")
     p.add_argument("--n-max", type=_non_negative, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default="-")
     p.add_argument("--cache-dir")
 
     p = subs.add_parser("verify", help="run a named verification suite")
@@ -234,12 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--n-list", type=_n_list)
-    p.add_argument("--out", default="-")
     p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("edgeworth", help="expansion comparison table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default="-")
     p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("asymptotics", help="saddle/mass decay tables")
@@ -247,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, default=0)
     p.add_argument("--z", default="w", help="positive real, or 'w' for the saddle constant")
     p.add_argument("--n-list", type=_n_list)
-    p.add_argument("--out", default="-")
     p.add_argument("--precision-bits", type=int, default=256)
 
     return parser

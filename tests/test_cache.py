@@ -1,6 +1,9 @@
 """On-disk cache: a write that fails partway never leaves a half-written
-file, and what is written reads back unchanged."""
+file, no file with a placeholder digest is ever moved into place, what
+is written reads back unchanged, and a damaged file is rebuilt."""
 
+import hashlib
+import json
 import os
 import tempfile
 from fractions import Fraction
@@ -38,27 +41,55 @@ def _fail_after_writes(monkeypatch, allowed: int):
 
 
 class TestAtomicWrite:
+    """Legendre to n = 8 is 45 records, so a write makes 47 calls to
+    fp.write: the header with a zero digest, the records, and the header
+    rewritten in place.  Failing at the first, a middle and the last of
+    them leaves the earlier file and no temporary file."""
+
+    FAILING_WRITES = (0, 5, 46)
+
     def test_failed_rewrite_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = cache.cache_path(tmp_path, LEGENDRE, 8)
-        lines = cache.write_cache(path, LEGENDRE, 8)
+        cache.write_cache(path, LEGENDRE, 8)
         before = path.read_bytes()
         path.write_bytes(before[: len(before) // 2])  # a corrupt file to rebuild
         earlier = path.read_bytes()
-        _fail_after_writes(monkeypatch, allowed=5)
-        with pytest.raises(OSError, match="simulated"):
-            cache.write_cache(path, LEGENDRE, 8)
-        assert path.read_bytes() == earlier
-        assert sorted(tmp_path.iterdir()) == [path]
-        monkeypatch.undo()
-        assert cache.load_or_build(LEGENDRE, 8, tmp_path) == (lines, False, True)
+        for allowed in self.FAILING_WRITES:
+            _fail_after_writes(monkeypatch, allowed)
+            with pytest.raises(OSError, match="simulated"):
+                cache.write_cache(path, LEGENDRE, 8)
+            assert path.read_bytes() == earlier
+            assert sorted(tmp_path.iterdir()) == [path]
+            monkeypatch.undo()
+        source, from_cache, corrupted = cache.load_or_build(LEGENDRE, 8, tmp_path)
+        with source:
+            assert (from_cache, corrupted) == (False, True)
+            assert source.read() == before[before.index(b"\n") + 1:]
         assert path.read_bytes() == before
 
     def test_failed_first_write_leaves_no_file(self, tmp_path, monkeypatch):
         path = cache.cache_path(tmp_path, LEGENDRE, 8)
-        _fail_after_writes(monkeypatch, allowed=5)
-        with pytest.raises(OSError, match="simulated"):
-            cache.write_cache(path, LEGENDRE, 8)
-        assert list(tmp_path.iterdir()) == []
+        for allowed in self.FAILING_WRITES:
+            _fail_after_writes(monkeypatch, allowed)
+            with pytest.raises(OSError, match="simulated"):
+                cache.write_cache(path, LEGENDRE, 8)
+            assert list(tmp_path.iterdir()) == []
+            monkeypatch.undo()
+
+    def test_zero_digest_never_in_place(self, tmp_path, monkeypatch):
+        real_replace = os.replace
+        placed = []
+
+        def replace(src, dst):
+            with open(src, "rb") as fp:
+                placed.append(json.loads(fp.readline())["sha256"])
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cache.os, "replace", replace)
+        path = cache.cache_path(tmp_path, LEGENDRE, 8)
+        cache.write_cache(path, LEGENDRE, 8)
+        header, data = path.read_bytes().split(b"\n", 1)
+        assert placed == [json.loads(header)["sha256"]] == [hashlib.sha256(data).hexdigest()]
 
 
 class TestRoundTrip:
@@ -72,8 +103,9 @@ class TestRoundTrip:
         gamma = GammaParam(Fraction(p, q))
         with tempfile.TemporaryDirectory() as tmp:
             path = cache.cache_path(Path(tmp), gamma, n_max)
-            lines = cache.write_cache(path, gamma, n_max)
-            assert cache.read_cache(path, gamma, n_max) == lines
+            cache.write_cache(path, gamma, n_max)
+            with cache.read_cache(path, gamma, n_max) as fp:
+                lines = fp.read().decode().splitlines()
         assert lines == [triangle_record(*e) for e in iter_triangle(gamma, n_max)]
 
 
@@ -98,19 +130,23 @@ class TestDamagedFiles:
         assert path.read_bytes() == intact
         return code
 
-    def test_empty_file_rebuilds_silently(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    def test_empty_file_rebuilds_silently(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b"") == EXIT_OK
 
-    def test_header_only_file_is_corrupt(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    def test_header_only_file_is_corrupt(self, tmp_path, capsys):
         header_only = lambda b: b[: b.index(b"\n") + 1]
         assert self._damage(tmp_path, capsys, header_only) == EXIT_CACHE
 
-    def test_missing_final_newline_is_corrupt(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    def test_missing_final_newline_is_corrupt(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b[:-1]) == EXIT_CACHE
 
-    def test_non_object_header_is_corrupt(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    def test_non_object_header_is_corrupt(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b"[1]\n") == EXIT_CACHE
+
+    def test_non_utf8_value_is_corrupt(self, tmp_path, capsys):
+        bad_value = lambda b: b.replace(b'"value": "8"', b'"value": "\xff"', 1)
+        assert self._damage(tmp_path, capsys, bad_value) == EXIT_CACHE
+
+    def test_non_utf8_header_is_corrupt(self, tmp_path, capsys):
+        bad_header = lambda b: b.replace(b"legendre", b"legen\xffre", 1)
+        assert self._damage(tmp_path, capsys, bad_header) == EXIT_CACHE

@@ -64,9 +64,11 @@ class TestIntStrLimit:
         value = jacobi_stirling(1999, 307, 1)
         monkeypatch.setattr(cache, "iter_triangle", lambda gamma, n_max: [(1999, 307, value)])
         path = tmp_path / "t.jsonl"
-        lines = cache.write_cache(path, LEGENDRE, 1999)
-        assert cache.read_cache(path, LEGENDRE, 1999) == lines
-        assert json.loads(lines[0])["value"] == _unlimited_str(value)
+        cache.write_cache(path, LEGENDRE, 1999)
+        with cache.read_cache(path, LEGENDRE, 1999) as fp:
+            line = fp.read().decode()
+        assert line == triangle_record(1999, 307, value) + "\n"
+        assert json.loads(line)["value"] == _unlimited_str(value)
         assert sys.get_int_max_str_digits() == 4300
 
 
@@ -144,8 +146,7 @@ class TestRowCap:
             "verify all --n-max 1999",
         ],
     )
-    def test_exit_3_at_once(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+    def test_exit_3_at_once(self, command, tmp_path, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(command.format(cache=tmp_path).split(), capsys)
         assert code == 3
@@ -160,8 +161,7 @@ class TestNegativeNMax:
         "command",
         ["verify identities --n-max -3", "table --family legendre --n-max -1 --cache-dir {cache}"],
     )
-    def test_usage_error_writes_nothing(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+    def test_usage_error_writes_nothing(self, command, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command.format(cache=tmp_path).split())
         assert exc.value.code == 2
@@ -203,9 +203,9 @@ class TestDegenerateRows:
 
 
 class TestTable:
-    def test_csv_row_count_and_determinism(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LSLAB_CACHE_DIR", str(tmp_path / "cache"))
-        argv = ["table", "--family", "legendre", "--n-max", "10", "--format", "csv"]
+    def test_csv_row_count_and_determinism(self, tmp_path, capsys):
+        argv = ["table", "--family", "legendre", "--n-max", "10", "--format", "csv",
+                "--cache-dir", str(tmp_path)]
         code1, out1, _ = run_cli(argv, capsys)
         code2, out2, _ = run_cli(argv, capsys)
         assert code1 == code2 == 0
@@ -215,23 +215,23 @@ class TestTable:
         assert len(lines) == 1 + 66
         assert "3,2,8" in lines
 
-    def test_json_contains_expected_row(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LSLAB_CACHE_DIR", str(tmp_path / "cache"))
+    def test_json_contains_expected_row(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            ["table", "--family", "chebyshev", "--n-max", "5", "--format", "json"], capsys
+            ["table", "--family", "chebyshev", "--n-max", "5", "--format", "json",
+             "--cache-dir", str(tmp_path)],
+            capsys,
         )
         assert code == 0
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert {"n": 3, "j": 2, "value": "5"} in rows
         assert len(rows) == 21
 
-    def test_corruption_exit_4_with_recovery(self, tmp_path, capsys, monkeypatch):
-        cache_dir = tmp_path / "cache"
-        monkeypatch.setenv("LSLAB_CACHE_DIR", str(cache_dir))
-        argv = ["table", "--family", "legendre", "--n-max", "6", "--format", "csv"]
+    def test_corruption_exit_4_with_recovery(self, tmp_path, capsys):
+        argv = ["table", "--family", "legendre", "--n-max", "6", "--format", "csv",
+                "--cache-dir", str(tmp_path)]
         code, clean, _ = run_cli(argv, capsys)
         assert code == 0
-        cache_file = next(cache_dir.glob("*.jsonl"))
+        cache_file = next(tmp_path.glob("*.jsonl"))
         data = cache_file.read_text().replace('"value": "8"', '"value": "9"', 1)
         cache_file.write_text(data)
         code, out, err = run_cli(argv, capsys)
@@ -242,43 +242,71 @@ class TestTable:
         assert code == 0
         assert out == clean
 
-    def test_hash_valid_bad_record_exit_4(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "fmt,before_bad_record",
+        [("csv", "n,j,value\n0,0,1\n"), ("json", '{"n": 0, "j": 0, "value": "1"}\n')],
+        ids=["csv", "json"],
+    )
+    def test_hash_valid_bad_record_exit_4(self, fmt, before_bad_record, tmp_path, capsys):
         # valid JSON with a valid hash, but not the form triangle_record writes
-        cache_dir = tmp_path / "cache"
-        monkeypatch.setenv("LSLAB_CACHE_DIR", str(cache_dir))
-        argv = ["table", "--family", "legendre", "--n-max", "3", "--format", "csv"]
+        argv = ["table", "--family", "legendre", "--n-max", "3", "--format", fmt,
+                "--cache-dir", str(tmp_path)]
         assert run_cli(argv, capsys)[0] == 0
-        cache_file = next(cache_dir.glob("*.jsonl"))
+        cache_file = next(tmp_path.glob("*.jsonl"))
         header, *lines = cache_file.read_text().splitlines()
         lines[1] = '{"n":1, "j": 0, "value": "0"}'
+        data = "".join(line + "\n" for line in lines)
         header = json.loads(header)
-        header["sha256"] = cache._digest(lines)
-        cache_file.write_text("\n".join([json.dumps(header), *lines]) + "\n")
+        header["sha256"] = hashlib.sha256(data.encode()).hexdigest()
+        cache_file.write_text(json.dumps(header) + "\n" + data)
         code, out, err = run_cli(argv, capsys)
         assert code == 4
-        assert out == "n,j,value\n0,0,1\n"  # the table streams up to the bad record
+        assert out == before_bad_record  # the table streams up to the bad record
         assert "cache error: not a triangle record" in err
 
-    def test_write_to_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LSLAB_CACHE_DIR", str(tmp_path / "cache"))
-        target = tmp_path / "triangle.csv"
-        code, out, _ = run_cli(
-            ["table", "--family", "legendre", "--n-max", "4", "--out", str(target)], capsys
-        )
-        assert code == 0
-        assert out == ""
-        assert target.read_text().splitlines()[0] == "n,j,value"
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "table --family legendre --n-max 4 --cache-dir {tmp}/cache",
+            "clt --report cdf --n 50",
+            "edgeworth --n 20",
+            "asymptotics --report mass --n-list 25",
+        ],
+    )
+    def test_out_option_retired(self, command, tmp_path, capsys):
+        # every table goes to stdout; redirect it to keep a file
+        argv = command.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--out" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        env_dir, flag_dir, home = tmp_path / "env", tmp_path / "flag", tmp_path / "home"
         monkeypatch.setenv("LSLAB_CACHE_DIR", str(env_dir))
+        monkeypatch.setenv("HOME", str(home))
         code, _, _ = run_cli(
             ["table", "--family", "legendre", "--n-max", "3", "--cache-dir", str(flag_dir)],
             capsys,
         )
         assert code == 0
         assert len(list(flag_dir.glob("*.jsonl"))) == 1
-        assert not env_dir.exists()
+        assert sorted(tmp_path.iterdir()) == [flag_dir]
+
+    def test_cache_env_var_ignored(self, tmp_path, capsys, monkeypatch):
+        # without --cache-dir the cache is ~/.cache/lslab, whatever the
+        # retired LSLAB_CACHE_DIR says
+        env_dir, home = tmp_path / "env", tmp_path / "home"
+        monkeypatch.setenv("LSLAB_CACHE_DIR", str(env_dir))
+        monkeypatch.setenv("HOME", str(home))
+        code, out, _ = run_cli(["table", "--family", "legendre", "--n-max", "3"], capsys)
+        assert code == 0 and out.splitlines()[-2] == "3,2,8"
+        assert [p.name for p in (home / ".cache" / "lslab").iterdir()] == [
+            "triangle_legendre_n3.jsonl"
+        ]
+        assert sorted(tmp_path.iterdir()) == [home]
 
 
 def _table(argv) -> tuple[int, str]:
@@ -332,20 +360,17 @@ class TestRoots:
 
 
 class TestCltCommand:
-    def test_usage_error_keeps_out_file(self, tmp_path, capsys):
-        target = tmp_path / "cdf.csv"
-        target.write_bytes(b"earlier contents\n")
+    def test_usage_error_prints_nothing(self, capsys):
         for argv in (
-            ["clt", "--report", "cdf", "--out", str(target)],  # --n missing
-            ["clt", "--report", "cdf", "--n", "1", "--out", str(target)],  # n < 2
+            ["clt", "--report", "cdf"],  # --n missing
+            ["clt", "--report", "cdf", "--n", "1"],  # n < 2
         ):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-            capsys.readouterr()
             assert code == 2
-            assert target.read_bytes() == b"earlier contents\n"
+            assert capsys.readouterr().out == ""
 
     def test_ratio_json(self, capsys):
         code, out, _ = run_cli(["clt", "--report", "ratio", "--n", "40", "--j", "36"], capsys)
@@ -483,18 +508,51 @@ class TestOneFormatter:
             assert "def to_csv" not in text and "def to_json" not in text, name
 
 
+def _child_env() -> dict:
+    """The environment of a fresh `python -m lslab.cli`: the child finds
+    the package where this process imported it from, also when pytest put
+    src/ on sys.path and not in PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(lslab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_console_script(self):
-        # the child finds the package where this process imported it from,
-        # also when pytest put src/ on sys.path and not in PYTHONPATH
-        src = os.path.dirname(os.path.dirname(lslab.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lslab.cli", "compute", "--family", "legendre",
              "--n", "4", "--j", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "52"
+
+
+# Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM is
+# the peak of this program's memory alone; ru_maxrss would also count the
+# spawning pytest process, whose pages the child shares until exec.
+_PEAK_RSS_PROGRAM = """
+import sys
+from lslab.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fp:
+    print(next(line.split()[1] for line in fp if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+class TestTableMemory:
+    """No table is held in memory: the Legendre table to n = 400 (43 MB of
+    records) peaks near 27 MB in a fresh interpreter, cold and warm."""
+
+    def test_peak_rss_cold_and_warm(self, tmp_path):
+        argv = [sys.executable, "-c", _PEAK_RSS_PROGRAM, "table", "--family", "legendre",
+                "--n-max", "400", "--cache-dir", str(tmp_path)]
+        for _ in ("cold", "warm"):
+            proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True, env=_child_env())
+            assert proc.returncode == 0
+            assert int(proc.stderr) / 1024 < 45

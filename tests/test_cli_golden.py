@@ -129,8 +129,7 @@ def cache_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("command,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_golden_stdout(command, code, digest, cache_dir, capsys, monkeypatch):
-    monkeypatch.delenv("LSLAB_CACHE_DIR", raising=False)
+def test_golden_stdout(command, code, digest, cache_dir, capsys):
     argv = command.format(cache=cache_dir).split()
     assert main(argv) == code
     out, _ = capsys.readouterr()
