@@ -78,6 +78,8 @@ def cmd_verify(parser, args) -> int:
         if args.suite in ("roots", "all"):
             sturm.check_roots_cap(args.n_max)
         cfg.n_max = args.n_max
+    if args.suite in ("edgeworth", "all"):  # it refines roots at precision_bits
+        sturm.check_roots_cap(0, args.precision_bits)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, cfg)
     for result in results:
@@ -100,6 +102,7 @@ def _write_csv(header: str, rows, bits: int) -> None:
 
 
 def cmd_roots(parser, args) -> int:
+    sturm.check_roots_cap(args.n, args.refine_bits)
     cert = sturm.certify_roots(args.n)
     payload = {
         "n": cert.n,

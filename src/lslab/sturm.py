@@ -11,7 +11,9 @@ leaves, each with an exact sign change, leave no room for another root:
 every root is real and simple, every count was exact, and the split tree
 and its intervals are the ones a Sturm chain gives.  `refine_roots`
 narrows each interval to the bracket that exact bisection ends in; a
-Newton iteration in floating point only proposes that bracket, and two
+Newton iteration in fixed-point integers at precision_bits + 64 bits only
+proposes that bracket (every root lies in (-1/4, 0), so its Horner value
+is off by under 4/3 ulp whatever the size of the coefficients), and two
 exact sign tests accept it or hand the interval back to bisection.
 
 The Sturm chain, a primitive pseudo-remainder sequence whose every
@@ -35,10 +37,14 @@ from .precision import to_mpf
 from .triangles import modified_legendre_row
 
 # Largest n whose roots are certified.  On a 2-vCPU Xeon VM with CPython
-# 3.11 the certificate takes 0.08 s at n = 55 and 17 s at n = 200, and
-# refinement to 256 bits 0.4 s and 23 s; the cost grows steeply, as the
+# 3.11 the certificate takes 0.08 s at n = 55 and 14 s at n = 200, and
+# refinement to 256 bits 0.06 s and 3.0 s; the cost grows steeply, as the
 # interval next to 0 is about 2^-(n+1) wide.
 ROOTS_MAX_N = 200
+
+# Largest refinement precision.  On the same VM refinement at n =
+# ROOTS_MAX_N takes 3.0 s to 256 bits, 19 s to 1024 and 68 s to 2048.
+REFINE_MAX_BITS = 2048
 
 
 def _primitive(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -69,13 +75,20 @@ def _pseudo_rem_pos(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def sign_at(p: tuple[int, ...], x: Fraction) -> int:
-    """Exact sign of p at a rational point (homogeneous Horner)."""
+    """Exact sign of p at a rational point (homogeneous Horner).  At a
+    dyadic point, den = 2^e, the powers of den are shifts."""
     num, den = x.numerator, x.denominator
     acc = 0
-    dpow = 1
-    for c in reversed(p):
-        acc = acc * num + c * dpow
-        dpow *= den
+    if den & (den - 1) == 0:
+        e, s = den.bit_length() - 1, 0
+        for c in reversed(p):
+            acc = acc * num + (c << s)
+            s += e
+    else:
+        dpow = 1
+        for c in reversed(p):
+            acc = acc * num + c * dpow
+            dpow *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -236,10 +249,14 @@ def isolate_roots(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
     return intervals
 
 
-def check_roots_cap(n: int) -> None:
-    """The cap on root work, checked before any work."""
+def check_roots_cap(n: int, refine_bits: int = 0) -> None:
+    """The caps on root work, checked before any work."""
     if n > ROOTS_MAX_N:
         raise ResourceLimitError(f"roots of row {n} exceed the cap of n <= {ROOTS_MAX_N}")
+    if refine_bits > REFINE_MAX_BITS:
+        raise ResourceLimitError(
+            f"refinement to {refine_bits} bits exceeds the cap of {REFINE_MAX_BITS}"
+        )
 
 
 def certify_roots(n: int) -> RootCertificate:
@@ -283,30 +300,33 @@ def _bisect(q: tuple[int, ...], lo: Fraction, hi: Fraction, eps: Fraction) -> Fr
     return (lo + hi) / 2
 
 
-def _newton(coeffs: list, lo: Fraction, hi: Fraction, s_lo: int, tol) -> mp.mpf:
-    """A root of the polynomial with descending mpf coefficients `coeffs`
-    in (lo, hi), where its sign at lo is s_lo: Newton steps inside a
-    shrinking bracket, a bisection step wherever Newton leaves it, at the
-    caller's working precision.  It only proposes a bracket, so it need
-    not be right."""
-    a, b = to_mpf(lo), to_mpf(hi)
-    x = (a + b) / 2
-    for _ in range(mp.mp.prec):
-        f, df = mp.polyval(coeffs, x, derivative=True)
+def _newton(coeffs: list[int], p: int, a: int, b: int, s_lo: int, tol: int) -> int:
+    """A root, as the integer X of X/2^p, of the polynomial with
+    descending coefficients `coeffs` (each shifted left by p) in (a, b),
+    where its sign at a is s_lo: Newton steps inside a shrinking bracket,
+    a bisection step wherever Newton leaves it.  Horner in fixed point
+    floors each product.  It only proposes a bracket, so it need not be
+    right."""
+    x = (a + b) >> 1
+    for _ in range(p):
+        f = df = 0
+        for c in coeffs:
+            df = (df * x >> p) + f
+            f = (f * x >> p) + c
         if not f:
             return x
-        if mp.sign(f) == s_lo:
+        if (f > 0) - (f < 0) == s_lo:
             a = x
         else:
             b = x
         if df:
-            step = f / df
+            step = (f << p) // df
             if abs(step) <= tol:  # before the bracket test, which a converged step may just miss
                 return x - step
             if a <= x - step <= b:
                 x -= step
                 continue
-        x = (a + b) / 2
+        x = (a + b) >> 1
     return x
 
 
@@ -317,26 +337,32 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
 
     An interval (lo, hi) of width W is bisected m times, m the least with
     W/2^m < 2^-precision_bits, and ends in [lo + kW/2^m, lo + (k+1)W/2^m]
-    for one k.  A Newton iterate x at precision_bits + (largest
-    coefficient bit length) + 64 bits gives k = floor((x - lo) 2^m/W),
-    and that bracket is taken only if q has two nonzero, different exact
-    signs at its ends; otherwise the interval is bisected.  Either way
-    the output is that of bisection, and fully deterministic.
+    for one k.  A Newton iterate x = X/2^p in fixed-point integers, p =
+    precision_bits + 64, gives k = floor((x - lo) 2^m/W).  Every root
+    lies in (-1/4, 0), so each floored Horner product is scaled by less
+    than 1/4 at the next step and q(x) is off by under 4/3 ulp, whatever
+    the size of the coefficients.  The bracket is taken only if q has two
+    nonzero, different exact signs at its ends; otherwise the interval is
+    bisected.  Either way the output is that of bisection, and fully
+    deterministic.  More than REFINE_MAX_BITS raises ResourceLimitError
+    before any work.
     """
+    check_roots_cap(cert.n, precision_bits)
     q = modified_legendre_row(cert.n)[1:]
     eps = Fraction(1, 2**precision_bits)
-    wp = precision_bits + max(abs(c).bit_length() for c in q) + 64
-    with mp.workprec(wp):
-        coeffs = [mp.mpf(c) for c in reversed(q)]
+    p = precision_bits + 64
+    coeffs = [c << p for c in reversed(q)]
     out = []
     for lo, hi in cert.intervals:
         m = int((hi - lo) / eps).bit_length()
         cell = (hi - lo) / 2**m
         k = 0
         if m:
-            with mp.workprec(wp):
-                x = _newton(coeffs, lo, hi, sign_at(q, lo), to_mpf(cell) / 2**32)
-                k = min(max(int(mp.floor((x - to_mpf(lo)) / to_mpf(cell))), 0), 2**m - 1)
+            lo_x = (lo.numerator << p) // lo.denominator
+            hi_x = (hi.numerator << p) // hi.denominator
+            tol = (cell.numerator << (p - 32)) // cell.denominator
+            x = _newton(coeffs, p, lo_x, hi_x, sign_at(q, lo), tol)
+            k = min(max((Fraction(x, 1 << p) - lo) // cell, 0), 2**m - 1)
         a, b = lo + k * cell, lo + (k + 1) * cell
         s_a, s_b = sign_at(q, a), sign_at(q, b)
         center = a + cell / 2 if s_a and s_b and s_a != s_b else _bisect(q, lo, hi, eps)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, gcd, prod
 
 from .errors import CacheCorruptionError, KernelInvariantError, ResourceLimitError
 
@@ -167,30 +167,35 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
         raise ValueError("explicit summation requires gamma > 0")
     if n == 0:
         return 1 if j == 0 else 0
+    # With 2*gamma = P/Q and base = r + 2*gamma - 1 = B/Q, the summand is
+    # Q^(j-n) (B + Qr) (rB)^n / (r! (j-r)! prod_t (B + Qt)): integer
+    # numerators summed over a running common denominator.
     two_g = 2 * g
-    total, prod = Fraction(0), None
+    big_p, big_q = two_g.numerator, two_g.denominator
+    total, den, rising = 0, 1, None
     for r in range(j + 1):
-        base = r + two_g - 1
+        base = big_q * (r - 1) + big_p
         if base == 0:
             continue  # regularized r = 0 summand at gamma = 1/2
-        if prod is None:
-            prod = Fraction(1)
-            for t in range(j + 1):
-                prod *= base + t
+        if rising is None:
+            rising = prod(base + big_q * t for t in range(j + 1))
         else:
-            # the product at r-1 ran over base-1..base+j-1
-            prod = prod * (base + j) / (base - 1)
-        if prod == 0:
+            # the product at r-1 ran over base-Q..base+(j-1)Q
+            rising = rising * (base + big_q * j) // (base - big_q)
+        if rising == 0:
             raise ArithmeticError(
                 f"zero product factor at r={r} for gamma={g}; outside the regularized case"
             )
-        term = (
-            (2 * r + two_g - 1)
-            * (r * base) ** n
-            / (factorial(r) * factorial(j - r) * prod)
-        )
-        total += term if (r + j) % 2 == 0 else -term
-    return int(total) if total.denominator == 1 else total
+        num = (base + big_q * r) * (r * base) ** n
+        d = factorial(r) * factorial(j - r) * rising
+        if (d < 0) != ((r + j) % 2 == 1):
+            num = -num
+        d = abs(d)
+        common = den // gcd(den, d) * d
+        total = total * (common // den) + num * (common // d)
+        den = common
+    value = Fraction(total * big_q**j, den * big_q**n)
+    return int(value) if value.denominator == 1 else value
 
 
 def legendre_stirling_altsum(n: int, j: int) -> int:

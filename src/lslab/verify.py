@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import mpmath as mp
 
@@ -411,21 +411,24 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _enumerate_distribution(probs) -> list:
-    """Brute-force oracle: sum over all 2^n outcome vectors."""
+    """Brute-force oracle for rational probabilities: sum over all 2^n
+    outcome vectors, each weight an integer product over the common
+    denominator D of the probabilities, divided by D^n at the end."""
     n = len(probs)
-    zero = probs[0] * 0 if probs else Fraction(0)
-    dist = [zero] * (n + 1)
+    den = lcm(*(p.denominator for p in probs))
+    hits = [p.numerator * (den // p.denominator) for p in probs]
+    dist = [0] * (n + 1)
     for mask in range(1 << n):
-        weight = zero + 1
+        weight = 1
         count = 0
-        for i, p in enumerate(probs):
+        for i, h in enumerate(hits):
             if mask >> i & 1:
-                weight *= p
+                weight *= h
                 count += 1
             else:
-                weight *= 1 - p
+                weight *= den - h
         dist[count] += weight
-    return dist
+    return [Fraction(w, den**n) for w in dist]
 
 
 def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:

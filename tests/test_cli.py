@@ -124,8 +124,9 @@ class TestCompute:
 
 class TestRowCap:
     """Row 2000 is refused with exit 3 by every command that reads rows,
-    and root work past row 200 by `roots` and `verify roots|all`, before
-    any work is done."""
+    root work past row 200 by `roots` and `verify roots|all`, and root
+    refinement past 2048 bits by `verify edgeworth|all` (and `roots
+    --refine-bits`, in test_sturm), before any work is done."""
 
     @pytest.mark.parametrize(
         "command",
@@ -144,6 +145,8 @@ class TestRowCap:
             "roots --n 1999",
             "verify roots --n-max 1999",
             "verify all --n-max 1999",
+            "verify edgeworth --precision-bits 2049",
+            "verify all --precision-bits 2049",
         ],
     )
     def test_exit_3_at_once(self, command, tmp_path, capsys):

@@ -6,6 +6,8 @@ from itertools import product
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.edgeworth import (
     cumulants_from_genpoly,
@@ -20,6 +22,7 @@ from lslab.errors import DegenerateVarianceError, ExpansionConditionError
 from lslab.genpoly import legendre_genpoly_recurrence
 from lslab.sturm import certify_roots, refine_roots
 from lslab.triangles import modified_legendre_row
+from lslab.verify import _enumerate_distribution
 
 
 def enumerate_distribution(probs):
@@ -78,6 +81,15 @@ class TestDistribution:
         ]
         for probs in arrays:
             assert distribution(probs) == enumerate_distribution(probs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=50), min_size=0, max_size=10
+        )
+    )
+    def test_verify_oracle_matches_convolution(self, probs):
+        assert _enumerate_distribution(tuple(probs)) == distribution(tuple(probs))
 
     def test_normalization_exact(self):
         probs = tuple(Fraction(i + 2, 2 * i + 5) for i in range(10))

@@ -62,6 +62,19 @@ class TestChainBasics:
         assert sign_at(p, Fraction(1, 3)) == -1
         assert sign_at(p, Fraction(2, 3)) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=1, max_size=12),
+        num=st.integers(min_value=-(10**12), max_value=10**12),
+        e=st.integers(min_value=0, max_value=80),
+        den=st.integers(min_value=1, max_value=10**6),
+    )
+    def test_sign_at_matches_exact_value(self, p, num, e, den):
+        # dyadic points 0, integers and negatives included, then any rational
+        for x in (Fraction(num, 2**e), Fraction(num, den)):
+            value = sum(c * x**i for i, c in enumerate(p))
+            assert sign_at(tuple(p), x) == (value > 0) - (value < 0)
+
     def test_squarefree_detection(self):
         # (s+1)^2 ends with a linear gcd, not a constant
         chain = sturm_chain((1, 2, 1))
@@ -148,6 +161,25 @@ class TestRefinement:
         cert = certify_roots(7)
         assert refine_roots(cert, 100) == refine_roots(cert, 100)
 
+    @pytest.mark.parametrize(
+        "n,bits", [(5, 256), (10, 256), (12, 256), (20, 256), (50, 256), (55, 252), (55, 260)]
+    )
+    def test_newton_bracket_accepted(self, n, bits, monkeypatch):
+        def no_bisect(*args):
+            raise AssertionError("fell back to bisection")
+
+        cert = certify_roots(n)
+        monkeypatch.setattr(sturm, "_bisect", no_bisect)
+        assert len(refine_roots(cert, bits)) == n - 1
+
+    def test_no_mpmath_polyval(self, monkeypatch):
+        def no_polyval(*args, **kwargs):
+            raise AssertionError("mp.polyval called")
+
+        cert = certify_roots(20)
+        monkeypatch.setattr(mp, "polyval", no_polyval)
+        refine_roots(cert, 256)
+
 
 class TestValidation:
     def test_requires_positive_n(self):
@@ -161,6 +193,19 @@ class TestValidation:
         monkeypatch.setattr(sturm, "modified_legendre_row", no_row)
         with pytest.raises(ResourceLimitError):
             certify_roots(sturm.ROOTS_MAX_N + 1)
+
+    def test_refine_bits_cap(self, monkeypatch, capsys):
+        from lslab.cli import main
+
+        def no_row(n):
+            raise AssertionError("row built past the cap")
+
+        monkeypatch.setattr(sturm, "modified_legendre_row", no_row)
+        bits = str(sturm.REFINE_MAX_BITS + 1)
+        assert main(["roots", "--n", "5", "--refine-bits", bits]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "resource limit" in err
 
 
 class TestDescartes:
@@ -233,7 +278,7 @@ class TestDescartes:
         expected = [r._mpf_ for r in bisection_midpoints(cert, 128)]
         fallbacks = []
         real_bisect = sturm._bisect
-        monkeypatch.setattr(sturm, "_newton", lambda coeffs, lo, hi, s_lo, tol: to_mpf(lo))
+        monkeypatch.setattr(sturm, "_newton", lambda coeffs, p, lo, hi, s_lo, tol: lo)
         monkeypatch.setattr(
             sturm, "_bisect", lambda *args: fallbacks.append(args) or real_bisect(*args)
         )

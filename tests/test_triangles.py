@@ -162,9 +162,9 @@ class TestExplicit:
 
     def test_matches_recurrence_small_grid(self):
         gammas = (Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(2, 3),
-                  Fraction(7, 3))
+                  Fraction(7, 3), Fraction(3, 7))
         for gamma in gammas:
-            for n in range(10):
+            for n in range(31):
                 for j in range(n + 1):
                     assert jacobi_stirling_explicit(n, j, gamma) == jacobi_stirling(n, j, gamma)
 
