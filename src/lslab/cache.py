@@ -2,15 +2,19 @@
 
 A cache file is JSON-lines: a header with schema version, family tag and
 a sha256 over the data bytes, followed by one triangles.triangle_record
-per entry, row-major.  Records are streamed into a temporary file under
-a header with a zero digest, the header is rewritten in place once the
-data are hashed (a hex digest is always 64 characters, so no byte
-moves), and the file is moved into place: a reader never sees a
-half-written file.  A reader gets the file back, open at its first
-record, only once its data bytes as they are on disk hash to the
-header's digest; otherwise CacheCorruptionError, and callers rebuild the
-file (the CLI does, and reports it via its exit code).  No table is held
-in memory."""
+per entry, row-major.  The rows come from triangles.iter_triangle, in
+base 10 when 2*gamma is an integer (exact Decimals under trapped
+rounding) and as Fractions from a Q^(n-j)-scaled integer sweep
+otherwise, so rendering a table costs time linear in its digits for the
+integer families.  Records are streamed into a temporary file, one
+encoded block per row, under a header with a zero digest; the header is
+rewritten in place once the data are hashed (a hex digest is always 64
+characters, so no byte moves), and the file is moved into place: a
+reader never sees a half-written file.  A reader gets the file back,
+open at its first record, only once its data bytes as they are on disk
+hash to the header's digest; otherwise CacheCorruptionError, and callers
+rebuild the file (the CLI does, and reports it via its exit code).  No
+table is held in memory."""
 
 from __future__ import annotations
 
@@ -18,6 +22,8 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import CacheCorruptionError
@@ -61,10 +67,10 @@ def write_cache(path: Path, gamma: GammaParam, n_max: int) -> None:
         with os.fdopen(fd, "wb") as fp:
             fp.write(_header(gamma, n_max, "0" * 64))
             digest = hashlib.sha256()
-            for n, j, value in iter_triangle(gamma, n_max):
-                line = (triangle_record(n, j, value) + "\n").encode()
-                digest.update(line)
-                fp.write(line)
+            for _, row in groupby(iter_triangle(gamma, n_max), key=itemgetter(0)):
+                block = "".join(triangle_record(*entry) + "\n" for entry in row).encode()
+                digest.update(block)
+                fp.write(block)
             fp.seek(0)
             fp.write(_header(gamma, n_max, digest.hexdigest()))
         os.replace(tmp, path)

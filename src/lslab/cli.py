@@ -16,14 +16,40 @@ printed as decimal strings, floats at a digit count derived from
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-import mpmath as mp
-
-from . import cache, clt, edgeworth, laplace, sturm, triangles, verify
+from . import cache, triangles
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
-from .precision import print_digits
+
+
+def _lazy(name: str):
+    """Module `name`, put in sys.modules now but run only when one of its
+    attributes is first read (importlib.util.LazyLoader).  `table` and
+    `compute` need only `cache` and `triangles`, so they never load
+    mpmath or the analytic modules.  Every lslab module is still in
+    sys.modules once this module is imported, as with plain imports, so
+    code that wraps lslab functions after `import lslab.cli` (the
+    benchmark's tracer, perfbench/tracer.py) still finds all of them."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+mp = _lazy("mpmath")
+clt, edgeworth, eisenstein, genpoly, laplace, precision, sturm, verify = (
+    _lazy(f"{__package__}.{name}")
+    for name in ("clt", "edgeworth", "eisenstein", "genpoly", "laplace", "precision", "sturm",
+                 "verify")
+)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -95,7 +121,7 @@ def _write_csv(header: str, rows, bits: int) -> None:
     """A CSV table on stdout, each row printed as it is formatted: int and
     str cells as they are, every other value to print_digits(bits)
     significant digits."""
-    digits = print_digits(bits)
+    digits = precision.print_digits(bits)
     print(header)
     for row in rows:
         print(",".join(str(c) if isinstance(c, (int, str)) else mp.nstr(c, digits) for c in row))
@@ -110,7 +136,7 @@ def cmd_roots(parser, args) -> int:
         "sign_at_quarter": cert.sign_at_quarter,
     }
     if args.refine_bits:
-        digits = print_digits(args.refine_bits)
+        digits = precision.print_digits(args.refine_bits)
         payload["roots"] = [mp.nstr(r, digits) for r in sturm.refine_roots(cert, args.refine_bits)]
     print(json.dumps(payload))
     return EXIT_OK
@@ -122,7 +148,8 @@ def cmd_clt(parser, args) -> int:
         if args.n is None or args.j is None:
             parser.error("ratio report needs --n and --j")
         ratio, _ = clt.ratio_check(args.n, args.j, bits)
-        payload = {"n": args.n, "j": args.j, "ratio": mp.nstr(ratio, print_digits(bits)),
+        digits = precision.print_digits(bits)
+        payload = {"n": args.n, "j": args.j, "ratio": mp.nstr(ratio, digits),
                    "precision_bits": bits}
         print(json.dumps(payload))
         return EXIT_OK

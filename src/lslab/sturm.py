@@ -346,13 +346,18 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     bisected.  Either way the output is that of bisection, and fully
     deterministic.  More than REFINE_MAX_BITS raises ResourceLimitError
     before any work.
+
+    Newton's sign at lo needs no sign test: q = M_n/s has the sign
+    -sign_at_quarter at -1/4, each interval holds one simple root, no
+    root lies between intervals or at an end, so the sign at the lower
+    end of interval i is -sign_at_quarter * (-1)^i.
     """
     check_roots_cap(cert.n, precision_bits)
     q = modified_legendre_row(cert.n)[1:]
     eps = Fraction(1, 2**precision_bits)
     p = precision_bits + 64
     coeffs = [c << p for c in reversed(q)]
-    out = []
+    out, s_lo = [], -cert.sign_at_quarter
     for lo, hi in cert.intervals:
         m = int((hi - lo) / eps).bit_length()
         cell = (hi - lo) / 2**m
@@ -361,11 +366,12 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
             lo_x = (lo.numerator << p) // lo.denominator
             hi_x = (hi.numerator << p) // hi.denominator
             tol = (cell.numerator << (p - 32)) // cell.denominator
-            x = _newton(coeffs, p, lo_x, hi_x, sign_at(q, lo), tol)
+            x = _newton(coeffs, p, lo_x, hi_x, s_lo, tol)
             k = min(max((Fraction(x, 1 << p) - lo) // cell, 0), 2**m - 1)
         a, b = lo + k * cell, lo + (k + 1) * cell
         s_a, s_b = sign_at(q, a), sign_at(q, b)
         center = a + cell / 2 if s_a and s_b and s_a != s_b else _bisect(q, lo, hi, eps)
         with mp.workprec(precision_bits + 16):
             out.append(to_mpf(center))
+        s_lo = -s_lo
     return out

@@ -9,24 +9,40 @@ rational parameter gamma >= 0.  gamma = 1 gives the Legendre-Stirling
 numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 (factor j^2).  Entries are exact rationals, and integers whenever
 2*gamma is an integer.  One banded loop, `_sweep`, computes every row
-and entry; rows are memoized up to ROW_MEMO_SIZE, and every kernel
-refuses row MAX_ROWS and beyond before doing any work.  The mass of a
+and entry, on integers only: with 2*gamma = P/Q it runs on the
+Q^(n-j)-scaled entries, which are integers, and divides once at the
+end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
+row MAX_ROWS and beyond before doing any work.  The mass of a
 (2j)!-scaled Legendre row, `legendre_row_mass`, needs no row: a
 regrouped binomial sum gives it in O(n) big-integer steps.  Entries are
 stored as JSON-lines records that `triangle_record` renders with one
 f-string and `parse_record` reads back strictly, without a JSON parser.
+The rows `iter_triangle` exports for an integer 2*gamma are computed in
+base 10, as `decimal.Decimal` integers under a context that traps every
+rounding, so printing them is a linear copy instead of the quadratic
+binary-to-decimal conversion of str(int).
 
-Everything in this module runs on Python integers and fractions.  The
-alternating direct sums below pit terms of size (j^2)^n against results
-that can be hundreds of digits smaller, so floating point would lose
-essentially every digit; exactness is not an optimisation here, it is
-the correctness contract.
+Everything in this module is exact: Python integers, fractions, and
+those trapped Decimals.  The alternating direct sums below pit terms of
+size (j^2)^n against results that can be hundreds of digits smaller, so
+floating point would lose essentially every digit; exactness is not an
+optimisation here, it is the correctness contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
@@ -96,23 +112,33 @@ def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
 
     Row r keeps only the columns max(0, j_lo-(n-r))..min(r, j_hi) that
     row n still depends on: a whole row is the band 0..n and a single
-    entry the band j..j.  This is the only loop that runs the recurrence.
-    Entries are ints when 2*gamma is an integer, Fractions otherwise.
+    entry the band j..j.  This is the only loop that runs the recurrence,
+    and it adds and multiplies by small integers only.  With 2*gamma =
+    P/Q it runs on U(r, j) = Q^(r-j) T(r, j), an integer, for
+
+        U(r, j) = U(r-1, j-1) + j*(Q*j + P - Q) * U(r-1, j),
+
+    so a start row is scaled up on entry and the result divided by
+    Q^(n-j) once, as a Fraction, on exit.  When Q = 1 the entries keep
+    the type of the start row: ints by default, Decimals from
+    `iter_triangle`, which runs this loop in an exact decimal context.
     """
     check_row_cap(n)
     two_gamma = 2 * gamma.value
-    if two_gamma.denominator == 1:
-        shift, zero = int(two_gamma) - 1, 0
-    else:
-        shift, zero = two_gamma - 1, Fraction(0)
-    r0, band = start or (0, [zero + 1])
+    p, q = two_gamma.numerator, two_gamma.denominator
+    r0, band = start or (0, [1])
+    if q > 1:
+        band = [v.numerator * (q ** (r0 - j) // v.denominator) for j, v in enumerate(band)]
+    factors = [c * (q * c + p - q) for c in range(n + 1)]
     band, lo = list(band), 0
     for r in range(r0 + 1, n + 1):
         new_lo, hi = max(0, j_lo - (n - r)), min(r, j_hi)
         # the parents of columns new_lo..hi are columns new_lo-1..hi of row r-1
-        par = [zero] * (lo - new_lo + 1) + band + [zero] * (hi - lo - len(band) + 1)
-        band = [a + c * (c + shift) * b for c, a, b in zip(range(new_lo, hi + 1), par, par[1:])]
+        par = [0] * (lo - new_lo + 1) + band + [0] * (hi - lo - len(band) + 1)
+        band = [a + f * b for f, a, b in zip(factors[new_lo : hi + 1], par, par[1:])]
         lo = new_lo
+    if q > 1:
+        band = [Fraction(u, q ** (n - j)) for j, u in enumerate(band, lo)]
     return band
 
 
@@ -345,19 +371,41 @@ def _decimal(i: int) -> str:
 
 
 def format_entry(value) -> str:
-    """Serialize an entry as a decimal string ('p/q' for non-integers)."""
+    """Serialize an entry as a decimal string ('p/q' for non-integers).
+    A Decimal from `iter_triangle` is an exact integer already in base
+    10, so str copies its digits in linear time."""
+    if isinstance(value, Decimal):
+        return str(value)
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     return _decimal(int(value))
 
 
+# Exact decimal arithmetic: no operation may round.  Only additions and
+# multiplications of integers run under it, so prec and Emax are never
+# reached in practice; if they were, a trap would raise.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, Overflow, InvalidOperation]
+)
+
+
 def iter_triangle(gamma, n_max: int):
     """Yield (n, j, value) in row-major order up to row n_max; the rows
-    are rolled forward one by one and not memoized."""
+    are rolled forward one by one and not memoized.
+
+    When 2*gamma is an integer the values are Decimals with exponent 0,
+    computed in base 10 under the trapped exact context `_EXACT`, so
+    printing them costs linear time instead of the quadratic str(int).
+    The context is entered around each `_sweep` call only, never held
+    across a yield, so the caller's context is in force between rows.
+    Otherwise the values are Fractions."""
     check_row_cap(n_max)
-    g, row = _as_gamma(gamma), None
+    g = _as_gamma(gamma)
+    start = (0, [Decimal(1)]) if (2 * g.value).denominator == 1 else None
     for n in range(n_max + 1):
-        row = _sweep(g, n, 0, n, (n - 1, row) if n else None)
+        with localcontext(_EXACT):
+            row = _sweep(g, n, 0, n, start)
+        start = (n, row)
         for j, value in enumerate(row):
             yield n, j, value
 

@@ -41,12 +41,13 @@ def _fail_after_writes(monkeypatch, allowed: int):
 
 
 class TestAtomicWrite:
-    """Legendre to n = 8 is 45 records, so a write makes 47 calls to
-    fp.write: the header with a zero digest, the records, and the header
-    rewritten in place.  Failing at the first, a middle and the last of
-    them leaves the earlier file and no temporary file."""
+    """Legendre to n = 8 is 9 rows, so a write makes 11 calls to
+    fp.write: the header with a zero digest, one block of records per
+    row, and the header rewritten in place.  Failing at the first, a
+    middle and the last of them leaves the earlier file and no temporary
+    file."""
 
-    FAILING_WRITES = (0, 5, 46)
+    FAILING_WRITES = (0, 5, 10)
 
     def test_failed_rewrite_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = cache.cache_path(tmp_path, LEGENDRE, 8)

@@ -532,6 +532,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "52"
 
+    def test_table_and_compute_load_no_mpmath(self, tmp_path):
+        """mpmath and the analytic modules are registered by `import
+        lslab.cli` but run only when a command reads them."""
+        program = (
+            "import sys\n"
+            "from lslab.cli import main\n"
+            "main(['table', '--family', 'legendre', '--n-max', '5',"
+            f" '--cache-dir', {str(tmp_path)!r}])\n"
+            "main(['compute', '--family', 'legendre', '--n', '3', '--j', '2'])\n"
+            "assert 'lslab.clt' in sys.modules and 'mpmath' in sys.modules\n"
+            "assert 'mpmath.libmp' not in sys.modules\n"
+            "main(['roots', '--n', '3', '--refine-bits', '64'])\n"
+            "assert 'mpmath.libmp' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith('{"n": 3, ')
+
 
 # Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM is
 # the peak of this program's memory alone; ru_maxrss would also count the
@@ -549,7 +568,7 @@ sys.exit(code)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 class TestTableMemory:
     """No table is held in memory: the Legendre table to n = 400 (43 MB of
-    records) peaks near 27 MB in a fresh interpreter, cold and warm."""
+    records) peaks near 23 MB in a fresh interpreter, cold and warm."""
 
     def test_peak_rss_cold_and_warm(self, tmp_path):
         argv = [sys.executable, "-c", _PEAK_RSS_PROGRAM, "table", "--family", "legendre",

@@ -172,6 +172,29 @@ class TestRefinement:
         monkeypatch.setattr(sturm, "_bisect", no_bisect)
         assert len(refine_roots(cert, bits)) == n - 1
 
+    def test_newton_sign_at_lo_is_derived(self, monkeypatch):
+        """Newton's sign at each lower end comes from the certificate's
+        sign at -1/4 and the alternation, and agrees with the exact sign
+        test it replaced; the output stays that of plain bisection."""
+        seen = []
+        real_newton = sturm._newton
+
+        def spy(coeffs, p, a, b, s_lo, tol):
+            seen.append(s_lo)
+            return real_newton(coeffs, p, a, b, s_lo, tol)
+
+        monkeypatch.setattr(sturm, "_newton", spy)
+        for n in range(2, 61):
+            cert = certify_roots(n)
+            q = modified_legendre_row(n)[1:]
+            seen.clear()
+            roots = refine_roots(cert, 64)
+            assert seen == [sign_at(q, lo) for lo, _ in cert.intervals]
+            if n in (2, 17, 60):
+                assert [r._mpf_ for r in roots] == [
+                    r._mpf_ for r in bisection_midpoints(cert, 64)
+                ]
+
     def test_no_mpmath_polyval(self, monkeypatch):
         def no_polyval(*args, **kwargs):
             raise AssertionError("mp.polyval called")

@@ -4,6 +4,7 @@ Derived expected values were fixed by hand-unrolling the recurrence or by
 an independent oracle run; they are frozen here as plain integers.
 """
 
+from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -101,7 +102,25 @@ class TestRecurrence:
     def test_integrality_special_gammas(self):
         for gamma in (GAMMA_ZERO, CHEBYSHEV, LEGENDRE):
             for n, j, v in iter_triangle(gamma, 12):
-                assert isinstance(v, int) and v >= 0
+                assert isinstance(v, Decimal) and v.as_tuple().exponent == 0
+                assert v == int(v) >= 0
+
+    def test_decimal_rows_keep_the_callers_context(self):
+        """The exact context is entered only around each row's sweep: a
+        caller's 6-digit context rounds none of the entries, and it is
+        in force while the generator is suspended."""
+        with localcontext() as caller:
+            caller.prec = 6
+            entries = iter_triangle(LEGENDRE, 60)
+            for n, j, value in entries:
+                assert getcontext() is caller
+                assert triangle_record(n, j, value) == triangle_record(
+                    n, j, triangle_row(LEGENDRE, n)[j]
+                )
+            assert (n, j) == (60, 60)
+            assert getcontext() is caller and caller.prec == 6
+        with pytest.raises(Inexact):
+            triangles._EXACT.to_integral_exact(Decimal("1.5"))
 
     def test_row_cap(self):
         """Every exact kernel refuses row MAX_ROWS before doing any work."""
@@ -133,16 +152,38 @@ class TestRecurrence:
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(
-        p=st.integers(min_value=0, max_value=12),
+        p=st.integers(min_value=0, max_value=20),
         q=st.integers(min_value=1, max_value=12),
         n=st.integers(min_value=0, max_value=30),
         data=st.data(),
     )
     def test_banded_entry_equals_row_and_oracle(self, p, q, n, data):
+        """The Q^(n-j)-scaled integer sweep, as a band, as a row from row 0
+        and as a row from a memoized lower row, against the Fraction
+        oracle and, for gamma > 0, the explicit sum."""
         j = data.draw(st.integers(min_value=0, max_value=n + 1))
         gamma = Fraction(p, q)
-        from_row = triangle_row(gamma, n)[j] if j <= n else 0
-        assert jacobi_stirling(n, j, gamma) == from_row == brute_recurrence(n, j, gamma)
+        entry = jacobi_stirling(n, j, gamma)
+        assert entry == brute_recurrence(n, j, gamma)
+        triangles._ROWS.clear()
+        assert (triangle_row(gamma, n)[j] if j <= n else 0) == entry
+        triangles._ROWS.clear()
+        triangle_row(gamma, n // 2)
+        assert (triangle_row(gamma, n)[j] if j <= n else 0) == entry
+        if gamma > 0:
+            assert jacobi_stirling_explicit(n, j, gamma) == entry
+
+    @pytest.mark.parametrize("gamma", ["0", "1/2", "1", "2/3", "7/3"])
+    def test_exported_records_match_oracle(self, gamma):
+        """Decimal rows (2*gamma an integer) and scaled integer rows
+        (otherwise) print the records of the Fraction oracle."""
+        g = GammaParam.parse(gamma)
+        records = [triangle_record(*e) for e in iter_triangle(g, 30)]
+        assert records == [
+            triangle_record(n, j, brute_recurrence(n, j, g.value))
+            for n in range(31)
+            for j in range(n + 1)
+        ]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=0, max_value=60), data=st.data())
