@@ -1,31 +1,42 @@
 """Exact real-root certification for the Legendre generating polynomials.
 
-M_n has a simple zero at s = 0; the interesting factor is q = M_n / s,
-an integer polynomial of degree d = n - 1 whose zeros are claimed to be
-real, simple, and inside (-1/4, 0).  `certify_roots` proves that claim
-for each concrete n by Descartes bisection (Vincent-Collins-Akritas):
-the interval is mapped onto (0, 1), every node of the split tree is an
-integer polynomial, and the sign variations of its reversed polynomial
-shifted by 1 bound the roots in the node's interval from above.  So d
-leaves, each with an exact sign change, leave no room for another root:
-every root is real and simple, every count was exact, and the split tree
-and its intervals are the ones a Sturm chain gives.  `refine_roots`
-narrows each interval to the bracket that exact bisection ends in; a
-Newton iteration in fixed-point integers at precision_bits + 64 bits only
-proposes that bracket (every root lies in (-1/4, 0), so its Horner value
-is off by under 4/3 ulp whatever the size of the coefficients), and two
-exact sign tests accept it or hand the interval back to bisection.
+M_n has a simple zero at s = 0; the interesting factor is q_n = M_n / s,
+an integer polynomial of degree d = n - 1 whose zeros are real, simple,
+and inside (-1/4, 0).  With D = d/ds the recurrence of `genpoly` factors
+as M_n = s((4s+1)D + 2)(sD + 1)M_{n-1}, where (sD + 1)f = (sf)' and
+(4s+1)g' + 2g = (4s+1)^(1/2) d/ds[(4s+1)^(1/2) g].  Let q_{n-1} have
+n - 2 simple roots in (-1/4, 0).  By Rolle, g = (s^2 q_{n-1})' has a
+root at 0 and n - 2 roots between those of s^2 q_{n-1}; (4s+1)^(1/2) g
+vanishes at -1/4, at those n - 2 roots and at 0, so its derivative, and
+with it q_n, has n - 1 roots in (-1/4, 0), as many as its degree.  From
+q_1 = 2 this holds for every n (the first-order factor argument of Liu
+and Wang, Adv. Appl. Math. 2007); in particular no row has a repeated
+root, so no row reaches the depth cap of `descartes_intervals`.
 
-The Sturm chain, a primitive pseudo-remainder sequence whose every
-rescaling is by a positive integer, stays as the cross-check that
-`verify roots` runs for n <= 30 and as the fallback when a split
-midpoint is an exact root.  No floating point enters a certificate.  A
+`certify_roots` proves the claim for each concrete n by Descartes
+bisection (Vincent-Collins-Akritas): the interval is mapped onto (0, 1),
+every node of the split tree is an integer polynomial, and the sign
+variations of its reversed polynomial shifted by 1 bound the roots in
+the node's interval from above.  So d leaves, each with an exact sign
+change, leave no room for another root: every root is real and simple,
+and every count was exact.  `refine_roots` narrows each interval to the
+bracket that exact bisection ends in; a Newton iteration in fixed-point
+integers at precision_bits + 64 bits only proposes that bracket (every
+root lies in (-1/4, 0), so its Horner value is off by under 4/3 ulp
+whatever the size of the coefficients), and two exact sign tests accept
+it or hand the interval back to bisection.
+
+`separators` and `tree_intervals` are the independent cross-check that
+`verify roots` runs for n <= 30: q_n alternates in sign, tested exactly,
+across Newton points at the roots of q_{n-1}, and the bisection tree is
+rebuilt on those gaps.  No floating point enters a certificate.  A
 polynomial is a tuple of integer coefficients, ascending, with no
 trailing zeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,33 +58,6 @@ ROOTS_MAX_N = 200
 REFINE_MAX_BITS = 2048
 
 
-def _primitive(p: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*p) or 1
-    return tuple(c // g for c in p)
-
-
-def _pseudo_rem_pos(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Pseudo-remainder of a by b where every intermediate rescaling is by
-    the positive constant |lc(b)|, so signs are preserved up to a positive
-    factor."""
-    scale = abs(b[-1])
-    db = len(b) - 1
-    r = list(a)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < db:
-            return tuple(r)
-        lead = r[-1]
-        r = [scale * c for c in r]
-        shift = dr - db
-        for i, bc in enumerate(b):
-            r[i + shift] -= lead * bc
-        assert r[-1] == 0
-        r.pop()
-
-
 def sign_at(p: tuple[int, ...], x: Fraction) -> int:
     """Exact sign of p at a rational point (homogeneous Horner).  At a
     dyadic point, den = 2^e, the powers of den are shifts."""
@@ -92,36 +76,10 @@ def sign_at(p: tuple[int, ...], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sturm chain of p as primitive integer polynomials.  Ends with (a
-    positive multiple of) gcd(p, p'); a constant tail certifies p is
-    squarefree."""
-    chain = [_primitive(p)]
-    d = tuple(i * c for i, c in enumerate(chain[0]))[1:]
-    if not d:
-        return chain
-    chain.append(_primitive(d))
-    while len(chain[-1]) > 1:
-        rem = _pseudo_rem_pos(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive(tuple(-c for c in rem)))
-    return chain
-
-
 def _variations(values) -> int:
     """Sign changes along a sequence of numbers, zeros skipped."""
     signs = [v > 0 for v in values if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def sign_variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
-    return _variations([sign_at(p, x) for p in chain])
-
-
-def count_roots(chain: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi]; needs p(lo) != 0."""
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 @dataclass(frozen=True)
@@ -134,41 +92,7 @@ class RootCertificate:
     sign_at_quarter: int
 
 
-def _split_point(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where q does not vanish."""
-    width = hi - lo
-    for num, den in ((1, 2), (1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (4, 5), (1, 7)):
-        x = lo + width * Fraction(num, den)
-        if sign_at(q, x) != 0:
-            return x
-    raise CertificationError("split-point", f"no root-free split point in ({lo}, {hi})")
-
-
 Intervals = list[tuple[Fraction, Fraction]]
-
-
-def sturm_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
-    """Isolating intervals, ascending, for the roots of q in (lo, hi),
-    by Sturm counts, splitting at the midpoint unless q vanishes there;
-    q must not vanish at lo.  Raises CertificationError("simple-roots")
-    when q has a repeated factor."""
-    chain = sturm_chain(q)
-    if len(chain[-1]) != 1:
-        raise CertificationError("simple-roots", f"gcd(q, q') has degree {len(chain[-1]) - 1}")
-    intervals: Intervals = []
-    stack = [(lo, hi, count_roots(chain, lo, hi))]
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = _split_point(q, lo, hi)
-        left = count_roots(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, k - left))
-    return sorted(intervals)
 
 
 def _shift_one(a: list[int]) -> list[int]:
@@ -180,7 +104,7 @@ def _shift_one(a: list[int]) -> list[int]:
     return a
 
 
-def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals | None:
+def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
     """Isolating intervals, ascending, for the roots of q in (lo, hi), by
     Descartes bisection at midpoints; q must not vanish at lo or hi.
 
@@ -190,10 +114,11 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
     p((x + c)/2^k); its count is the number of sign variations of
     x^d P(1/x) shifted by 1.  Count 0 drops the node, count 1 makes it a
     leaf, and a split makes the children 2^d P(x/2) and its shift by 1.
-    Returns None, for the caller to fall back to Sturm, when q vanishes
-    at a split midpoint, or when a node of depth 2 + B still splits,
-    where B bounds log2 of 1/(root separation of p) by Mahler and
-    Mignotte: a node that narrow splits only when p has a repeated root.
+    Raises CertificationError("midpoint-root") when q vanishes at a split
+    midpoint, and CertificationError("depth-cap") when a node of depth
+    2 + B still splits, where B bounds log2 of 1/(root separation of p)
+    by Mahler and Mignotte: a node that narrow splits only when p has a
+    repeated root.  The cap bounds the cost of any input.
     """
     d = len(q) - 1
     scale = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
@@ -216,11 +141,12 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
             leaves.append((c, k))
             continue
         if k == depth_cap:
-            return None
+            raise CertificationError("depth-cap", f"a node at depth {k} of ({lo}, {hi}) splits")
         left = [u << (d - i) for i, u in enumerate(poly)]
         right = _shift_one(left[:])
-        if right[0] == 0:  # q vanishes at the midpoint
-            return None
+        if right[0] == 0:
+            mid = lo + (hi - lo) * Fraction(2 * c + 1, 2 << k)
+            raise CertificationError("midpoint-root", f"q vanishes at the split point {mid}")
         stack.append((left, 2 * c, k + 1))
         stack.append((right, 2 * c + 1, k + 1))
     width = hi - lo
@@ -231,14 +157,12 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
 
 def isolate_roots(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
     """Certify that q has deg q real, simple roots in (lo, hi) and return
-    one isolating interval per root, ascending: Descartes bisection, or
-    Sturm when that returns None, then an exact sign change across every
-    interval.  Raises CertificationError naming the failed clause."""
+    one isolating interval per root, ascending: Descartes bisection, then
+    an exact sign change across every interval.  Raises
+    CertificationError naming the failed clause."""
     if sign_at(q, lo) == 0 or sign_at(q, hi) == 0:
         raise CertificationError("endpoint", "cofactor vanishes at an endpoint")
     intervals = descartes_intervals(q, lo, hi)
-    if intervals is None:
-        intervals = sturm_intervals(q, lo, hi)
     if len(intervals) != len(q) - 1:
         raise CertificationError(
             "root-count", f"found {len(intervals)} roots in ({lo}, {hi}), expected {len(q) - 1}"
@@ -375,3 +299,49 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
             out.append(to_mpf(center))
         s_lo = -s_lo
     return out
+
+
+def separators(n_max: int):
+    """Yield (n, points, signs) for n = 2..n_max: the points are -1/4, a
+    root of q_{n-1} in each gap between the separators of n - 1, and 0,
+    ascending; the signs are q_n's exact signs at them.  Each root is a
+    `_newton` point at 2n + 64 bits, so the chain is independent of
+    Descartes; it only proposes points, and signs that alternate put one
+    root of q_n in each of the n - 1 gaps.  Raises
+    CertificationError("interlacing") when they do not."""
+    points, signs, q = [], [], ()
+    for n in range(2, n_max + 1):
+        p = 2 * n + 64
+        coeffs = [c << p for c in reversed(q)]
+        fixed = [(x.numerator << p) // x.denominator for x in points]
+        # a step under 2^-(2n+32) stops Newton, far inside the ~2^-(n+1) gap next to 0
+        inner = [
+            Fraction(_newton(coeffs, p, a, b, s, 1 << 32), 1 << p)
+            for a, b, s in zip(fixed, fixed[1:], signs)
+        ]
+        points, q = [Fraction(-1, 4), *inner, Fraction(0)], modified_legendre_row(n)[1:]
+        signs = [sign_at(q, x) for x in points]
+        if any(x >= y or s * t >= 0 for x, y, s, t in zip(points, points[1:], signs, signs[1:])):
+            raise CertificationError("interlacing", f"q_{n} does not alternate across separators")
+        yield n, points, signs
+
+
+def tree_intervals(q: tuple[int, ...], points: list[Fraction], signs: list[int]) -> Intervals:
+    """Leaves, ascending, of the midpoint bisection tree of (points[0],
+    points[-1]) that splits every node holding two or more roots of q,
+    given one root of q in each gap between `points` and q's `signs` at
+    them.  The roots below a midpoint are the gaps below the one that
+    holds it, found by bisecting the points, plus one if q's exact sign
+    there differs from its sign at that gap's lower end."""
+    leaves = []
+    stack = [(points[0], points[-1], 0, len(points) - 1)]
+    while stack:
+        lo, hi, below_lo, below_hi = stack.pop()
+        if below_hi - below_lo == 1:
+            leaves.append((lo, hi))
+        elif below_hi - below_lo > 1:
+            mid = (lo + hi) / 2
+            i = bisect_right(points, mid) - 1
+            below_mid = i + (sign_at(q, mid) != signs[i])
+            stack += [(lo, mid, below_lo, below_mid), (mid, hi, below_mid, below_hi)]
+    return sorted(leaves)

@@ -35,7 +35,7 @@ POLY_EQUALITY_MAX = 200
 CONNECTION_MAX = 20
 CONNECTION_POLY_MAX = 40
 LATTICE_MAX = 50
-STURM_CROSSCHECK_MAX = 30
+CROSSCHECK_MAX = 30
 
 
 @dataclass
@@ -167,17 +167,13 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result(f"connection polynomials k<={kmax}", ok))
 
     cmax = cfg.n_max
+    certs = [sturm.certify_roots(n) for n in range(1, cmax + 1)]  # raise on any clause
     ok = True
     detail = ""
-    for n in range(1, cmax + 1):
-        cert = sturm.certify_roots(n)  # raises CertificationError on any clause
-        if len(cert.intervals) != n - 1 or cert.sign_at_quarter != (-1) ** n:
-            ok, detail = False, f"certificate shape wrong at n={n}"
-            break
-        if n <= STURM_CROSSCHECK_MAX and list(cert.intervals) != sturm.sturm_intervals(
-            triangles.modified_legendre_row(n)[1:], Fraction(-1, 4), Fraction(0)
-        ):
-            ok, detail = False, f"Descartes and Sturm intervals differ at n={n}"
+    for n, points, signs in sturm.separators(min(cmax, CROSSCHECK_MAX)):
+        q = triangles.modified_legendre_row(n)[1:]
+        if list(certs[n - 1].intervals) != sturm.tree_intervals(q, points, signs):
+            ok, detail = False, f"Descartes and interlacing intervals differ at n={n}"
             break
     out.append(_result(f"root certificates 1<=n<={cmax}", ok, detail))
 

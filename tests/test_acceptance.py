@@ -176,7 +176,7 @@ def test_criterion_04_connection_formulas(identities_run, roots_run):
 def test_criterion_05_root_certificates(roots_run):
     check = roots_run.named("root certificates 1<=n<=30")
     ok = check.passed and roots_run.elapsed < 120
-    _criterion(5, "Sturm certificates for 1<=n<=30", ok,
+    _criterion(5, "root certificates for 1<=n<=30", ok,
                f"suite {roots_run.elapsed:.1f}s")
 
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.clt import centering_scaling
 from lslab.edgeworth import exact_cumulants
@@ -23,6 +25,31 @@ def chebyshev_genpoly(n):
     return scale_row(triangle_row(CHEBYSHEV, n))
 
 
+def plus(*polys):
+    """Sum of ascending coefficient lists, trailing zeros dropped."""
+    out = [0] * max(map(len, polys))
+    for p in polys:
+        for i, c in enumerate(p):
+            out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def times(p, q):
+    return plus(*([0] * i + [a * c for c in q] for i, a in enumerate(p)))
+
+
+def deriv(p):
+    return [i * c for i, c in enumerate(p)][1:] or [0]
+
+
+def factored_step(f):
+    """s((4s+1)D + 2)(sD + 1)f, one first-order step after the other."""
+    g = deriv(times([0, 1], f))  # (sD + 1)f = (sf)'
+    return times([0, 1], plus(times([1, 4], deriv(g)), times([2], g)))
+
+
 class TestRecurrencePolynomials:
     def test_printed_values(self):
         assert list(legendre_genpoly_recurrence(0)) == [(1,)]
@@ -36,6 +63,22 @@ class TestRecurrencePolynomials:
 
     def test_row4_coefficients(self):
         assert modified_legendre_row(4) == (0, 16, 1248, 14400, 40320)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f=st.lists(st.integers(min_value=-(10**20), max_value=10**20), min_size=1, max_size=12),
+        i=st.integers(min_value=0, max_value=60),
+        n=st.integers(min_value=1, max_value=30),
+    )
+    def test_recurrence_factors_into_first_order_steps(self, f, i, n):
+        """The Rolle argument of the `sturm` docstring rests on this
+        factorisation of the recurrence's step into two first-order ones."""
+        step = times([0, 1], plus(times([2], f), times([2, 10], deriv(f)),
+                                  times([0, 1, 4], deriv(deriv(f)))))
+        assert factored_step(f) == step
+        assert factored_step([0] * i + [1]) == [0] * i + [i * (i + 1), 2 * (i + 1) * (2 * i + 1)]
+        *_, before, row = legendre_genpoly_recurrence(n)
+        assert factored_step(list(before)) == list(row)
 
     def test_shape_invariants(self):
         for n in range(1, 41):

@@ -1,6 +1,7 @@
-"""Root certification tests against hand-solved small cases, and the
-Descartes isolation and seeded refinement against the Sturm isolation and
-plain bisection they replace."""
+"""Root certification tests against hand-solved small cases; the
+Descartes isolation against the interlacing chain's bisection tree, the
+seeded refinement against plain bisection, and one failure test per
+certificate clause on a named polynomial."""
 
 from fractions import Fraction
 
@@ -12,13 +13,7 @@ from hypothesis import strategies as st
 from lslab import sturm
 from lslab.errors import CertificationError, ResourceLimitError
 from lslab.precision import to_mpf
-from lslab.sturm import (
-    certify_roots,
-    count_roots,
-    refine_roots,
-    sign_at,
-    sturm_chain,
-)
+from lslab.sturm import certify_roots, refine_roots, sign_at, separators, tree_intervals
 from lslab.triangles import modified_legendre_row
 
 QUARTER, ZERO = Fraction(-1, 4), Fraction(0)
@@ -47,15 +42,15 @@ def bisection_midpoints(cert, bits):
     return out
 
 
-class TestChainBasics:
-    def test_known_cubic(self):
-        # (s+1)(s+2)(s+3) = s^3 + 6 s^2 + 11 s + 6
-        p = (6, 11, 6, 1)
-        chain = sturm_chain(p)
-        assert count_roots(chain, Fraction(-4), Fraction(0)) == 3
-        assert count_roots(chain, Fraction(-5, 2), Fraction(0)) == 2
-        assert count_roots(chain, Fraction(-4), Fraction(-5, 2)) == 1
+def interlacing_intervals(n_max):
+    """n -> the bisection tree rebuilt on the separators of row n."""
+    return {
+        n: tree_intervals(modified_legendre_row(n)[1:], points, signs)
+        for n, points, signs in separators(n_max)
+    }
 
+
+class TestChainBasics:
     def test_sign_at(self):
         p = (-1, 0, 4)  # 4x^2 - 1
         assert sign_at(p, Fraction(1, 2)) == 0
@@ -74,11 +69,6 @@ class TestChainBasics:
         for x in (Fraction(num, 2**e), Fraction(num, den)):
             value = sum(c * x**i for i, c in enumerate(p))
             assert sign_at(tuple(p), x) == (value > 0) - (value < 0)
-
-    def test_squarefree_detection(self):
-        # (s+1)^2 ends with a linear gcd, not a constant
-        chain = sturm_chain((1, 2, 1))
-        assert len(chain[-1]) == 2
 
 
 class TestCertificates:
@@ -233,60 +223,71 @@ class TestValidation:
 
 class TestDescartes:
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=30), bits=st.sampled_from([64, 70, 128, 256, 300]))
+    @given(n=st.integers(min_value=2, max_value=30), bits=st.sampled_from([64, 70, 128, 256, 300]))
     def test_matches_sturm_and_bisection(self, n, bits):
         cert = certify_roots(n)
-        q = modified_legendre_row(n)[1:]
-        assert list(cert.intervals) == sturm.sturm_intervals(q, QUARTER, ZERO)
+        assert list(cert.intervals) == interlacing_intervals(n)[n]
         assert [r._mpf_ for r in refine_roots(cert, bits)] == [
             r._mpf_ for r in bisection_midpoints(cert, bits)
         ]
 
+    def test_interlacing_tree_matches_certificates_to_40(self):
+        trees = interlacing_intervals(40)
+        assert sorted(trees) == list(range(2, 41))
+        for n, intervals in trees.items():
+            assert intervals == list(certify_roots(n).intervals)
+
     def test_verify_roots_cross_checks_sturm(self, monkeypatch):
         from lslab import verify
 
-        real = sturm.sturm_intervals
+        real = sturm.tree_intervals
 
-        def drop_last_at_n8(q, lo, hi):
-            intervals = real(q, lo, hi)
+        def drop_last_at_n8(q, points, signs):
+            intervals = real(q, points, signs)
             return intervals[:-1] if len(q) == 8 else intervals
 
-        monkeypatch.setattr(sturm, "sturm_intervals", drop_last_at_n8)
+        monkeypatch.setattr(sturm, "tree_intervals", drop_last_at_n8)
         results = verify.suite_roots(verify.SuiteConfig())
         (line,) = [r for r in results if r.name == "root certificates 1<=n<=30"]
         assert not line.passed
-        assert line.detail == "Descartes and Sturm intervals differ at n=8"
+        assert line.detail == "Descartes and interlacing intervals differ at n=8"
 
-    def test_no_sturm_chain_in_production(self, monkeypatch):
-        def no_chain(p):
-            raise AssertionError("Sturm chain built")
+    def test_no_interlacing_chain_in_production(self, monkeypatch):
+        """The interlacing chain is a cross-check only: certificates and
+        refinement never build it."""
+        def no_chain(*args):
+            raise AssertionError("interlacing chain built")
 
-        monkeypatch.setattr(sturm, "sturm_chain", no_chain)
+        monkeypatch.setattr(sturm, "separators", no_chain)
+        monkeypatch.setattr(sturm, "tree_intervals", no_chain)
         for n in (2, 12, 40):
             refine_roots(certify_roots(n), 64)
 
-    def test_midpoint_root_falls_back_to_sturm(self, monkeypatch):
+    def test_midpoint_root_raises(self):
         # (8s + 1)(16s + 1): the first split of (-1/4, 0) is at -1/8, a root
         q = (1, 24, 128)
-        assert sturm.descartes_intervals(q, QUARTER, ZERO) is None
-        calls = []
-        real_chain = sturm.sturm_chain
-        monkeypatch.setattr(sturm, "sturm_chain", lambda p: calls.append(p) or real_chain(p))
-        intervals = sturm.isolate_roots(q, QUARTER, ZERO)
-        assert calls == [q]
-        assert intervals == [
-            (Fraction(-1, 6), Fraction(-1, 12)),
-            (Fraction(-1, 12), Fraction(0)),
-        ]
+        for isolate in (sturm.descartes_intervals, sturm.isolate_roots):
+            with pytest.raises(CertificationError) as exc:
+                isolate(q, QUARTER, ZERO)
+            assert exc.value.clause == "midpoint-root"
+            assert "-1/8" in str(exc.value)
 
-    def test_repeated_root_falls_back_to_sturm(self):
-        # (12s + 1)^2: bisection towards -1/12 never ends, so the depth cap
-        # hands over to Sturm, whose chain finds the repeated factor
-        q = (1, 24, 144)
-        assert sturm.descartes_intervals(q, QUARTER, ZERO) is None
+    def test_repeated_root_hits_depth_cap(self):
+        # (12s + 1)^2: bisection towards -1/12 never ends, so the node that
+        # holds it still splits at the depth cap
         with pytest.raises(CertificationError) as exc:
-            sturm.isolate_roots(q, QUARTER, ZERO)
-        assert exc.value.clause == "simple-roots"
+            sturm.isolate_roots((1, 24, 144), QUARTER, ZERO)
+        assert exc.value.clause == "depth-cap"
+
+    def test_newton_off_the_root_fails_interlacing(self, monkeypatch):
+        # row 3's one separator lands on its gap's lower end, -1/4, where
+        # q_3 has the sign it has at -1/4
+        monkeypatch.setattr(sturm, "_newton", lambda coeffs, p, lo, hi, s_lo, tol: lo)
+        chain = separators(5)
+        assert next(chain)[0] == 2
+        with pytest.raises(CertificationError) as exc:
+            next(chain)
+        assert exc.value.clause == "interlacing"
 
     def test_complex_pair_fails_root_count(self):
         # (10s + 1)(100 s^2 + 20 s + 2): one real root, and -1/10 +- i/10
