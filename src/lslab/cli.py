@@ -4,10 +4,10 @@ Subcommands: compute, table, verify, roots, clt, edgeworth, asymptotics.
 Every output goes to stdout; redirect it to keep a file.  `table` prints
 from its cache file (--cache-dir, else ~/.cache/lslab) once the file's
 hash is checked, building or rebuilding the file first when needed.
-Exit codes: 0 success, 1 invariant failure, 2 usage, 3 resource limit,
-4 cache corruption (the table is still printed from a fresh build,
-except for a record that passes the file's hash but is not in the form
-triangles.triangle_record writes: the table, CSV or JSON, stops there).
+Exit codes: 0 success, 1 invariant failure, 2 usage (a bad --cache-dir
+too), 3 resource limit, 4 cache corruption (the table is still printed
+from a fresh build, except for a record that passes the file's hash but
+is not in the form cache.triangle_record writes: the table stops there).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
@@ -82,14 +82,17 @@ def cmd_table(parser, args) -> int:
     gamma = _gamma(parser, args)
     triangles.check_row_cap(args.n_max)
     cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    source, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
+    try:
+        source, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
+    except OSError as exc:  # e.g. --cache-dir under a regular file
+        raise ValueError(exc) from exc
     with source:
         if args.format == "csv":
             sys.stdout.write("n,j,value\n")
         for raw in source:
             # a non-ASCII byte becomes U+FFFD, which parse_record rejects
             line = raw.decode("ascii", "replace")
-            n, j, value = triangles.parse_record(line[:-1])
+            n, j, value = cache.parse_record(line[:-1])
             sys.stdout.write(line if args.format == "json" else f"{n},{j},{value}\n")
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)

@@ -39,4 +39,5 @@ class ExpansionConditionError(LslabError):
 
 
 class CacheCorruptionError(LslabError):
-    """An on-disk cache file failed its content hash."""
+    """An on-disk cache file failed its content hash, or has an unreadable
+    header, a truncated last line or a non-canonical record."""

@@ -14,13 +14,10 @@ Q^(n-j)-scaled entries, which are integers, and divides once at the
 end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
 row MAX_ROWS and beyond before doing any work.  The mass of a
 (2j)!-scaled Legendre row, `legendre_row_mass`, needs no row: a
-regrouped binomial sum gives it in O(n) big-integer steps.  Entries are
-stored as JSON-lines records that `triangle_record` renders with one
-f-string and `parse_record` reads back strictly, without a JSON parser.
-The rows `iter_triangle` exports for an integer 2*gamma are computed in
-base 10, as `decimal.Decimal` integers under a context that traps every
-rounding, so printing them is a linear copy instead of the quadratic
-binary-to-decimal conversion of str(int).
+regrouped binomial sum gives it in O(n) big-integer steps.  The whole
+rows `iter_triangle` exports for an integer 2*gamma are exact base-10
+`decimal.Decimal` integers, so printing them is a linear copy instead of
+the quadratic binary-to-decimal conversion of str(int).
 
 Everything in this module is exact: Python integers, fractions, and
 those trapped Decimals.  The alternating direct sums below pit terms of
@@ -47,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
 
-from .errors import CacheCorruptionError, KernelInvariantError, ResourceLimitError
+from .errors import KernelInvariantError, ResourceLimitError
 
 MAX_ROWS = 2000
 ROW_MEMO_SIZE = 16
@@ -357,7 +354,7 @@ def gamma_zero_identity(n: int, j: int) -> int:
     return int(lhs)
 
 
-# --- row format: (n, j, value) entries as JSON-lines records ---------------
+# --- exported rows and the decimal form of an entry -----------------------
 
 
 def _decimal(i: int) -> str:
@@ -390,8 +387,8 @@ _EXACT = Context(
 
 
 def iter_triangle(gamma, n_max: int):
-    """Yield (n, j, value) in row-major order up to row n_max; the rows
-    are rolled forward one by one and not memoized.
+    """Yield (n, row n) for n = 0..n_max, each row a tuple of its n + 1
+    entries; the rows are rolled forward one by one and not memoized.
 
     When 2*gamma is an integer the values are Decimals with exponent 0,
     computed in base 10 under the trapped exact context `_EXACT`, so
@@ -404,42 +401,7 @@ def iter_triangle(gamma, n_max: int):
     start = (0, [Decimal(1)]) if (2 * g.value).denominator == 1 else None
     for n in range(n_max + 1):
         with localcontext(_EXACT):
-            row = _sweep(g, n, 0, n, start)
+            row = tuple(_sweep(g, n, 0, n, start))
         start = (n, row)
-        for j, value in enumerate(row):
-            yield n, j, value
+        yield start
 
-
-def triangle_record(n: int, j: int, value) -> str:
-    """One JSON-lines record of an entry, byte for byte what
-    json.dumps({"n": n, "j": j, "value": format_entry(value)}) gives: the
-    value is digits or 'p/q', which JSON does not escape."""
-    return f'{{"n": {n}, "j": {j}, "value": "{format_entry(value)}"}}'
-
-
-def _is_number(text: str) -> bool:
-    """ASCII digits without a leading zero, as str(int) prints a
-    non-negative integer.  bytes.isdigit reads ASCII only and is several
-    times faster than str.isdigit on long values."""
-    return text.isascii() and text.encode().isdigit() and (text[0] != "0" or text == "0")
-
-
-def parse_record(line: str) -> tuple[int, int, str]:
-    """(n, j, value text) of a `triangle_record` line, its strict inverse:
-    a line that differs from the record of its own (n, j, value) in any
-    byte, or whose n, j or value parts are not digits as str(int) prints
-    them, raises CacheCorruptionError.  The value is checked digit by
-    digit and returned as text, never converted to an int."""
-    n_text, _, rest = line.removeprefix('{"n": ').partition(', "j": ')
-    j_text, _, value = rest.partition(', "value": "')
-    value = value.removesuffix('"}')
-    num, slash, den = value.partition("/")
-    if n_text.isdecimal() and j_text.isdecimal() and _is_number(num) and (
-        not slash or _is_number(den)
-    ):
-        # int() reads any decimal digits; comparing with the re-rendered
-        # line keeps only the ASCII digits without leading zeros
-        n, j = int(n_text), int(j_text)
-        if line == f'{{"n": {n}, "j": {j}, "value": "{value}"}}':
-            return n, j, value
-    raise CacheCorruptionError(f"not a triangle record: {line[:80]!r}")

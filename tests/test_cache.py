@@ -1,6 +1,8 @@
-"""On-disk cache: a write that fails partway never leaves a half-written
-file, no file with a placeholder digest is ever moved into place, what
-is written reads back unchanged, and a damaged file is rebuilt."""
+"""On-disk cache: records render as json.dumps would and parse back
+strictly, a write that fails partway never leaves a half-written file,
+no file with a placeholder digest is ever moved into place, what is
+written reads back unchanged, a cold build is not read back, and a
+damaged file is rebuilt."""
 
 import hashlib
 import json
@@ -15,7 +17,23 @@ from hypothesis import strategies as st
 
 from lslab import cache
 from lslab.cli import EXIT_CACHE, EXIT_OK, main
-from lslab.triangles import LEGENDRE, GammaParam, iter_triangle, triangle_record
+from lslab.cache import parse_record, triangle_record
+from lslab.triangles import LEGENDRE, GammaParam, format_entry, iter_triangle
+
+
+def _entries(gamma, n_max):
+    """(n, j, value) of the exported rows, row-major."""
+    return [(n, j, v) for n, row in iter_triangle(gamma, n_max) for j, v in enumerate(row)]
+
+
+class TestRecords:
+    def test_record_is_json_dumps_and_parses_back(self):
+        entries = [*_entries(LEGENDRE, 8), *_entries(GammaParam(Fraction(2, 3)), 8),
+                   (7, 3, 10**60), (0, 0, Fraction(10**40 + 1, 3))]
+        for n, j, value in entries:
+            line = triangle_record(n, j, value)
+            assert line == json.dumps({"n": n, "j": j, "value": format_entry(value)})
+            assert parse_record(line) == (n, j, format_entry(value))
 
 
 def _fail_after_writes(monkeypatch, allowed: int):
@@ -51,7 +69,7 @@ class TestAtomicWrite:
 
     def test_failed_rewrite_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = cache.cache_path(tmp_path, LEGENDRE, 8)
-        cache.write_cache(path, LEGENDRE, 8)
+        cache.write_cache(path, LEGENDRE, 8).close()
         before = path.read_bytes()
         path.write_bytes(before[: len(before) // 2])  # a corrupt file to rebuild
         earlier = path.read_bytes()
@@ -88,7 +106,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(cache.os, "replace", replace)
         path = cache.cache_path(tmp_path, LEGENDRE, 8)
-        cache.write_cache(path, LEGENDRE, 8)
+        cache.write_cache(path, LEGENDRE, 8).close()
         header, data = path.read_bytes().split(b"\n", 1)
         assert placed == [json.loads(header)["sha256"]] == [hashlib.sha256(data).hexdigest()]
 
@@ -104,10 +122,32 @@ class TestRoundTrip:
         gamma = GammaParam(Fraction(p, q))
         with tempfile.TemporaryDirectory() as tmp:
             path = cache.cache_path(Path(tmp), gamma, n_max)
-            cache.write_cache(path, gamma, n_max)
+            with cache.write_cache(path, gamma, n_max) as fp:
+                written = fp.read()
             with cache.read_cache(path, gamma, n_max) as fp:
-                lines = fp.read().decode().splitlines()
-        assert lines == [triangle_record(*e) for e in iter_triangle(gamma, n_max)]
+                assert fp.read() == written
+        assert written.decode().splitlines() == [
+            triangle_record(*e) for e in _entries(gamma, n_max)
+        ]
+
+    def test_cold_build_is_not_read_back(self, tmp_path, monkeypatch):
+        """A miss reads the path once, finds nothing, and serves the
+        writer's handle: exactly the file's bytes after its header."""
+        reads = []
+        real_read = cache.read_cache
+
+        def read_cache(*args):
+            reads.append(args)
+            return real_read(*args)
+
+        monkeypatch.setattr(cache, "read_cache", read_cache)
+        source, from_cache, corrupted = cache.load_or_build(LEGENDRE, 8, tmp_path)
+        with source:
+            assert (from_cache, corrupted) == (False, False)
+            served = source.read()
+        assert len(reads) == 1
+        data = cache.cache_path(tmp_path, LEGENDRE, 8).read_bytes()
+        assert served == data[data.index(b"\n") + 1:]
 
 
 class TestDamagedFiles:

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 import lslab
 from lslab import cache, triangles
+from lslab.cache import parse_record, triangle_record
 from lslab.cli import main
-from lslab.triangles import (
-    LEGENDRE, format_entry, jacobi_stirling, parse_record, triangle_record
-)
+from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
 
 
 @pytest.fixture()
@@ -60,14 +59,14 @@ class TestIntStrLimit:
 
     def test_write_cache(self, int_str_limit, tmp_path, monkeypatch):
         # the whole triangle to row 1999 is far too large, so the cache
-        # file holds just this one entry
+        # file holds just one row of this one entry
         value = jacobi_stirling(1999, 307, 1)
-        monkeypatch.setattr(cache, "iter_triangle", lambda gamma, n_max: [(1999, 307, value)])
+        monkeypatch.setattr(cache, "iter_triangle", lambda gamma, n_max: [(1999, (value,))])
         path = tmp_path / "t.jsonl"
-        cache.write_cache(path, LEGENDRE, 1999)
+        cache.write_cache(path, LEGENDRE, 1999).close()
         with cache.read_cache(path, LEGENDRE, 1999) as fp:
             line = fp.read().decode()
-        assert line == triangle_record(1999, 307, value) + "\n"
+        assert line == triangle_record(1999, 0, value) + "\n"
         assert json.loads(line)["value"] == _unlimited_str(value)
         assert sys.get_int_max_str_digits() == 4300
 
@@ -251,7 +250,7 @@ class TestTable:
         ids=["csv", "json"],
     )
     def test_hash_valid_bad_record_exit_4(self, fmt, before_bad_record, tmp_path, capsys):
-        # valid JSON with a valid hash, but not the form triangle_record writes
+        # valid JSON with a valid hash, but not the form cache.triangle_record writes
         argv = ["table", "--family", "legendre", "--n-max", "3", "--format", fmt,
                 "--cache-dir", str(tmp_path)]
         assert run_cli(argv, capsys)[0] == 0
@@ -285,6 +284,17 @@ class TestTable:
         out, err = capsys.readouterr()
         assert out == "" and "--out" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_under_a_file_is_usage_error(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_bytes(b"a file")
+        argv = ["table", "--family", "legendre", "--n-max", "3",
+                "--cache-dir", str(blocker / "sub")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_bytes() == b"a file"
 
     def test_cache_dir_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         env_dir, flag_dir, home = tmp_path / "env", tmp_path / "flag", tmp_path / "home"

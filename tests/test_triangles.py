@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lslab import triangles
+from lslab.cache import parse_record, triangle_record
 from lslab.errors import CacheCorruptionError, ResourceLimitError
 from lslab.triangles import (
     CHEBYSHEV,
@@ -33,8 +34,6 @@ from lslab.triangles import (
     legendre_stirling_binsum,
     modified_legendre_row,
     odd_power_cancellation,
-    parse_record,
-    triangle_record,
     triangle_row,
 )
 
@@ -101,9 +100,11 @@ class TestRecurrence:
 
     def test_integrality_special_gammas(self):
         for gamma in (GAMMA_ZERO, CHEBYSHEV, LEGENDRE):
-            for n, j, v in iter_triangle(gamma, 12):
-                assert isinstance(v, Decimal) and v.as_tuple().exponent == 0
-                assert v == int(v) >= 0
+            for n, row in iter_triangle(gamma, 12):
+                assert len(row) == n + 1
+                for v in row:
+                    assert isinstance(v, Decimal) and v.as_tuple().exponent == 0
+                    assert v == int(v) >= 0
 
     def test_decimal_rows_keep_the_callers_context(self):
         """The exact context is entered only around each row's sweep: a
@@ -111,13 +112,12 @@ class TestRecurrence:
         in force while the generator is suspended."""
         with localcontext() as caller:
             caller.prec = 6
-            entries = iter_triangle(LEGENDRE, 60)
-            for n, j, value in entries:
+            for n, row in iter_triangle(LEGENDRE, 60):
                 assert getcontext() is caller
-                assert triangle_record(n, j, value) == triangle_record(
-                    n, j, triangle_row(LEGENDRE, n)[j]
-                )
-            assert (n, j) == (60, 60)
+                assert [format_entry(v) for v in row] == [
+                    format_entry(v) for v in triangle_row(LEGENDRE, n)
+                ]
+            assert n == 60
             assert getcontext() is caller and caller.prec == 6
         with pytest.raises(Inexact):
             triangles._EXACT.to_integral_exact(Decimal("1.5"))
@@ -178,11 +178,10 @@ class TestProperties:
         """Decimal rows (2*gamma an integer) and scaled integer rows
         (otherwise) print the records of the Fraction oracle."""
         g = GammaParam.parse(gamma)
-        records = [triangle_record(*e) for e in iter_triangle(g, 30)]
-        assert records == [
-            triangle_record(n, j, brute_recurrence(n, j, g.value))
+        rows = [(n, [format_entry(v) for v in row]) for n, row in iter_triangle(g, 30)]
+        assert rows == [
+            (n, [format_entry(brute_recurrence(n, j, g.value)) for j in range(n + 1)])
             for n in range(31)
-            for j in range(n + 1)
         ]
 
     @settings(max_examples=30, deadline=None)
@@ -300,16 +299,6 @@ class TestExport:
         assert format_entry(Fraction(5, 1)) == "5"
         assert format_entry(Fraction(7, 3)) == "7/3"
 
-    def test_record_is_json_dumps_and_parses_back(self):
-        import json
-
-        entries = [*iter_triangle(LEGENDRE, 8), *iter_triangle(GammaParam(Fraction(2, 3)), 8),
-                   (7, 3, 10**60), (0, 0, Fraction(10**40 + 1, 3))]
-        for n, j, value in entries:
-            line = triangle_record(n, j, value)
-            assert line == json.dumps({"n": n, "j": j, "value": format_entry(value)})
-            assert parse_record(line) == (n, j, format_entry(value))
-
     @pytest.mark.parametrize(
         "line",
         [
@@ -329,6 +318,9 @@ class TestExport:
             '{"n": 3, "j": 2, "value": "4/"}',      # empty or doubled fraction parts
             '{"n": 3, "j": 2, "value": "/3"}',
             '{"n": 3, "j": 2, "value": "4/3/2"}',
+            '{"n": 2, "j": 2, "value": "1/0"}',     # non-canonical fractions
+            '{"n": 2, "j": 2, "value": "3/1"}',
+            '{"n": 2, "j": 2, "value": "0/3"}',
             '{"n": \u0663, "j": 2, "value": "8"}',  # non-ASCII digits
             '{"n": 3, "j": 2, "value": "\u0668"}',
             '{"n": \u00b2, "j": 2, "value": "8"}',
@@ -342,11 +334,9 @@ class TestExport:
             parse_record(line)
 
     def test_iter_row_major(self):
-        items = list(iter_triangle(LEGENDRE, 3))
-        assert [x[:2] for x in items] == [
-            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3),
-        ]
-        assert items[-2][2] == 8
+        rows = list(iter_triangle(LEGENDRE, 3))
+        assert [(n, len(row)) for n, row in rows] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert rows[3][1][2] == 8
 
     def test_csv_writer(self, tmp_path, capsys):
         from lslab.cli import main
@@ -361,13 +351,14 @@ class TestExport:
     def test_jsonl_writer_round_trip(self):
         import json
 
-        from lslab.triangles import triangle_record
+        def flat(gamma):
+            return [(n, j, v) for n, row in iter_triangle(gamma, 4) for j, v in enumerate(row)]
 
-        rows = [json.loads(triangle_record(*e)) for e in iter_triangle(CHEBYSHEV, 4)]
+        rows = [json.loads(triangle_record(*e)) for e in flat(CHEBYSHEV)]
         assert len(rows) == 15
         assert {"n": 3, "j": 2, "value": "5"} in rows
         assert all(isinstance(r["value"], str) for r in rows)
-        entries = list(iter_triangle(GammaParam(Fraction(2, 3)), 4))
+        entries = flat(GammaParam(Fraction(2, 3)))
         lines = [triangle_record(*e) for e in entries]
         assert '{"n": 2, "j": 1, "value": "4/3"}' in lines
         records = [json.loads(line) for line in lines]
