@@ -128,9 +128,9 @@ def normal_approximation(n: int, j: int, precision_bits: int = 256) -> mp.mpf:
 def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]:
     """(exact triangle entry over A(n, j), the exact entry).
 
-    The entry is computed twice: by the single alternating big-integer
-    sum and by the banded recurrence; the two must agree exactly before
-    any floating point happens.
+    The entry is computed twice: by the folded alternating big-integer
+    sum of j + 1 powers and by the banded recurrence; the two must agree
+    exactly before any floating point happens.
     """
     direct = legendre_stirling_binsum(n, j)
     if jacobi_stirling(n, j, LEGENDRE) != direct:

@@ -13,8 +13,12 @@ and the Legendre-side ones
 with J the exact closed-form integral from the laplace module.  Sums are
 truncated at |m| <= m_max and always reduced in the fixed order
 m = 0, -1, +1, -2, +2, ..., so results are bit-identical no matter how
-the terms were produced.  Every truncated sum can be certified by the
-proof-grade estimate
+the terms were produced.  Each conjugate pair is evaluated once:
+mpmath rounds the real and imaginary parts of every mpc operation to
+nearest or toward zero, and both commute with negation (as do atan2 and
+sine on the log/exp route of a large power), so the term at w - 2 pi i m
+is bit for bit the conjugate of the term at w + 2 pi i m.  Every
+truncated sum can be certified by the proof-grade estimate
 
     |relative truncation error| <= 2 zeta((r+1)/2) (w/(4 pi))^((r+1)/2),
 
@@ -92,13 +96,6 @@ def tail_bound(r: int, w, precision_bits: int = 256) -> mp.mpf:
         return 2 * zeta_series(expo, precision_bits) * (wv / (4 * mp.pi)) ** expo
 
 
-def _lattice_points(w, m_max: int):
-    yield mp.mpc(w, 0)
-    for m in range(1, m_max + 1):
-        yield mp.mpc(w, -2 * mp.pi * m)
-        yield mp.mpc(w, 2 * mp.pi * m)
-
-
 def _check_imag(total, precision_bits: int) -> mp.mpf:
     limit = abs(total) * mp.mpf(2) ** (-precision_bits + 8)
     if abs(total.imag) > limit and abs(total.imag) > mp.mpf(2) ** (-precision_bits + 8):
@@ -119,9 +116,11 @@ def _lattice_sum(n: int, w, m_max: int, precision_bits: int, term, prefactor) ->
         wv = mp.mpf(w)
         if wv <= 0:
             raise ValueError("w must be positive")
-        total = mp.mpc(0)
-        for z in _lattice_points(wv, m_max):
-            total += term(z)
+        total = term(mp.mpc(wv, 0))
+        for m in range(1, m_max + 1):
+            t = term(mp.mpc(wv, 2 * mp.pi * m))
+            total += t.conjugate()
+            total += t
         total *= prefactor(wv)
         real = _check_imag(total, precision_bits)
     with mp.workprec(precision_bits):

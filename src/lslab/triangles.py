@@ -221,28 +221,20 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
     return int(value) if value.denominator == 1 else value
 
 
-def legendre_stirling_altsum(n: int, j: int) -> int:
-    """gamma = 1 entry as the (2r+1)-weighted alternating sum over r <= j."""
-    check_row_cap(n)
-    total = Fraction(0)
-    for r in range(j + 1):
-        term = Fraction(
-            (2 * r + 1) * (r * (r + 1)) ** n,
-            factorial(j - r) * factorial(j + r + 1),
-        )
-        total += term if (r + j) % 2 == 0 else -term
-    if total.denominator != 1 or total < 0:
-        raise KernelInvariantError(f"alternating sum not a non-negative integer at ({n}, {j})")
-    return int(total)
-
-
 def legendre_stirling_binsum(n: int, j: int) -> int:
-    """gamma = 1 entry via the central binomial sum, all-integer arithmetic."""
+    """gamma = 1 entry via the central binomial sum, all-integer arithmetic,
+    sum_nu (-1)^nu C(2j, nu) ((j-nu)(j+1-nu))^n / (2j)!.  With k = j - nu,
+    k and -1-k give the same k(k+1), so it folds onto k = 0..j: j + 1 big
+    powers, sign (-1)^(j-k), weights the ballot numbers B(j, k) =
+    C(2j, j-k) - C(2j, j-k-1), walked by exact ratio updates along
+    C(2j, .).  The k = 0 term keeps 0^0 = 1 at n = 0."""
     check_row_cap(n)
-    total = 0
-    for nu in range(2 * j + 1):
-        t = comb(2 * j, nu) * ((j - nu) * (j + 1 - nu)) ** n
-        total += -t if nu & 1 else t
+    total, below, binom = 0, 0, 1  # C(2j, i-1) and C(2j, i) at i = j - k = 0
+    for i in range(j + 1):
+        k = j - i
+        t = (binom - below) * (k * (k + 1)) ** n
+        total += -t if i & 1 else t
+        below, binom = binom, binom * (2 * j - i) // (i + 1)
     if total < 0:
         raise KernelInvariantError(f"negative binomial sum at ({n}, {j})")
     q, rem = divmod(total, factorial(2 * j))
@@ -252,12 +244,18 @@ def legendre_stirling_binsum(n: int, j: int) -> int:
 
 
 def chebyshev_stirling_binsum(n: int, j: int) -> int:
-    """gamma = 1/2 entry via the central binomial sum over (j-r)^(2n)."""
+    """gamma = 1/2 entry via the central binomial sum over (j-r)^(2n).
+    r and 2j - r give the same binomial, sign and power, so it is twice
+    the r < j half plus the r = j term, nonzero only at n = 0."""
     check_row_cap(n)
-    total = 0
-    for r in range(2 * j + 1):
-        t = comb(2 * j, r) * (j - r) ** (2 * n)
+    total, binom = 0, 1  # C(2j, r) at r = 0
+    for r in range(j):
+        t = binom * (j - r) ** (2 * n)
         total += -t if r & 1 else t
+        binom = binom * (2 * j - r) // (r + 1)
+    total *= 2
+    if n == 0:  # the r = j term, binom = C(2j, j)
+        total += -binom if j & 1 else binom
     if total < 0:
         raise KernelInvariantError(f"negative binomial sum at ({n}, {j})")
     q, rem = divmod(total, factorial(2 * j))
@@ -285,8 +283,8 @@ def legendre_row_mass(n: int) -> int:
     """M_n(1) = sum_j (2j)! T_1(n, j), the mass of the scaled row, in O(n)
     big-integer steps and without building the row.
 
-    Put k = j - nu in `legendre_stirling_binsum` and pair k with -1-k,
-    which give the same k(k+1); swapping the sums gives, for n >= 1,
+    Swapping the sums over j and k in the folded
+    `legendre_stirling_binsum` gives, for n >= 1,
 
         M_n(1) = sum_{k=1..n} (-1)^k S_k (k(k+1))^n,
         S_k = sum_{j=k..n} (-1)^j B(j, k),

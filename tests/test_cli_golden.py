@@ -22,7 +22,11 @@ before each of those formulas was reduced to one copy.  The three
 refined root certificates at the end (n 40 and n 8 at 300 bits, n 30 at
 64 bits) were recorded while the intervals came from Sturm chains and
 the midpoints from plain bisection; at n 8 and 300 bits a converged
-Newton step lands on a bracket end.
+Newton step lands on a bracket end.  The three `verify` suites at the
+end (identities, clt with its one FAIL line and exit 1, eisenstein) pin
+every PASS/FAIL line and its printed detail; they were recorded while
+each direct sum evaluated every term of its binomial range and each
+lattice sum evaluated both points of every conjugate pair.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -120,6 +124,12 @@ GOLDEN = [
      "4f3fde900232a390e90be18c9b2b8dab5b3b43e9f0a6f144f46132973941879d"),
     ("roots --n 8 --refine-bits 300", 0,
      "ea0029542aab3f731ac869c1355a886e0468f2adf4468e8b5f80a815a0cd8143"),
+    ("verify identities", 0,
+     "e370f0604c2bf30c6138185908455f52908a83b17db2b2072e8ef5e630cedaa8"),
+    ("verify clt", 1,
+     "c9f7ac9c6c6b21b0e63da8e0700ec7ab777914dafa29187fc8a7342b2b01a682"),
+    ("verify eisenstein", 0,
+     "6f44ba9e5c9178271b99caa51df87aae5b31aa95c282eb6f70c1666fb733a60f"),
 ]
 
 

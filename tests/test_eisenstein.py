@@ -6,6 +6,7 @@ run; each is quoted to fewer digits than the run produced.
 
 from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -22,6 +23,7 @@ from lslab.eisenstein import (
     tail_bound,
     zeta_series,
 )
+from lslab.laplace import laplace_closed_form
 from lslab.triangles import CHEBYSHEV, modified_legendre_row, scale_row, triangle_row
 
 
@@ -173,3 +175,84 @@ class TestLegendreLattice:
                 exact = mp.sqrt(5) * mp.mpf(sum(modified_legendre_row(n)))
                 assert abs(total.real - exact) / exact < tail_bound(n, w, 256)
                 assert abs(total.imag) < mp.mpf(2) ** -240 * abs(total.real)
+
+
+def lattice_terms(family, n):
+    """The summand and the prefactor of eisenstein_<family>, as written
+    there."""
+    if family == "legendre":
+        return laplace_closed_form(n, n).eval, lambda wv: (mp.cosh(wv) - 1) / mp.sinh(wv)
+    return (
+        lambda z: z ** (-(2 * n + 1)),
+        lambda wv: mp.mpf(factorial(2 * n)) * 2 * (mp.cosh(wv) - 1) / mp.sinh(wv),
+    )
+
+
+def lattice_w(which, bits):
+    """The four parameters the symmetry is checked at: the saddle w, 1/2,
+    2 and 1/3, at the working precision."""
+    with mp.workprec(bits):
+        return {"w": saddle_constant(bits), "1/2": mp.mpf(1) / 2, "2": mp.mpf(2),
+                "1/3": mp.mpf(1) / 3}[which]
+
+
+class TestConjugateTerms:
+    """The lattice sums take the term at w - 2 pi i m as the conjugate of
+    the term at w + 2 pi i m; that holds bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["legendre", "chebyshev"]),
+        n=st.integers(min_value=1, max_value=60),
+        m=st.integers(min_value=1, max_value=16),
+        bits=st.integers(min_value=64, max_value=352),
+        which=st.sampled_from(["w", "1/2", "2", "1/3"]),
+    )
+    @example(family="chebyshev", n=60, m=16, bits=352, which="1/3")
+    @example(family="legendre", n=60, m=1, bits=64, which="w")
+    def test_term_of_conjugate_is_conjugate(self, family, n, m, bits, which):
+        term, _ = lattice_terms(family, n)
+        wv = lattice_w(which, bits)
+        with mp.workprec(bits):
+            upper = term(mp.mpc(wv, 2 * mp.pi * m))
+            lower = term(mp.mpc(wv, -2 * mp.pi * m))
+            assert lower.real == upper.real
+            assert lower.imag == -upper.imag
+
+
+def every_point_sum(family, n, w, m_max, bits):
+    """Oracle: the truncated lattice sum with every one of the 2 m_max + 1
+    terms evaluated, reduced in the order m = 0, -1, +1, -2, +2, ..."""
+    term, prefactor = lattice_terms(family, n)
+    with mp.workprec(bits + 32):
+        wv = mp.mpf(w)
+        points = [mp.mpc(wv, 0)]
+        for m in range(1, m_max + 1):
+            points += [mp.mpc(wv, -2 * mp.pi * m), mp.mpc(wv, 2 * mp.pi * m)]
+        total = mp.mpc(0)
+        for z in points:
+            total += term(z)
+        real = (total * prefactor(wv)).real
+    with mp.workprec(bits):
+        return +real
+
+
+class TestEveryPointOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["legendre", "chebyshev"]),
+        n=st.integers(min_value=1, max_value=50),
+        scale=st.sampled_from(["w/2", "w", "2w"]),
+        m_max=st.sampled_from([0, 1, 16]),
+        bits=st.sampled_from([64, 256]),
+    )
+    @example(family="legendre", n=50, scale="2w", m_max=16, bits=256)
+    @example(family="chebyshev", n=50, scale="w/2", m_max=16, bits=256)
+    @example(family="legendre", n=1, scale="w", m_max=0, bits=64)
+    def test_equals_every_point_sum(self, w, family, n, scale, m_max, bits):
+        """Bit-identical (==) to the sum that evaluates both points of
+        each conjugate pair."""
+        with mp.workprec(256):
+            wv = {"w/2": w / 2, "w": w, "2w": 2 * w}[scale]
+        lattice = eisenstein_legendre if family == "legendre" else eisenstein_chebyshev
+        assert lattice(n, wv, m_max, bits) == every_point_sum(family, n, wv, m_max, bits)

@@ -7,7 +7,7 @@ an independent oracle run; they are frozen here as plain integers.
 from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,6 @@ from lslab.triangles import (
     jacobi_stirling_explicit,
     legendre_from_chebyshev,
     legendre_row_mass,
-    legendre_stirling_altsum,
     legendre_stirling_binsum,
     modified_legendre_row,
     odd_power_cancellation,
@@ -133,7 +132,6 @@ class TestRecurrence:
             lambda: next(iter_triangle(LEGENDRE, n)),
             lambda: legendre_stirling_binsum(n, 5),
             lambda: chebyshev_stirling_binsum(n, 5),
-            lambda: legendre_stirling_altsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
             lambda: legendre_row_mass(n),
         ]
@@ -210,11 +208,9 @@ class TestExplicit:
 
 
 class TestDirectSums:
-    @pytest.mark.parametrize("n,j,expected", [(1, 1, 1), (3, 2, 8), (4, 3, 20)])
-    def test_altsum(self, n, j, expected):
-        assert legendre_stirling_altsum(n, j) == expected
-
-    @pytest.mark.parametrize("n,j,expected", [(3, 2, 8), (2, 5, 0), (4, 2, 52)])
+    @pytest.mark.parametrize(
+        "n,j,expected", [(3, 2, 8), (2, 5, 0), (4, 2, 52), (1, 1, 1), (4, 3, 20)]
+    )
     def test_binsum(self, n, j, expected):
         assert legendre_stirling_binsum(n, j) == expected
 
@@ -226,6 +222,47 @@ class TestDirectSums:
         for j in range(7):
             for ell in range(7):
                 assert odd_power_cancellation(j, ell) == 0
+
+    def test_folded_sums_match_rows(self):
+        """Both folded sums give the recurrence's entry, and 0 past the
+        end of the row, for every n <= 39 and j <= n + 2."""
+        for gamma, binsum in ((LEGENDRE, legendre_stirling_binsum),
+                              (CHEBYSHEV, chebyshev_stirling_binsum)):
+            for n in range(40):
+                row = triangle_row(gamma, n)
+                assert [binsum(n, j) for j in range(n + 3)] == [*row, 0, 0]
+
+
+def unfolded_binsum(n, j, base):
+    """Oracle: sum_{nu=0..2j} (-1)^nu C(2j, nu) base(j - nu)^n / (2j)!,
+    term by term with math.comb over the whole range of nu."""
+    total = sum((-1) ** nu * comb(2 * j, nu) * base(j - nu) ** n for nu in range(2 * j + 1))
+    q, rem = divmod(total, factorial(2 * j))
+    assert rem == 0
+    return q
+
+
+class TestFoldedSums:
+    """The folded sums against the unfolded central binomial sums they
+    halve; the oracle keeps every term and the binomials of math.comb."""
+
+    def test_legendre_ratio_target(self):
+        assert legendre_stirling_binsum(1000, 930) == unfolded_binsum(1000, 930, lambda k: k * (k + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=200), j=st.integers(min_value=0, max_value=210))
+    def test_equal_unfolded(self, n, j):
+        assert legendre_stirling_binsum(n, j) == unfolded_binsum(n, j, lambda k: k * (k + 1))
+        assert chebyshev_stirling_binsum(n, j) == unfolded_binsum(n, j, lambda k: k * k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.integers(min_value=0, max_value=400), data=st.data())
+    def test_ballot_numbers(self, j, data):
+        """(2j)! (2k+1)/((j-k)! (j+k+1)!) = B(j, k) = C(2j, j-k) - C(2j, j-k-1):
+        the (2k+1)-weighted alternating sum over k <= j is the folded sum."""
+        k = data.draw(st.integers(min_value=0, max_value=j))
+        ballot = comb(2 * j, j - k) - (comb(2 * j, j - k - 1) if k < j else 0)
+        assert Fraction(factorial(2 * j) * (2 * k + 1), factorial(j - k) * factorial(j + k + 1)) == ballot
 
 
 class TestModified:
