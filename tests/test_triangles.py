@@ -208,6 +208,12 @@ class TestExplicit:
 
 
 class TestDirectSums:
+    @pytest.mark.parametrize("n,j,expected", [(1, 1, 1), (3, 2, 8), (4, 3, 20)])
+    def test_altsum(self, n, j, expected):
+        """The (2r+1)-weighted alternating sum, kept as a test oracle, gives
+        the entry, and so does the folded sum that replaced it."""
+        assert alternating_sum(n, j) == expected == legendre_stirling_binsum(n, j)
+
     @pytest.mark.parametrize(
         "n,j,expected", [(3, 2, 8), (2, 5, 0), (4, 2, 52), (1, 1, 1), (4, 3, 20)]
     )
@@ -231,6 +237,18 @@ class TestDirectSums:
             for n in range(40):
                 row = triangle_row(gamma, n)
                 assert [binsum(n, j) for j in range(n + 3)] == [*row, 0, 0]
+
+
+def alternating_sum(n, j):
+    """Oracle: the gamma = 1 entry as sum_{r=0..j} (-1)^(r+j) (2r+1)
+    (r(r+1))^n / ((j-r)! (j+r+1)!), in exact Fractions."""
+    total = sum(
+        Fraction((-1) ** (r + j) * (2 * r + 1) * (r * (r + 1)) ** n,
+                 factorial(j - r) * factorial(j + r + 1))
+        for r in range(j + 1)
+    )
+    assert total.denominator == 1
+    return int(total)
 
 
 def unfolded_binsum(n, j, base):
