@@ -58,7 +58,6 @@ def saddle_constant(precision_bits: int = 256) -> mp.mpf:
 
 @dataclass(frozen=True)
 class CenteringScaling:
-    n: int
     center: mp.mpf
     spread: mp.mpf
     w: mp.mpf
@@ -72,7 +71,7 @@ def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
         s5 = mp.sqrt(5)
         center = (2 * n + 1) / (s5 * w) - mp.mpf(1) / 2
         spread = (mp.mpf(1) / 2 - w / s5) * (2 / w) ** 2 * mp.mpf(n) / 5
-        return CenteringScaling(n=n, center=+center, spread=+spread, w=+w)
+        return CenteringScaling(center=+center, spread=+spread, w=+w)
 
 
 def row_scale(n: int, w) -> mp.mpf:
@@ -132,6 +131,8 @@ def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]
     sum of j + 1 powers and by the banded recurrence; the two must agree
     exactly before any floating point happens.
     """
+    if not 1 <= j <= n:
+        raise ValueError("requires 1 <= j <= n")
     direct = legendre_stirling_binsum(n, j)
     if jacobi_stirling(n, j, LEGENDRE) != direct:
         raise KernelInvariantError(f"direct sum and recurrence disagree at ({n}, {j})")

@@ -3,12 +3,13 @@
 A polynomial is a tuple of integer coefficients in ascending order.  For
 each n the coefficients (2j)! * T(n, j), 0 <= j <= n, form the Legendre
 generating polynomial M_n; the production M_n is the scaled triangle row
-`triangles.modified_legendre_row`.  The pure differential recurrence is
-kept as a cross-check only:
+`triangles.modified_legendre_row`.  The differential recurrence, in the
+factored form the real-root proof of `sturm` uses, is kept as a
+cross-check only: with D = d/ds,
 
-    M_n(s) = s * (2 M_{n-1}(s) + (10 s + 2) M_{n-1}'(s) + s (4 s + 1) M_{n-1}''(s)),
+    M_n = s ((4s + 1) D + 2) D s M_{n-1},    M_0 = 1,
 
-starting from M_0 = 1.
+where D s is f -> (s f)'.
 """
 
 from __future__ import annotations
@@ -19,31 +20,19 @@ from .triangles import modified_legendre_row
 
 def legendre_genpoly_recurrence(n: int):
     """Yield the Legendre generating polynomials M_0..M_n from one pass of
-    the differential recurrence; a cross-check of modified_legendre_row.
-    One row is held at a time; the 201 rows up to n = 200 take about 4 MB
-    together."""
+    the factored recurrence, one first-order step after the other; a
+    cross-check of modified_legendre_row.  One row is held at a time; the
+    201 rows up to n = 200 take about 4 MB together."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    coeffs = [1]
-    yield (1,)
+    coeffs = (1,)
+    yield coeffs
     for _ in range(n):
-        d1 = [i * c for i, c in enumerate(coeffs)][1:]
-        d2 = [i * c for i, c in enumerate(d1)][1:]
-        deg = len(coeffs) - 1
-        new = [0] * (deg + 2)
-        # s * 2 M
-        for i, c in enumerate(coeffs):
-            new[i + 1] += 2 * c
-        # s * (10 s + 2) M'
-        for i, c in enumerate(d1):
-            new[i + 2] += 10 * c
-            new[i + 1] += 2 * c
-        # s^2 (4 s + 1) M''
-        for i, c in enumerate(d2):
-            new[i + 3] += 4 * c
-            new[i + 2] += c
-        coeffs = new
-        yield tuple(coeffs)
+        g = [(i + 1) * c for i, c in enumerate(coeffs)] + [0]  # D s
+        # (4s + 1) D + 2 sends g_i s^i to (4i + 2) g_i s^i + i g_i s^(i-1)
+        h = [(4 * i + 2) * g[i] + (i + 1) * g[i + 1] for i in range(len(coeffs))]
+        coeffs = (0, *h)  # s
+        yield coeffs
 
 
 def unimodality_report(n: int) -> int:

@@ -35,8 +35,6 @@ class InversePowerSum:
     """Finite sum of positive integer multiples of inverse powers of z,
     powers strictly decreasing with uniform stride 2."""
 
-    r: int
-    n: int
     terms: tuple[tuple[int, int], ...]  # (coefficient, inverse power)
 
     def eval(self, z):
@@ -56,7 +54,7 @@ def laplace_closed_form(r: int, n: int) -> InversePowerSum:
         (2 * comb(n, k) * factorial(r + n - k), r + n - k + 1)
         for k in range(0, n + 1, 2)
     )
-    return InversePowerSum(r=r, n=n, terms=terms)
+    return InversePowerSum(terms=terms)
 
 
 def derivative_identity_holds(r: int, n: int, order: int) -> bool:
@@ -70,7 +68,6 @@ def derivative_identity_holds(r: int, n: int, order: int) -> bool:
 
 @dataclass(frozen=True)
 class SaddleCoefficients:
-    nu: int
     z: mp.mpf
     leading: mp.mpf      # cosh(z/2)
     correction: mp.mpf   # first 1/n coefficient, always negative
@@ -85,7 +82,7 @@ def saddle_coefficients(nu: int, z, precision_bits: int = 256) -> SaddleCoeffici
             raise ValueError("z must be positive")
         ch, sh = mp.cosh(zz / 2), mp.sinh(zz / 2)
         corr = -(zz * zz / 2 * ch + 2 * zz * nu * sh + (2 * nu * nu + 2 * nu + 1) * ch) / 8
-        return SaddleCoefficients(nu=nu, z=zz, leading=ch, correction=corr)
+        return SaddleCoefficients(z=zz, leading=ch, correction=corr)
 
 
 def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:

@@ -2,8 +2,8 @@
 
 M_n has a simple zero at s = 0; the interesting factor is q_n = M_n / s,
 an integer polynomial of degree d = n - 1 whose zeros are real, simple,
-and inside (-1/4, 0).  With D = d/ds the recurrence of `genpoly` factors
-as M_n = s((4s+1)D + 2)(sD + 1)M_{n-1}, where (sD + 1)f = (sf)' and
+and inside (-1/4, 0).  The recurrence of `genpoly` is the product of
+first-order steps M_n = s((4s+1)D + 2) D s M_{n-1}, with D = d/ds, and
 (4s+1)g' + 2g = (4s+1)^(1/2) d/ds[(4s+1)^(1/2) g].  Let q_{n-1} have
 n - 2 simple roots in (-1/4, 0).  By Rolle, g = (s^2 q_{n-1})' has a
 root at 0 and n - 2 roots between those of s^2 q_{n-1}; (4s+1)^(1/2) g

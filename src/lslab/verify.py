@@ -68,29 +68,16 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     out: list[CheckResult] = []
     nmax = cfg.n_max
 
-    def row_ok_legendre(n: int) -> bool:
-        for j, rec in enumerate(triangles.triangle_row(triangles.LEGENDRE, n)):
-            if not (
-                rec == triangles.jacobi_stirling_explicit(n, j, 1)
-                == triangles.legendre_stirling_binsum(n, j)
-            ):
-                return False
-        return True
-
-    ok = all(row_ok_legendre(n) for n in range(nmax + 1))
-    out.append(_result(f"cross-formula equality gamma=1 n<={nmax}", ok))
-
-    def row_ok_chebyshev(n: int) -> bool:
-        for j, rec in enumerate(triangles.triangle_row(triangles.CHEBYSHEV, n)):
-            if not (
-                rec == triangles.jacobi_stirling_explicit(n, j, Fraction(1, 2))
-                == triangles.chebyshev_stirling_binsum(n, j)
-            ):
-                return False
-        return True
-
-    ok = all(row_ok_chebyshev(n) for n in range(nmax + 1))
-    out.append(_result(f"cross-formula equality gamma=1/2 n<={nmax}", ok))
+    for gamma, binsum in (
+        (triangles.LEGENDRE, triangles.legendre_stirling_binsum),
+        (triangles.CHEBYSHEV, triangles.chebyshev_stirling_binsum),
+    ):
+        ok = all(
+            rec == triangles.jacobi_stirling_explicit(n, j, gamma) == binsum(n, j)
+            for n in range(nmax + 1)
+            for j, rec in enumerate(triangles.triangle_row(gamma, n))
+        )
+        out.append(_result(f"cross-formula equality gamma={gamma} n<={nmax}", ok))
 
     ok = all(
         triangles.odd_power_cancellation(j, ell) == 0

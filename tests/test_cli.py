@@ -158,6 +158,19 @@ class TestRowCap:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRatioIndexRange:
+    """A j outside 1..n is a usage error before any work: the direct sum
+    would take j + 1 big powers and (2j)! first."""
+
+    def test_exit_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli("clt --report ratio --n 5 --j 100000".split(), capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+        assert time.perf_counter() - start < 5
+
+
 class TestNegativeNMax:
     @pytest.mark.parametrize(
         "command",

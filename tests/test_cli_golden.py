@@ -22,11 +22,15 @@ before each of those formulas was reduced to one copy.  The three
 refined root certificates at the end (n 40 and n 8 at 300 bits, n 30 at
 64 bits) were recorded while the intervals came from Sturm chains and
 the midpoints from plain bisection; at n 8 and 300 bits a converged
-Newton step lands on a bracket end.  The three `verify` suites at the
-end (identities, clt with its one FAIL line and exit 1, eisenstein) pin
-every PASS/FAIL line and its printed detail; they were recorded while
-each direct sum evaluated every term of its binomial range and each
-lattice sum evaluated both points of every conjugate pair.
+Newton step lands on a bracket end.  The five `verify` suites at the
+end pin every PASS/FAIL line and its printed detail.  The first three
+(identities, clt with its one FAIL line and exit 1, eisenstein) were
+recorded while each direct sum evaluated every term of its binomial
+range and each lattice sum evaluated both points of every conjugate
+pair.  The last two (roots, edgeworth) carry the hashes of
+`perfbench/golden.json`; they were recorded while the Legendre
+recurrence was a hand-expanded second-order step and each lattice sum
+ran a complex total.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -130,6 +134,10 @@ GOLDEN = [
      "c9f7ac9c6c6b21b0e63da8e0700ec7ab777914dafa29187fc8a7342b2b01a682"),
     ("verify eisenstein", 0,
      "6f44ba9e5c9178271b99caa51df87aae5b31aa95c282eb6f70c1666fb733a60f"),
+    ("verify roots", 0,
+     "4dea8ec8fadffc5c214a87904bdf506f1f13dd9d83e962ffaaab0ef4cfd05924"),
+    ("verify edgeworth", 0,
+     "ca2f31f93aba76cb99983828e4bb9c9b64d03a61a50801083576a895936ab5e9"),
 ]
 
 

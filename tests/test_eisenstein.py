@@ -244,14 +244,16 @@ class TestEveryPointOracle:
         n=st.integers(min_value=1, max_value=50),
         scale=st.sampled_from(["w/2", "w", "2w"]),
         m_max=st.sampled_from([0, 1, 16]),
-        bits=st.sampled_from([64, 256]),
+        bits=st.sampled_from([64, 256, 320]),
     )
     @example(family="legendre", n=50, scale="2w", m_max=16, bits=256)
+    @example(family="chebyshev", n=37, scale="w", m_max=16, bits=320)
     @example(family="chebyshev", n=50, scale="w/2", m_max=16, bits=256)
     @example(family="legendre", n=1, scale="w", m_max=0, bits=64)
     def test_equals_every_point_sum(self, w, family, n, scale, m_max, bits):
-        """Bit-identical (==) to the sum that evaluates both points of
-        each conjugate pair."""
+        """Bit-identical (==) to the complex sum that evaluates both
+        points of each conjugate pair; `verify eisenstein` certifies its
+        lattice sums at 320 bits."""
         with mp.workprec(256):
             wv = {"w/2": w / 2, "w": w, "2w": 2 * w}[scale]
         lattice = eisenstein_legendre if family == "legendre" else eisenstein_chebyshev

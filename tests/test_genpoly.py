@@ -45,8 +45,8 @@ def deriv(p):
 
 
 def factored_step(f):
-    """s((4s+1)D + 2)(sD + 1)f, one first-order step after the other."""
-    g = deriv(times([0, 1], f))  # (sD + 1)f = (sf)'
+    """s((4s+1)D + 2) D s f, one first-order step after the other."""
+    g = deriv(times([0, 1], f))  # D s f = (sf)'
     return times([0, 1], plus(times([1, 4], deriv(g)), times([2], g)))
 
 
@@ -72,7 +72,9 @@ class TestRecurrencePolynomials:
     )
     def test_recurrence_factors_into_first_order_steps(self, f, i, n):
         """The Rolle argument of the `sturm` docstring rests on this
-        factorisation of the recurrence's step into two first-order ones."""
+        factorisation of the recurrence's step into first-order ones.  The
+        hand-expanded second-order step s(2f + (10s + 2)f' + s(4s + 1)f'')
+        is the test-local reference for the factored operator."""
         step = times([0, 1], plus(times([2], f), times([2, 10], deriv(f)),
                                   times([0, 1, 4], deriv(deriv(f)))))
         assert factored_step(f) == step
