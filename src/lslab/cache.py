@@ -3,7 +3,9 @@ the one source of what `lslab table` prints.
 
 A cache file is JSON-lines: a header with schema version, family tag and
 a sha256 over the data bytes, then one `triangle_record` per entry,
-row-major, which `parse_record` reads back strictly.  `write_cache`
+row-major.  One compiled pattern, RECORD, is the language of those
+lines: `parse_record` reads one back strictly, and `checked_blocks`
+checks and prints them in blocks of 128 KiB.  `write_cache`
 writes one block per row of triangles.iter_triangle to a temporary file
 under a zero-digest header, rewrites the header in place once the data
 are hashed (a hex digest is always 64 characters, so no byte moves),
@@ -19,11 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from .errors import CacheCorruptionError
-from .triangles import GammaParam, format_entry, iter_triangle
+from .triangles import MAX_ROWS, GammaParam, format_entry, iter_triangle
 
 SCHEMA_VERSION = 1
 
@@ -63,33 +66,57 @@ def triangle_record(n: int, j: int, value) -> str:
     return f'{{"n": {n}, "j": {j}, "value": "{format_entry(value)}"}}'
 
 
-def _is_number(text: str) -> bool:
-    """ASCII digits without a leading zero, as str(int) prints a
-    non-negative integer.  bytes.isdigit reads ASCII only and is several
-    times faster than str.isdigit on long values."""
-    return text.isascii() and text.encode().isdigit() and (text[0] != "0" or text == "0")
+# Row indices stay below MAX_ROWS, so an index has at most this many
+# digits, and int() never meets one longer than its str-digit limit.
+_INDEX = rb"(0|[1-9][0-9]{0,%d})" % (len(str(MAX_ROWS - 1)) - 1)
+# The one definition of the record language: exactly the lines
+# `triangle_record` writes, digits as str(int) prints them and a fraction
+# 'p/q' with p > 0 and q >= 2.
+RECORD = re.compile(
+    rb'\{"n": ' + _INDEX + rb', "j": ' + _INDEX
+    + rb', "value": "(0|[1-9][0-9]*(?:/(?:[2-9]|[1-9][0-9]+))?)"\}'
+)
+_RECORDS = re.compile(rb"(?:" + RECORD.pattern + rb"\n)*")
+# sre keeps about 0.7 KiB of backtracking state for each record a match
+# has passed: 128 KiB blocks keep peak memory near a line reader's, where
+# 1 MiB blocks added 6 MB, and larger blocks are no faster
+BLOCK_SIZE = 1 << 17
+# the bytes of a record that are not its three parts or a '/'
+_RECORD_SYNTAX = b'{}": njvalue'
+
+
+def _not_a_record(line: str) -> CacheCorruptionError:
+    return CacheCorruptionError(f"not a triangle record: {line[:80]!r}")
 
 
 def parse_record(line: str) -> tuple[int, int, str]:
     """(n, j, value text) of a `triangle_record` line, its strict inverse:
-    CacheCorruptionError for a line that differs in any byte from the
-    record of its own (n, j, value), whose parts are not digits as
-    str(int) prints them, or whose fraction 'p/q' has q < 2 or p = 0.  The
+    CacheCorruptionError for any line outside the RECORD language.  The
     value is checked and returned as text, never converted to an int, so
     lowest terms ('4/2') go unchecked: they need the quadratic int(text)."""
-    n_text, _, rest = line.removeprefix('{"n": ').partition(', "j": ')
-    j_text, _, value = rest.partition(', "value": "')
-    value = value.removesuffix('"}')
-    num, slash, den = value.partition("/")
-    if n_text.isdecimal() and j_text.isdecimal() and _is_number(num) and (
-        not slash or (_is_number(den) and den not in ("0", "1") and num != "0")
-    ):
-        # int() reads any decimal digits; comparing with the re-rendered
-        # line keeps only the ASCII digits without leading zeros
-        n, j = int(n_text), int(j_text)
-        if line == f'{{"n": {n}, "j": {j}, "value": "{value}"}}':
-            return n, j, value
-    raise CacheCorruptionError(f"not a triangle record: {line[:80]!r}")
+    # a non-ASCII character becomes '?', which RECORD rejects
+    match = RECORD.fullmatch(line.encode("ascii", "replace"))
+    if match is None:
+        raise _not_a_record(line)
+    n, j, value = match.groups()
+    return int(n), int(j), value.decode()
+
+
+def checked_blocks(fp, csv: bool):
+    """The records of fp, from its position on, as `lslab table` prints
+    them, in blocks of about BLOCK_SIZE bytes: each block is read on to
+    the end of its last line, checked with one match of RECORD lines,
+    and yielded as text, whole for JSON or as 'n,j,value' lines for CSV
+    (one bytes.translate deletes the record's syntax).  Blocks stop at
+    the first line outside the language, with the CacheCorruptionError
+    parse_record raises for it; the lines before it are yielded."""
+    for block in iter(lambda: fp.read(BLOCK_SIZE), b""):
+        block += fp.readline()
+        end = _RECORDS.match(block).end()
+        checked = block[:end]
+        yield (checked.translate(None, _RECORD_SYNTAX) if csv else checked).decode("ascii")
+        if end < len(block):
+            raise _not_a_record(block[end:].partition(b"\n")[0].decode("ascii", "replace"))
 
 
 def write_cache(path: Path, gamma: GammaParam, n_max: int):

@@ -3,7 +3,9 @@
 Subcommands: compute, table, verify, roots, clt, edgeworth, asymptotics.
 Every output goes to stdout; redirect it to keep a file.  `table` prints
 from its cache file (--cache-dir, else ~/.cache/lslab) once the file's
-hash is checked, building or rebuilding the file first when needed.
+hash is checked, building or rebuilding the file first when needed; the
+records are checked and printed in blocks of 128 KiB
+(cache.checked_blocks).
 Exit codes: 0 success, 1 invariant failure, 2 usage (a bad --cache-dir
 too), 3 resource limit, 4 cache corruption (the table is still printed
 from a fresh build, except for a record that passes the file's hash but
@@ -89,11 +91,8 @@ def cmd_table(parser, args) -> int:
     with source:
         if args.format == "csv":
             sys.stdout.write("n,j,value\n")
-        for raw in source:
-            # a non-ASCII byte becomes U+FFFD, which parse_record rejects
-            line = raw.decode("ascii", "replace")
-            n, j, value = cache.parse_record(line[:-1])
-            sys.stdout.write(line if args.format == "json" else f"{n},{j},{value}\n")
+        for text in cache.checked_blocks(source, csv=args.format == "csv"):
+            sys.stdout.write(text)
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE

@@ -31,6 +31,7 @@ M-series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, factorial, log, tau
 
 import mpmath as mp
@@ -54,7 +55,14 @@ def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
     remainder lies between 0 and the first term left out, and the
     truncation error is below 2^-b (zeta(s) > 1, so also relatively).
     A term that stops shrinking before it drops below 2^-b raises
-    PrecisionError; the loop ends either way."""
+    PrecisionError; the loop ends either way.  The value depends only on
+    (s, precision_bits), and an mpf is immutable, so the last 64 are
+    memoized: tail_bound asks again for the same s at each call."""
+    return _zeta_series(s, precision_bits)
+
+
+@lru_cache(maxsize=64)
+def _zeta_series(s, precision_bits: int) -> mp.mpf:
     bits = precision_bits + 40
     n = max(64, ceil((bits + 24) * log(2) / tau))
     with mp.workprec(precision_bits + 32):

@@ -139,7 +139,9 @@ def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
     return band
 
 
-_ROWS: dict[tuple[Fraction, int], tuple] = {}
+# keyed by (numerator, denominator) of gamma and n: ints hash and compare
+# faster than Fractions
+_ROWS: dict[tuple[int, int, int], tuple] = {}
 
 
 def triangle_row(gamma, n: int) -> tuple:
@@ -147,11 +149,12 @@ def triangle_row(gamma, n: int) -> tuple:
     oldest goes first); a missing row is rolled forward from the nearest
     lower memoized row of the same gamma."""
     g = _as_gamma(gamma)
-    row = _ROWS.get((g.value, n))
+    p, q = g.value.numerator, g.value.denominator
+    row = _ROWS.get((p, q, n))
     if row is None:
-        below = [k for gv, k in _ROWS if gv == g.value and k < n]
-        start = (max(below), _ROWS[g.value, max(below)]) if below else None
-        row = _ROWS[g.value, n] = tuple(_sweep(g, n, 0, n, start))
+        below = [k for a, b, k in _ROWS if a == p and b == q and k < n]
+        start = (max(below), _ROWS[p, q, max(below)]) if below else None
+        row = _ROWS[p, q, n] = tuple(_sweep(g, n, 0, n, start))
         if len(_ROWS) > ROW_MEMO_SIZE:
             del _ROWS[next(iter(_ROWS))]
     return row

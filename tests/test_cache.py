@@ -1,10 +1,11 @@
 """On-disk cache: records render as json.dumps would and parse back
 strictly, a write that fails partway never leaves a half-written file,
 no file with a placeholder digest is ever moved into place, what is
-written reads back unchanged, a cold build is not read back, and a
-damaged file is rebuilt."""
+written reads back unchanged, a cold build is not read back, a record
+longer than a block prints whole, and a damaged file is rebuilt."""
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -148,6 +149,19 @@ class TestRoundTrip:
         assert len(reads) == 1
         data = cache.cache_path(tmp_path, LEGENDRE, 8).read_bytes()
         assert served == data[data.index(b"\n") + 1:]
+
+
+class TestCheckedBlocks:
+    def test_record_longer_than_block_prints_whole(self, monkeypatch):
+        """Blocks of 16 bytes are shorter than every record: each block is
+        read on to its newline, so each record prints whole, one a block."""
+        monkeypatch.setattr(cache, "BLOCK_SIZE", 16)
+        entries = [(0, 0, 1), (1, 1, 7**3000), (2, 1, Fraction(10**50 + 1, 3))]
+        lines = [triangle_record(*e) + "\n" for e in entries]
+        printed = list(cache.checked_blocks(io.BytesIO("".join(lines).encode()), csv=False))
+        assert printed == lines
+        printed = list(cache.checked_blocks(io.BytesIO("".join(lines).encode()), csv=True))
+        assert printed == [f"{n},{j},{format_entry(v)}\n" for n, j, v in entries]
 
 
 class TestDamagedFiles:

@@ -20,6 +20,7 @@ import lslab
 from lslab import cache, triangles
 from lslab.cache import parse_record, triangle_record
 from lslab.cli import main
+from lslab.errors import CacheCorruptionError
 from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
 
 
@@ -75,6 +76,21 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _records(cache_dir) -> list[str]:
+    """The data lines of the one cache file in cache_dir."""
+    return next(cache_dir.glob("*.jsonl")).read_text().splitlines()[1:]
+
+
+def _rehash(cache_dir, lines) -> None:
+    """Rewrite the one cache file in cache_dir with these data lines under
+    its header, its digest set to theirs: the file passes the hash check."""
+    cache_file = next(cache_dir.glob("*.jsonl"))
+    header = json.loads(cache_file.read_text().split("\n", 1)[0])
+    data = "".join(line + "\n" for line in lines)
+    header["sha256"] = hashlib.sha256(data.encode()).hexdigest()
+    cache_file.write_text(json.dumps(header) + "\n" + data)
 
 
 class TestCompute:
@@ -267,17 +283,49 @@ class TestTable:
         argv = ["table", "--family", "legendre", "--n-max", "3", "--format", fmt,
                 "--cache-dir", str(tmp_path)]
         assert run_cli(argv, capsys)[0] == 0
-        cache_file = next(tmp_path.glob("*.jsonl"))
-        header, *lines = cache_file.read_text().splitlines()
+        lines = _records(tmp_path)
         lines[1] = '{"n":1, "j": 0, "value": "0"}'
-        data = "".join(line + "\n" for line in lines)
-        header = json.loads(header)
-        header["sha256"] = hashlib.sha256(data.encode()).hexdigest()
-        cache_file.write_text(json.dumps(header) + "\n" + data)
+        _rehash(tmp_path, lines)
         code, out, err = run_cli(argv, capsys)
         assert code == 4
         assert out == before_bad_record  # the table streams up to the bad record
         assert "cache error: not a triangle record" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_record_past_block_boundary(self, fmt, tmp_path, capsys, monkeypatch):
+        """With blocks of 128 bytes, a bad record 60 lines in is many
+        blocks past the first: exactly the 60 records before it print."""
+        argv = ["table", "--family", "legendre", "--n-max", "12", "--format", fmt,
+                "--cache-dir", str(tmp_path)]
+        code, clean, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = _records(tmp_path)
+        lines[60] = lines[60].replace('"j": ', '"j":')
+        _rehash(tmp_path, lines)
+        monkeypatch.setattr(cache, "BLOCK_SIZE", 128)
+        assert len("\n".join(lines[:60])) > 8 * cache.BLOCK_SIZE
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        head = 1 if fmt == "csv" else 0
+        assert out == "".join(clean.splitlines(keepends=True)[: head + 60])
+        assert "cache error: not a triangle record" in err
+
+    def test_overlong_index_exit_4(self, int_str_limit, tmp_path, capsys):
+        """An index of 5000 digits is past int()'s 4300-digit limit, but
+        no index has more digits than MAX_ROWS - 1: the record is
+        corrupt, not a usage error, and the records before it print."""
+        argv = ["table", "--family", "legendre", "--n-max", "3", "--cache-dir", str(tmp_path)]
+        code, clean, _ = run_cli(argv, capsys)
+        assert code == 0
+        lines = _records(tmp_path)
+        lines[4] = '{"n": ' + "1" * 5000 + ', "j": 0, "value": "0"}'
+        with pytest.raises(CacheCorruptionError):
+            parse_record(lines[4])
+        _rehash(tmp_path, lines)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == "".join(clean.splitlines(keepends=True)[:5])
+        assert err.startswith("cache error: not a triangle record")
 
     @pytest.mark.parametrize(
         "command",

@@ -22,15 +22,20 @@ before each of those formulas was reduced to one copy.  The three
 refined root certificates at the end (n 40 and n 8 at 300 bits, n 30 at
 64 bits) were recorded while the intervals came from Sturm chains and
 the midpoints from plain bisection; at n 8 and 300 bits a converged
-Newton step lands on a bracket end.  The five `verify` suites at the
-end pin every PASS/FAIL line and its printed detail.  The first three
+Newton step lands on a bracket end.  The five `verify` suites pin
+every PASS/FAIL line and its printed detail.  The first three
 (identities, clt with its one FAIL line and exit 1, eisenstein) were
 recorded while each direct sum evaluated every term of its binomial
 range and each lattice sum evaluated both points of every conjugate
 pair.  The last two (roots, edgeworth) carry the hashes of
 `perfbench/golden.json`; they were recorded while the Legendre
 recurrence was a hand-expanded second-order step and each lattice sum
-ran a complex total.
+ran a complex total.  The two table commands after the suites span
+many blocks of the table printer: the Legendre table at n 400 as JSON (43 MB,
+served warm from the file the CSV commands wrote), whose hash was
+recorded on the commit before `lslab table` printed in checked blocks,
+and the cold Jacobi 2/3 table at n 200 (Fractions, 48 blocks), which
+carries the hash of `perfbench/golden.json`.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -138,6 +143,10 @@ GOLDEN = [
      "4dea8ec8fadffc5c214a87904bdf506f1f13dd9d83e962ffaaab0ef4cfd05924"),
     ("verify edgeworth", 0,
      "ca2f31f93aba76cb99983828e4bb9c9b64d03a61a50801083576a895936ab5e9"),
+    ("table --family legendre --n-max 400 --format json --cache-dir {cache}", 0,
+     "4075781383950c36b893bee03394aaec5a125fbd1caf2f5caa2cec3eca7956c0"),
+    ("table --family jacobi --gamma 2/3 --n-max 200 --cache-dir {cache}", 0,
+     "9fac330b570b8c1770b313ff1f36c5ac313572f1bb56bbc18fe5f0855e97de86"),
 ]
 
 

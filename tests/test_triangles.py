@@ -4,16 +4,18 @@ Derived expected values were fixed by hand-unrolling the recurrence or by
 an independent oracle run; they are frozen here as plain integers.
 """
 
+import io
 from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lslab import triangles
+from lslab import cache, triangles
 from lslab.cache import parse_record, triangle_record
 from lslab.errors import CacheCorruptionError, ResourceLimitError
 from lslab.triangles import (
@@ -348,45 +350,96 @@ class TestFirstColumn:
             assert jacobi_stirling(n, 1, LEGENDRE) == 2 ** (n - 1)
 
 
+# Lines parse_record rejects, each a near miss of a record; they also
+# seed the near-miss lines of the block reader's property test.
+NOT_RECORDS = [
+    '{"j": 2, "n": 3, "value": "8"}',       # swapped keys
+    '{"n": 3,  "j": 2, "value": "8"}',      # extra space
+    '{"n": 3, "j": 2, "value": "8" }',
+    '{"n":3, "j": 2, "value": "8"}',        # missing space
+    '{"n": 3, "j": 2, "value": "8a"}',      # non-digit value
+    '{"n": 3, "j": 2, "value": "-8"}',
+    '{"n": 3, "j": 2, "value": "8.0"}',
+    '{"n": 3, "j": 2, "value": ""}',
+    '{"n": 3, "j": 2, "value": "8}',        # missing quote
+    '{"n": 3, "j": 2, "value": 8}',
+    '{"n": 10000, "j": 2, "value": "8"}',   # an index past MAX_ROWS - 1
+    '{"n": 03, "j": 2, "value": "8"}',      # leading zeros
+    '{"n": 3, "j": 2, "value": "08"}',
+    '{"n": 3, "j": 2, "value": "4/03"}',
+    '{"n": 3, "j": 2, "value": "4/"}',      # empty or doubled fraction parts
+    '{"n": 3, "j": 2, "value": "/3"}',
+    '{"n": 3, "j": 2, "value": "4/3/2"}',
+    '{"n": 2, "j": 2, "value": "1/0"}',     # non-canonical fractions
+    '{"n": 2, "j": 2, "value": "3/1"}',
+    '{"n": 2, "j": 2, "value": "0/3"}',
+    '{"n": \u0663, "j": 2, "value": "8"}',  # non-ASCII digits
+    '{"n": 3, "j": 2, "value": "\u0668"}',
+    '{"n": \u00b2, "j": 2, "value": "8"}',
+    '{"n": 3, "j": 2, "value": "\ud800"}',
+    '{"n": 3, "j": 2, "value": "8"}\n',
+    "",
+]
+
+
 class TestExport:
     def test_format_entry(self):
         assert format_entry(8) == "8"
         assert format_entry(Fraction(5, 1)) == "5"
         assert format_entry(Fraction(7, 3)) == "7/3"
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            '{"j": 2, "n": 3, "value": "8"}',       # swapped keys
-            '{"n": 3,  "j": 2, "value": "8"}',      # extra space
-            '{"n": 3, "j": 2, "value": "8" }',
-            '{"n":3, "j": 2, "value": "8"}',        # missing space
-            '{"n": 3, "j": 2, "value": "8a"}',      # non-digit value
-            '{"n": 3, "j": 2, "value": "-8"}',
-            '{"n": 3, "j": 2, "value": "8.0"}',
-            '{"n": 3, "j": 2, "value": ""}',
-            '{"n": 3, "j": 2, "value": "8}',        # missing quote
-            '{"n": 3, "j": 2, "value": 8}',
-            '{"n": 03, "j": 2, "value": "8"}',      # leading zeros
-            '{"n": 3, "j": 2, "value": "08"}',
-            '{"n": 3, "j": 2, "value": "4/03"}',
-            '{"n": 3, "j": 2, "value": "4/"}',      # empty or doubled fraction parts
-            '{"n": 3, "j": 2, "value": "/3"}',
-            '{"n": 3, "j": 2, "value": "4/3/2"}',
-            '{"n": 2, "j": 2, "value": "1/0"}',     # non-canonical fractions
-            '{"n": 2, "j": 2, "value": "3/1"}',
-            '{"n": 2, "j": 2, "value": "0/3"}',
-            '{"n": \u0663, "j": 2, "value": "8"}',  # non-ASCII digits
-            '{"n": 3, "j": 2, "value": "\u0668"}',
-            '{"n": \u00b2, "j": 2, "value": "8"}',
-            '{"n": 3, "j": 2, "value": "\ud800"}',
-            '{"n": 3, "j": 2, "value": "8"}\n',
-            "",
-        ],
-    )
+    @pytest.mark.parametrize("line", NOT_RECORDS)
     def test_parse_record_rejects(self, line):
         with pytest.raises(CacheCorruptionError):
             parse_record(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.sampled_from(NOT_RECORDS + [
+            '{"n": 0, "j": 0, "value": "1"}',
+            '{"n": 1999, "j": 1999, "value": "1"}',
+            '{"n": 12, "j": 5, "value": "40/9"}',
+        ]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from(list(b'09/ ",{}:n\n\xff-')) | st.none()),
+            max_size=3,
+        ),
+        before=st.integers(0, 15),
+        block_size=st.integers(1, 120),
+        csv=st.booleans(),
+    )
+    def test_block_reader_stops_where_parse_record_rejects(
+        self, seed, edits, before, block_size, csv
+    ):
+        """A near-miss line (a seed with up to three bytes replaced or
+        deleted) among whole records, read in blocks of any size: the
+        block reader prints exactly the lines before the first one that
+        parse_record rejects, and raises parse_record's error for it."""
+        line = bytearray(seed.encode("utf-8", "surrogatepass"))
+        for pos, byte in edits:
+            line[pos:pos + 1] = b"" if byte is None else bytes([byte])
+        good = [
+            (triangle_record(n, j, v) + "\n").encode()
+            for n, row in iter_triangle(GammaParam(Fraction(2, 3)), 4) for j, v in enumerate(row)
+        ]
+        data = b"".join(good[:before]) + bytes(line) + b"\n" + b"".join(good[before:])
+        expected, error = [], None
+        for raw in data.split(b"\n")[:-1]:
+            text = raw.decode("ascii", "replace")
+            try:
+                n, j, value = parse_record(text)
+            except CacheCorruptionError as exc:
+                error = str(exc)
+                break
+            expected.append(f"{n},{j},{value}\n" if csv else text + "\n")
+        printed, raised = [], None
+        with mock.patch.object(cache, "BLOCK_SIZE", block_size):
+            try:
+                printed.extend(cache.checked_blocks(io.BytesIO(data), csv))
+            except CacheCorruptionError as exc:
+                raised = str(exc)
+        assert "".join(printed) == "".join(expected)
+        assert raised == error
 
     def test_iter_row_major(self):
         rows = list(iter_triangle(LEGENDRE, 3))
