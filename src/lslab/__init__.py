@@ -12,7 +12,6 @@ from .triangles import (
     CHEBYSHEV,
     GAMMA_ZERO,
     LEGENDRE,
-    GammaParam,
     jacobi_stirling,
     jacobi_stirling_explicit,
     legendre_stirling_binsum,
@@ -25,7 +24,6 @@ __all__ = [
     "CHEBYSHEV",
     "GAMMA_ZERO",
     "LEGENDRE",
-    "GammaParam",
     "jacobi_stirling",
     "jacobi_stirling_explicit",
     "legendre_stirling_binsum",

@@ -23,10 +23,11 @@ import json
 import os
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheCorruptionError
-from .triangles import MAX_ROWS, GammaParam, format_entry, iter_triangle
+from .triangles import FAMILIES, MAX_ROWS, format_entry, iter_triangle
 
 SCHEMA_VERSION = 1
 
@@ -36,23 +37,24 @@ def resolve_cache_dir(explicit) -> Path:
     return Path(explicit) if explicit else Path.home() / ".cache" / "lslab"
 
 
-def _gamma_tag(gamma: GammaParam) -> str:
-    if gamma.family:
-        return gamma.family
-    v = gamma.value
-    return f"g{v.numerator}-{v.denominator}"
+# a named family's gamma is tagged with its name, any other as g{p}-{q}
+_NAMES = {gamma: name for name, gamma in FAMILIES.items()}
 
 
-def cache_path(cache_dir: Path, gamma: GammaParam, n_max: int) -> Path:
+def _gamma_tag(gamma: Fraction) -> str:
+    return _NAMES.get(gamma) or f"g{gamma.numerator}-{gamma.denominator}"
+
+
+def cache_path(cache_dir: Path, gamma: Fraction, n_max: int) -> Path:
     return Path(cache_dir) / f"triangle_{_gamma_tag(gamma)}_n{n_max}.jsonl"
 
 
-def _header(gamma: GammaParam, n_max: int, digest: str) -> bytes:
+def _header(gamma: Fraction, n_max: int, digest: str) -> bytes:
     return json.dumps(
         {
             "schema": SCHEMA_VERSION,
-            "family": gamma.family or "jacobi",
-            "gamma": str(gamma.value),
+            "family": _NAMES.get(gamma, "jacobi"),
+            "gamma": str(gamma),
             "n_max": n_max,
             "sha256": digest,
         }
@@ -119,7 +121,7 @@ def checked_blocks(fp, csv: bool):
             raise _not_a_record(block[end:].partition(b"\n")[0].decode("ascii", "replace"))
 
 
-def write_cache(path: Path, gamma: GammaParam, n_max: int):
+def write_cache(path: Path, gamma: Fraction, n_max: int):
     """Write the table to path and return it open in binary mode at its
     first record, for the caller to close; a failed write leaves path as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -143,7 +145,7 @@ def write_cache(path: Path, gamma: GammaParam, n_max: int):
     return fp
 
 
-def _matches(fp, path: Path, gamma: GammaParam, n_max: int) -> bool:
+def _matches(fp, path: Path, gamma: Fraction, n_max: int) -> bool:
     """Whether the header of fp is this table's, leaving fp at the first
     record; CacheCorruptionError when it is and the data bytes do not
     hash to its digest or their last line has no newline."""
@@ -156,7 +158,7 @@ def _matches(fp, path: Path, gamma: GammaParam, n_max: int) -> bool:
         header = None
     if not isinstance(header, dict):
         raise CacheCorruptionError(f"unreadable header in {path}")
-    wanted = {"schema": SCHEMA_VERSION, "gamma": str(gamma.value), "n_max": n_max}
+    wanted = {"schema": SCHEMA_VERSION, "gamma": str(gamma), "n_max": n_max}
     if any(header.get(key) != value for key, value in wanted.items()):
         return False
     start, digest, last = fp.tell(), hashlib.sha256(), b"\n"
@@ -171,7 +173,7 @@ def _matches(fp, path: Path, gamma: GammaParam, n_max: int) -> bool:
     return True
 
 
-def read_cache(path: Path, gamma: GammaParam, n_max: int):
+def read_cache(path: Path, gamma: Fraction, n_max: int):
     """The cache file, open in binary mode at its first record, once its
     data bytes hashed to its header's digest; None when it is absent,
     empty or of another schema, gamma or n_max; CacheCorruptionError
@@ -189,7 +191,7 @@ def read_cache(path: Path, gamma: GammaParam, n_max: int):
     return fp if matched else None
 
 
-def load_or_build(gamma: GammaParam, n_max: int, cache_dir: Path):
+def load_or_build(gamma: Fraction, n_max: int, cache_dir: Path):
     """(open cache file, from_cache, was_corrupted).  A missing,
     incompatible or corrupted file is rewritten, and the handle the
     writer returns is the one served: the table is not read back."""

@@ -7,9 +7,11 @@ hash is checked, building or rebuilding the file first when needed; the
 records are checked and printed in blocks of 128 KiB
 (cache.checked_blocks).
 Exit codes: 0 success, 1 invariant failure, 2 usage (a bad --cache-dir
-too), 3 resource limit, 4 cache corruption (the table is still printed
-from a fresh build, except for a record that passes the file's hash but
-is not in the form cache.triangle_record writes: the table stops there).
+too, and `bad --gamma` for a --gamma that is not an integer or p/q with
+q > 0, at most 19 digits each), 3 resource limit, 4 cache corruption
+(the table is still printed from a fresh build, except for a record
+that passes the file's hash but is not in the form
+cache.triangle_record writes: the table stops there).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
@@ -20,7 +22,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import re
 import sys
+from fractions import Fraction
 
 from . import cache, triangles
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
@@ -60,18 +64,26 @@ EXIT_RESOURCE = 3
 EXIT_CACHE = 4
 
 
-def _gamma(parser, args) -> triangles.GammaParam:
+# the --family choices: the named families with gamma > 0, then jacobi
+FAMILY_CHOICES = [name for name, gamma in triangles.FAMILIES.items() if gamma] + ["jacobi"]
+# --gamma is an integer or p/q, each part of at most 19 digits (below
+# 2^64), matched before Fraction parses it: Fraction('1e-9999999') alone
+# takes seconds
+_GAMMA_TEXT = re.compile(r"([0-9]{1,19})(?:/([0-9]{1,19}))?")
+
+
+def _gamma(parser, args) -> Fraction:
     """The triangle parameter named by --family and --gamma."""
     if args.family == "jacobi":
         if args.gamma is None:
             parser.error("--gamma is required for --family jacobi")
-        try:
-            return triangles.GammaParam.parse(args.gamma)
-        except (ValueError, ZeroDivisionError) as exc:
-            parser.error(f"bad --gamma: {exc}")
+        match = _GAMMA_TEXT.fullmatch(args.gamma)
+        if match is None or int(match[2] or 1) == 0:
+            parser.error("bad --gamma: not an integer or p/q (q > 0), 19 digits at most each")
+        return Fraction(args.gamma)
     if args.gamma is not None:
         parser.error("--gamma is only valid with --family jacobi")
-    return triangles.FAMILY_GAMMAS[args.family]
+    return triangles.FAMILIES[args.family]
 
 
 def cmd_compute(parser, args) -> int:
@@ -225,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("compute", help="print one exact triangle entry")
-    p.add_argument("--family", required=True, choices=["legendre", "chebyshev", "jacobi"])
+    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--gamma", help="rational p/q, required iff --family jacobi")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
 
     p = subs.add_parser("table", help="emit a triangle as CSV or JSON lines")
-    p.add_argument("--family", required=True, choices=["legendre", "chebyshev", "jacobi"])
+    p.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     p.add_argument("--gamma")
     p.add_argument("--n-max", type=_non_negative, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -5,7 +5,8 @@ The numbers are defined by the two-parent recurrence
     T(n, j) = T(n-1, j-1) + j*(j + 2*gamma - 1) * T(n-1, j)
 
 with boundary T(n, 0) = [n == 0] and T(0, j) = [j == 0], for a fixed
-rational parameter gamma >= 0.  gamma = 1 gives the Legendre-Stirling
+rational parameter gamma >= 0, a plain Fraction that every entry point
+converts and checks with `_as_gamma`.  gamma = 1 gives the Legendre-Stirling
 numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 (factor j^2).  Entries are exact rationals, and integers whenever
 2*gamma is an integer.  One banded loop, `_sweep`, computes every row
@@ -28,7 +29,6 @@ optimisation here, it is the correctness contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -50,48 +50,25 @@ MAX_ROWS = 2000
 ROW_MEMO_SIZE = 16
 
 
-@dataclass(frozen=True)
-class GammaParam:
-    """Non-negative rational family parameter of the triangle."""
+LEGENDRE = Fraction(1)
+CHEBYSHEV = Fraction(1, 2)
+GAMMA_ZERO = Fraction(0)
 
-    value: Fraction
-
-    def __post_init__(self):
-        value = Fraction(self.value)
-        if value < 0:
-            raise ValueError(f"gamma must be non-negative, got {value}")
-        object.__setattr__(self, "value", value)
-
-    @classmethod
-    def parse(cls, text: str) -> "GammaParam":
-        """Parse 'p/q' or an integer literal."""
-        return cls(Fraction(text))
-
-    @property
-    def family(self) -> str | None:
-        if self.value == 1:
-            return "legendre"
-        if self.value == Fraction(1, 2):
-            return "chebyshev"
-        if self.value == 0:
-            return "gamma-zero"
-        return None
-
-    def __str__(self) -> str:
-        return str(self.value)
+# The named families, the one place their names are written: the cache
+# tags its files with them, and `lslab --family` offers those with
+# gamma > 0 (gamma = 0 is `--family jacobi --gamma 0`).
+FAMILIES = {"legendre": LEGENDRE, "chebyshev": CHEBYSHEV, "gamma-zero": GAMMA_ZERO}
 
 
-LEGENDRE = GammaParam(Fraction(1))
-CHEBYSHEV = GammaParam(Fraction(1, 2))
-GAMMA_ZERO = GammaParam(Fraction(0))
-
-FAMILY_GAMMAS = {"legendre": LEGENDRE, "chebyshev": CHEBYSHEV}
-
-
-def _as_gamma(gamma) -> GammaParam:
-    if isinstance(gamma, GammaParam):
-        return gamma
-    return GammaParam(Fraction(gamma))
+def _as_gamma(gamma) -> Fraction:
+    """gamma as a Fraction, for any value Fraction() takes that is >= 0
+    and has at most 64 bits in each part; ValueError otherwise."""
+    g = Fraction(gamma)
+    if g < 0:
+        raise ValueError(f"gamma must be non-negative, got {g}")
+    if max(g.numerator.bit_length(), g.denominator.bit_length()) > 64:
+        raise ValueError("gamma must have at most 64 bits in its numerator and denominator")
+    return g
 
 
 def check_row_cap(n: int) -> None:
@@ -103,7 +80,7 @@ def check_row_cap(n: int) -> None:
         raise ResourceLimitError(f"row {n} exceeds the cap of {MAX_ROWS} rows")
 
 
-def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
+def _sweep(gamma: Fraction, n: int, j_lo: int, j_hi: int, start=None) -> list:
     """Columns j_lo..j_hi of row n, rolled forward from `start`, a whole
     row given as (r, row r) with r <= n, or else from row 0.
 
@@ -121,7 +98,7 @@ def _sweep(gamma: GammaParam, n: int, j_lo: int, j_hi: int, start=None) -> list:
     `iter_triangle`, which runs this loop in an exact decimal context.
     """
     check_row_cap(n)
-    two_gamma = 2 * gamma.value
+    two_gamma = 2 * gamma
     p, q = two_gamma.numerator, two_gamma.denominator
     r0, band = start or (0, [1])
     if q > 1:
@@ -149,7 +126,7 @@ def triangle_row(gamma, n: int) -> tuple:
     oldest goes first); a missing row is rolled forward from the nearest
     lower memoized row of the same gamma."""
     g = _as_gamma(gamma)
-    p, q = g.value.numerator, g.value.denominator
+    p, q = g.numerator, g.denominator
     row = _ROWS.get((p, q, n))
     if row is None:
         below = [k for a, b, k in _ROWS if a == p and b == q and k < n]
@@ -163,12 +140,13 @@ def triangle_row(gamma, n: int) -> tuple:
 def jacobi_stirling(n: int, j: int, gamma):
     """Single triangle entry by the banded recurrence (any gamma >= 0);
     zero outside the triangle support."""
+    g = _as_gamma(gamma)
     if n < 0 or j < 0:
         raise ValueError("indices must be non-negative")
     check_row_cap(n)
     if j > n:
         return 0
-    return _sweep(_as_gamma(gamma), n, j, j)[0]
+    return _sweep(g, n, j, j)[0]
 
 
 def jacobi_stirling_explicit(n: int, j: int, gamma):
@@ -188,7 +166,7 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
     if n < 0 or j < 0:
         raise ValueError("indices must be non-negative")
     check_row_cap(n)
-    g = _as_gamma(gamma).value
+    g = _as_gamma(gamma)
     if g <= 0:
         raise ValueError("explicit summation requires gamma > 0")
     if n == 0:
@@ -399,7 +377,7 @@ def iter_triangle(gamma, n_max: int):
     Otherwise the values are Fractions."""
     check_row_cap(n_max)
     g = _as_gamma(gamma)
-    start = (0, [Decimal(1)]) if (2 * g.value).denominator == 1 else None
+    start = (0, [Decimal(1)]) if (2 * g).denominator == 1 else None
     for n in range(n_max + 1):
         with localcontext(_EXACT):
             row = tuple(_sweep(g, n, 0, n, start))

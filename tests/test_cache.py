@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from lslab import cache
 from lslab.cli import EXIT_CACHE, EXIT_OK, main
 from lslab.cache import parse_record, triangle_record
-from lslab.triangles import LEGENDRE, GammaParam, format_entry, iter_triangle
+from lslab.triangles import CHEBYSHEV, GAMMA_ZERO, LEGENDRE, format_entry, iter_triangle
 
 
 def _entries(gamma, n_max):
@@ -29,12 +29,30 @@ def _entries(gamma, n_max):
 
 class TestRecords:
     def test_record_is_json_dumps_and_parses_back(self):
-        entries = [*_entries(LEGENDRE, 8), *_entries(GammaParam(Fraction(2, 3)), 8),
+        entries = [*_entries(LEGENDRE, 8), *_entries(Fraction(2, 3), 8),
                    (7, 3, 10**60), (0, 0, Fraction(10**40 + 1, 3))]
         for n, j, value in entries:
             line = triangle_record(n, j, value)
             assert line == json.dumps({"n": n, "j": j, "value": format_entry(value)})
             assert parse_record(line) == (n, j, format_entry(value))
+
+
+class TestFamilyTags:
+    def test_file_names_and_header_families(self, tmp_path):
+        """A named family's gamma is tagged with its name in the file name
+        and the header; any other gamma is g{p}-{q}, of family jacobi."""
+        for gamma, tag, family in [
+            (LEGENDRE, "legendre", "legendre"),
+            (CHEBYSHEV, "chebyshev", "chebyshev"),
+            (GAMMA_ZERO, "gamma-zero", "gamma-zero"),
+            (Fraction(7, 3), "g7-3", "jacobi"),
+        ]:
+            path = cache.cache_path(tmp_path, gamma, 2)
+            assert path.name == f"triangle_{tag}_n2.jsonl"
+            cache.write_cache(path, gamma, 2).close()
+            with open(path, "rb") as fp:
+                header = json.loads(fp.readline())
+            assert (header["family"], header["gamma"]) == (family, str(gamma))
 
 
 def _fail_after_writes(monkeypatch, allowed: int):
@@ -120,7 +138,7 @@ class TestRoundTrip:
         n_max=st.integers(min_value=0, max_value=10),
     )
     def test_write_then_read(self, p, q, n_max):
-        gamma = GammaParam(Fraction(p, q))
+        gamma = Fraction(p, q)
         with tempfile.TemporaryDirectory() as tmp:
             path = cache.cache_path(Path(tmp), gamma, n_max)
             with cache.write_cache(path, gamma, n_max) as fp:

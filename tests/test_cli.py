@@ -117,17 +117,30 @@ class TestCompute:
         assert sys.get_int_max_str_digits() == 4300
         assert out.strip() == _unlimited_str(jacobi_stirling(1999, 307, 1))
 
-    def test_usage_errors_exit_2(self, capsys):
+    def test_usage_errors_exit_2(self, tmp_path, capsys):
+        jacobi = ["compute", "--family", "jacobi", "--n", "200", "--j", "100"]
+        table = ["table", "--family", "jacobi", "--n-max", "3", "--cache-dir", str(tmp_path)]
         for argv in (
             ["compute", "--family", "jacobi", "--n", "1", "--j", "1"],        # gamma missing
             ["compute", "--family", "legendre", "--gamma", "1", "--n", "1", "--j", "1"],
             ["compute", "--family", "legendre", "--n", "1"],                  # j missing
             ["verify", "nosuch"],
+            # --gamma is an integer or p/q, q > 0, at most 19 digits each
+            [*jacobi, "--gamma=-1/2"],
+            [*jacobi, "--gamma=1/0"],
+            [*jacobi, "--gamma=1e-20000"],
+            [*jacobi, "--gamma=1/" + "9" * 20],
+            [*table, "--gamma=0.5"],
         ):
+            start = time.perf_counter()
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            capsys.readouterr()
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert time.perf_counter() - start < 5
+            assert ("bad --gamma" in err) == argv[-1].startswith("--gamma=")
+        assert list(tmp_path.iterdir()) == []
 
     def test_resource_limit_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -605,7 +618,8 @@ class TestEntryPoint:
 
     def test_table_and_compute_load_no_mpmath(self, tmp_path):
         """mpmath and the analytic modules are registered by `import
-        lslab.cli` but run only when a command reads them."""
+        lslab.cli` but run only when a command reads them, and `table` and
+        `compute` load neither `dataclasses` nor the `inspect` it imports."""
         program = (
             "import sys\n"
             "from lslab.cli import main\n"
@@ -614,6 +628,7 @@ class TestEntryPoint:
             "main(['compute', '--family', 'legendre', '--n', '3', '--j', '2'])\n"
             "assert 'lslab.clt' in sys.modules and 'mpmath' in sys.modules\n"
             "assert 'mpmath.libmp' not in sys.modules\n"
+            "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
             "main(['roots', '--n', '3', '--refine-bits', '64'])\n"
             "assert 'mpmath.libmp' in sys.modules\n"
         )

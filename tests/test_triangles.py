@@ -23,7 +23,6 @@ from lslab.triangles import (
     GAMMA_ZERO,
     LEGENDRE,
     MAX_ROWS,
-    GammaParam,
     chebyshev_stirling_binsum,
     format_entry,
     gamma_zero_identity,
@@ -53,16 +52,34 @@ def brute_recurrence(n, j, gamma):
     return brute_recurrence(n - 1, j - 1, gamma) + j * (j + 2 * gamma - 1) * brute_recurrence(n - 1, j, gamma)
 
 
-class TestGammaParam:
-    def test_families(self):
-        assert LEGENDRE.family == "legendre"
-        assert CHEBYSHEV.family == "chebyshev"
-        assert GAMMA_ZERO.family == "gamma-zero"
-        assert GammaParam.parse("7/3").family is None
+class TestGammaValidation:
+    """Every entry point takes any value Fraction() takes, and refuses a
+    negative gamma or one with more than 64 bits in its numerator or
+    denominator."""
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            GammaParam(Fraction(-1, 2))
+    @pytest.mark.parametrize(
+        "gamma", [Fraction(-1, 2), Fraction(2**64), Fraction(1, 2**64)],
+        ids=["negative", "numerator-65-bits", "denominator-65-bits"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: triangle_row(g, 3),
+            lambda g: jacobi_stirling(3, 2, g),
+            lambda g: jacobi_stirling_explicit(3, 2, g),
+            lambda g: next(iter_triangle(g, 3)),
+        ],
+        ids=["triangle_row", "jacobi_stirling", "jacobi_stirling_explicit", "iter_triangle"],
+    )
+    def test_rejected(self, call, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            call(gamma)
+
+    def test_64_bits_and_other_types_accepted(self):
+        g = Fraction(1, 2**64 - 1)
+        assert jacobi_stirling(2, 1, g) == 2 * g == jacobi_stirling_explicit(2, 1, g)
+        assert triangle_row("2/3", 4) == triangle_row(Fraction(2, 3), 4)
+        assert triangle_row(0.5, 4) == triangle_row(CHEBYSHEV, 4)
 
 
 class TestRecurrence:
@@ -76,7 +93,7 @@ class TestRecurrence:
         ],
     )
     def test_examples(self, n, j, gamma, expected):
-        assert jacobi_stirling(n, j, GammaParam(Fraction(gamma))) == expected
+        assert jacobi_stirling(n, j, gamma) == expected
 
     def test_matches_brute_oracle(self):
         for gamma in (Fraction(1), Fraction(1, 2), Fraction(7, 3), Fraction(0)):
@@ -177,10 +194,10 @@ class TestProperties:
     def test_exported_records_match_oracle(self, gamma):
         """Decimal rows (2*gamma an integer) and scaled integer rows
         (otherwise) print the records of the Fraction oracle."""
-        g = GammaParam.parse(gamma)
+        g = Fraction(gamma)
         rows = [(n, [format_entry(v) for v in row]) for n, row in iter_triangle(g, 30)]
         assert rows == [
-            (n, [format_entry(brute_recurrence(n, j, g.value)) for j in range(n + 1)])
+            (n, [format_entry(brute_recurrence(n, j, g)) for j in range(n + 1)])
             for n in range(31)
         ]
 
@@ -420,7 +437,7 @@ class TestExport:
             line[pos:pos + 1] = b"" if byte is None else bytes([byte])
         good = [
             (triangle_record(n, j, v) + "\n").encode()
-            for n, row in iter_triangle(GammaParam(Fraction(2, 3)), 4) for j, v in enumerate(row)
+            for n, row in iter_triangle(Fraction(2, 3), 4) for j, v in enumerate(row)
         ]
         data = b"".join(good[:before]) + bytes(line) + b"\n" + b"".join(good[before:])
         expected, error = [], None
@@ -466,7 +483,7 @@ class TestExport:
         assert len(rows) == 15
         assert {"n": 3, "j": 2, "value": "5"} in rows
         assert all(isinstance(r["value"], str) for r in rows)
-        entries = flat(GammaParam(Fraction(2, 3)))
+        entries = flat(Fraction(2, 3))
         lines = [triangle_record(*e) for e in entries]
         assert '{"n": 2, "j": 1, "value": "4/3"}' in lines
         records = [json.loads(line) for line in lines]
