@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -66,10 +65,6 @@ EXIT_CACHE = 4
 
 # the --family choices: the named families with gamma > 0, then jacobi
 FAMILY_CHOICES = [name for name, gamma in triangles.FAMILIES.items() if gamma] + ["jacobi"]
-# --gamma is an integer or p/q, each part of at most 19 digits (below
-# 2^64), matched before Fraction parses it: Fraction('1e-9999999') alone
-# takes seconds
-_GAMMA_TEXT = re.compile(r"([0-9]{1,19})(?:/([0-9]{1,19}))?")
 
 
 def _gamma(parser, args) -> Fraction:
@@ -77,8 +72,7 @@ def _gamma(parser, args) -> Fraction:
     if args.family == "jacobi":
         if args.gamma is None:
             parser.error("--gamma is required for --family jacobi")
-        match = _GAMMA_TEXT.fullmatch(args.gamma)
-        if match is None or int(match[2] or 1) == 0:
+        if triangles.GAMMA_TEXT.fullmatch(args.gamma) is None:
             parser.error("bad --gamma: not an integer or p/q (q > 0), 19 digits at most each")
         return Fraction(args.gamma)
     if args.gamma is not None:

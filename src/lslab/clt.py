@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
@@ -45,7 +46,14 @@ def saddle_constant(precision_bits: int = 256) -> mp.mpf:
     """2 log((sqrt 5 + 1)/2), checked against its defining equation
     2 (cosh w - 1) = 1.  Near the root f(x) = 2 (cosh x - 1) - 1 has
     f'(x) = 2 sinh x > 2, so a residual of at most 2^-(bits-3) puts the
-    closed form within 2^-(bits-4) of the root."""
+    closed form within 2^-(bits-4) of the root.  The value depends only
+    on precision_bits, and an mpf is immutable, so the last 16 are
+    memoized: centering_scaling asks again at every n."""
+    return _saddle_constant(precision_bits)
+
+
+@lru_cache(maxsize=16)
+def _saddle_constant(precision_bits: int) -> mp.mpf:
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
     with mp.workprec(precision_bits + 16):

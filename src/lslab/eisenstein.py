@@ -26,12 +26,27 @@ estimate
 
 valid for r >= 2, where r = 2n for the L-series and r = n for the
 M-series.
+
+`CertifiedValue.covers` decides whether a measured relative error is
+within that bound, and evaluates zeta only when zeta can change the
+answer.  zeta(s) > 1 for every s > 1, so the floor 2 (w/(4 pi))^s lies
+below the bound, and an error at or below the floor is within it.  Both
+sides are computed at bits + 16 (bits = precision_bits): w rounded, pi,
+w/(4 pi) and the power, with zeta's truncation below 2^-(bits+40) and
+its own rounding at bits + 32.  The power turns the base's relative
+error e into about s e, so the computed floor and bound are each within
+a relative (s + 4) 2^-(bits+14) of their true values.  `covers` compares
+the error with the floor and then the bound, each shrunk by a relative
+2^-(bits-8).  For r < 2^21 (s <= 2^20) that margin is about four times
+the rounding, so rounding to nearest cannot admit an error above the
+true bound, and zeta > 1 is the only fact the floor test needs.  The
+printed `tail_bound` stays rounded to nearest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, factorial, log, tau
 
 import mpmath as mp
@@ -93,17 +108,24 @@ def _zeta_series(s, precision_bits: int) -> mp.mpf:
             npow_i /= n * n
 
 
-def tail_bound(r: int, w, precision_bits: int = 256) -> mp.mpf:
-    """Certified relative truncation bound 2 zeta((r+1)/2) (w/(4 pi))^((r+1)/2)
-    for the lattice sums; requires r >= 2."""
+def _tail_power(r: int, w, precision_bits: int) -> mp.mpf:
+    """(w/(4 pi))^((r+1)/2) at precision_bits + 16: the bound without its
+    factor 2 zeta((r+1)/2)."""
     if r < 2:
         raise ValueError("bound requires r >= 2")
     with mp.workprec(precision_bits + 16):
         wv = mp.mpf(w)
         if wv <= 0:
             raise ValueError("w must be positive")
-        expo = mp.mpf(r + 1) / 2
-        return 2 * zeta_series(expo, precision_bits) * (wv / (4 * mp.pi)) ** expo
+        return (wv / (4 * mp.pi)) ** (mp.mpf(r + 1) / 2)
+
+
+def tail_bound(r: int, w, precision_bits: int = 256) -> mp.mpf:
+    """Certified relative truncation bound 2 zeta((r+1)/2) (w/(4 pi))^((r+1)/2)
+    for the lattice sums, rounded to nearest; requires r >= 2."""
+    power = _tail_power(r, w, precision_bits)
+    with mp.workprec(precision_bits + 16):
+        return 2 * zeta_series(mp.mpf(r + 1) / 2, precision_bits) * power
 
 
 def _lattice_sum(n: int, w, m_max: int, precision_bits: int, term, prefactor) -> mp.mpf:
@@ -161,26 +183,41 @@ def squeeze_argument(w, precision_bits: int = 256) -> mp.mpf:
 @dataclass(frozen=True)
 class CertifiedValue:
     """A truncated lattice sum with its own truncation certificate: the
-    relative distance to the untruncated sum is at most `bound` (and the
-    bound, valid for the full tail m != 0, vastly overstates the part
-    actually dropped)."""
+    relative distance to the untruncated sum is at most
+    `bound` = tail_bound(r, w, precision_bits), computed when first read
+    (the bound, valid for the full tail m != 0, vastly overstates the
+    part actually dropped)."""
 
     value: mp.mpf
-    bound: mp.mpf
+    r: int
+    w: mp.mpf
+    precision_bits: int
+
+    def __post_init__(self):
+        if not 2 <= self.r < 2**21:
+            raise ValueError("certificate requires 2 <= r < 2^21")
+
+    @cached_property
+    def bound(self) -> mp.mpf:
+        return tail_bound(self.r, self.w, self.precision_bits)
+
+    def covers(self, rel) -> bool:
+        """Whether the relative error `rel` is within the true bound: rel at
+        most the zeta-free floor 2 (w/(4 pi))^((r+1)/2), or else at most
+        `bound`, each shrunk by a relative 2^-(precision_bits-8) (see the
+        module docstring).  zeta is evaluated only in the second test."""
+        with mp.workprec(self.precision_bits + 16):
+            shrink = 1 - mp.mpf(2) ** (8 - self.precision_bits)
+            floor = 2 * _tail_power(self.r, self.w, self.precision_bits) * shrink
+            return rel <= floor or rel <= self.bound * shrink
 
 
 def certified_legendre(n: int, w, m_max: int = 16, precision_bits: int = 256) -> CertifiedValue:
-    """eisenstein_legendre with the truncation bound attached; needs n >= 2
-    for the bound to exist."""
-    return CertifiedValue(
-        value=eisenstein_legendre(n, w, m_max, precision_bits),
-        bound=tail_bound(n, w, precision_bits),
-    )
+    """eisenstein_legendre with its truncation certificate (r = n); needs
+    n >= 2 for the bound to exist."""
+    return CertifiedValue(eisenstein_legendre(n, w, m_max, precision_bits), n, w, precision_bits)
 
 
 def certified_chebyshev(n: int, w, m_max: int = 16, precision_bits: int = 256) -> CertifiedValue:
-    """eisenstein_chebyshev with the truncation bound attached (r = 2n)."""
-    return CertifiedValue(
-        value=eisenstein_chebyshev(n, w, m_max, precision_bits),
-        bound=tail_bound(2 * n, w, precision_bits),
-    )
+    """eisenstein_chebyshev with its truncation certificate (r = 2n)."""
+    return CertifiedValue(eisenstein_chebyshev(n, w, m_max, precision_bits), 2 * n, w, precision_bits)

@@ -25,6 +25,7 @@ and this module verifies that expansion numerically for concrete n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 
 import mpmath as mp
@@ -37,11 +38,18 @@ class InversePowerSum:
 
     terms: tuple[tuple[int, int], ...]  # (coefficient, inverse power)
 
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """The coefficients as exact mpfs, converted once per term list:
+        the same lossless conversion mpmath makes of an int in every
+        mpf or mpc sum, so eval is bit for bit the sum with ints."""
+        return tuple(mp.convert(c) for c, _ in self.terms)
+
     def eval(self, z):
         """Evaluate at an mpf/mpc z with Re z > 0 (Horner in 1/z^2)."""
         inv2 = 1 / (z * z)
         acc = 0
-        for c, _ in self.terms:
+        for c in self._coefficients:
             acc = acc * inv2 + c
         return acc / z ** self.terms[-1][1]
 

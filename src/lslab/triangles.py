@@ -29,6 +29,7 @@ optimisation here, it is the correctness contract.
 
 from __future__ import annotations
 
+import re
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -59,10 +60,18 @@ GAMMA_ZERO = Fraction(0)
 # gamma > 0 (gamma = 0 is `--family jacobi --gamma 0`).
 FAMILIES = {"legendre": LEGENDRE, "chebyshev": CHEBYSHEV, "gamma-zero": GAMMA_ZERO}
 
+# gamma as text (`_as_gamma` on a str, `lslab --gamma`): an integer or p/q
+# with q > 0, each part of at most 19 digits (below 2^64), matched before
+# Fraction parses it: Fraction('1e-9999999') alone takes seconds
+GAMMA_TEXT = re.compile(r"[0-9]{1,19}(?:/(?!0+\Z)[0-9]{1,19})?")
+
 
 def _as_gamma(gamma) -> Fraction:
-    """gamma as a Fraction, for any value Fraction() takes that is >= 0
-    and has at most 64 bits in each part; ValueError otherwise."""
+    """gamma as a Fraction, for a str that GAMMA_TEXT matches or any other
+    value Fraction() takes, that is >= 0 and has at most 64 bits in each
+    part; ValueError otherwise."""
+    if isinstance(gamma, str) and GAMMA_TEXT.fullmatch(gamma) is None:
+        raise ValueError("gamma text must be an integer or p/q (q > 0), 19 digits at most each")
     g = Fraction(gamma)
     if g < 0:
         raise ValueError(f"gamma must be non-negative, got {g}")

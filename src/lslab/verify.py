@@ -216,7 +216,7 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
                     exact = exact * g + c
                 cert = eisenstein.certified_legendre(n, wv, 16, bits + 64)
                 rel = abs(cert.value - exact) / exact
-                if rel > cert.bound:
+                if not cert.covers(rel):
                     ok, detail = False, f"n={n} w={mp.nstr(wv, 6)} rel={mp.nstr(rel, 4)}"
     out.append(_result(f"lattice sums within certified bound n<={nmax}", ok, detail))
 
@@ -230,7 +230,7 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
             exact = mp.mpf(sum(row))
             cert = eisenstein.certified_chebyshev(n, w_fine, 16, bits + 64)
             rel = abs(cert.value - exact) / exact
-            if rel > cert.bound:
+            if not cert.covers(rel):
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
     out.append(_result("row-sum lattice values n<=30", ok, detail))
 
@@ -354,7 +354,7 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
             cert = eisenstein.certified_legendre(n, w, 16, bits)
             exact = mp.mpf(triangles.legendre_row_mass(n))
             rel = abs(cert.value - exact) / exact
-            if rel > cert.bound:
+            if not cert.covers(rel):
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
     out.append(_result("lattice identity for sqrt5 * row mass n<=50", ok, detail))
 

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lslab import eisenstein, laplace, verify
 from lslab.clt import saddle_constant
 from lslab.eisenstein import (
+    CertifiedValue,
     certified_chebyshev,
     certified_legendre,
     eisenstein_chebyshev,
@@ -83,6 +85,67 @@ class TestTailBound:
             tail_bound(1, w)
         with pytest.raises(ValueError):
             tail_bound(3, -1)
+
+
+class TestCovers:
+    """covers(rel) admits no rel within half the margin 2^-(bits-8) of
+    the printed bound, and every rel below it by twice the margin."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.integers(min_value=2, max_value=80),
+        which=st.sampled_from(["w/2", "w", "2w", "1/3"]),
+        bits=st.integers(min_value=64, max_value=512),
+        near=st.sampled_from(["floor", "bound"]),
+        k=st.integers(min_value=-64, max_value=64),
+    )
+    @example(r=80, which="2w", bits=64, near="floor", k=-16)
+    @example(r=2, which="1/3", bits=512, near="bound", k=-32)
+    def test_covers_is_certified(self, r, which, bits, near, k):
+        with mp.workprec(bits + 64):
+            w0 = saddle_constant(bits + 64)
+            wv = {"w/2": w0 / 2, "w": w0, "2w": 2 * w0, "1/3": mp.mpf(1) / 3}[which]
+        bound = tail_bound(r, wv, bits)
+        with mp.workprec(4 * bits):
+            floor = 2 * (wv / (4 * mp.pi)) ** (mp.mpf(r + 1) / 2)
+            # k/16 margins of 2^-(bits-8) either side of the floor or the bound
+            rel = (floor if near == "floor" else bound) * (1 + k * mp.mpf(2) ** (4 - bits))
+            # half the margin 2^-(bits-8) inside the printed bound, and twice it
+            half, inner = (bound * (1 - mp.mpf(2) ** (e - bits)) for e in (7, 9))
+        covered = CertifiedValue(mp.mpf(0), r, wv, bits).covers(rel)
+        if covered:
+            assert rel <= half < bound
+        if rel <= inner:
+            assert covered
+
+    def test_rejects_r_outside_the_margin(self, w):
+        for r in (1, 2**21):
+            with pytest.raises(ValueError):
+                CertifiedValue(mp.mpf(0), r, w, 256)
+
+
+class TestLatticeLinesSkipZeta:
+    """The lattice lines of `verify clt` and `verify eisenstein` decide
+    every comparison by the zeta-free floor."""
+
+    def test_clt_suite(self):
+        eisenstein._zeta_series.cache_clear()
+        results = verify.suite_clt(verify.SuiteConfig())
+        line = next(r for r in results if r.name == "lattice identity for sqrt5 * row mass n<=50")
+        assert line.passed
+        assert eisenstein._zeta_series.cache_info().misses == 0
+
+    def test_eisenstein_lattice_lines(self, monkeypatch):
+        # the saddle lines print tail_bound, zeta included; stub them out
+        monkeypatch.setattr(
+            laplace, "saddle_expansion_check",
+            lambda nu, z, ns, bits: [(n,) + (mp.mpf(1),) * 5 for n in ns],
+        )
+        eisenstein._zeta_series.cache_clear()
+        results = {r.name: r.passed for r in verify.suite_eisenstein(verify.SuiteConfig())}
+        assert results["lattice sums within certified bound n<=50"]
+        assert results["row-sum lattice values n<=30"]
+        assert eisenstein._zeta_series.cache_info().misses == 0
 
 
 class TestSqueezeArgument:
@@ -154,7 +217,7 @@ class TestLegendreLattice:
     def test_certified_values_carry_their_bound(self, w):
         cert = certified_legendre(3, w, 16, 256)
         assert abs(float(cert.value) - 920) < float(cert.bound) * 920
-        assert [f.name for f in fields(cert)] == ["value", "bound"]
+        assert [f.name for f in fields(cert)] == ["value", "r", "w", "precision_bits"]
         cert2 = certified_chebyshev(3, w, 16, 256)
         assert abs(float(cert2.value) - 842) < float(cert2.bound) * 842
         with mp.workprec(280):

@@ -52,6 +52,37 @@ class TestClosedForm:
             laplace_closed_form(-1, 0)
 
 
+def mixed_int_eval(terms, z):
+    """Oracle: Horner in 1/z^2 with each int coefficient added as an int,
+    so mpmath converts it at every point."""
+    inv2 = 1 / (z * z)
+    acc = 0
+    for c, _ in terms:
+        acc = acc * inv2 + c
+    return acc / z ** terms[-1][1]
+
+
+class TestEvalCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        bits=st.integers(min_value=64, max_value=352),
+        m=st.integers(min_value=-16, max_value=16),
+        x=st.sampled_from(["1/3", "0.9624236501192069", "2", "7.5"]),
+        complex_z=st.booleans(),
+    )
+    def test_equals_mixed_int_horner(self, n, bits, m, x, complex_z):
+        """eval adds exact mpf coefficients converted once; the value is
+        bit for bit (== on both parts) the sum with int coefficients."""
+        form = laplace_closed_form(n, n)
+        with mp.workprec(bits):
+            re = mp.mpf(Fraction(x).numerator) / Fraction(x).denominator
+            z = mp.mpc(re, 2 * mp.pi * m) if complex_z else re
+            ours, oracle = form.eval(z), mixed_int_eval(form.terms, z)
+            assert type(ours) is type(oracle)
+            assert mp.re(ours) == mp.re(oracle) and mp.im(ours) == mp.im(oracle)
+
+
 class TestDerivativeIdentity:
     @pytest.mark.parametrize("r,n,order", [(0, 0, 1), (2, 2, 1), (1, 3, 2)])
     def test_examples(self, r, n, order):

@@ -5,6 +5,7 @@ an independent oracle run; they are frozen here as plain integers.
 """
 
 import io
+import time
 from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -58,8 +59,10 @@ class TestGammaValidation:
     denominator."""
 
     @pytest.mark.parametrize(
-        "gamma", [Fraction(-1, 2), Fraction(2**64), Fraction(1, 2**64)],
-        ids=["negative", "numerator-65-bits", "denominator-65-bits"],
+        "gamma",
+        [Fraction(-1, 2), Fraction(2**64), Fraction(1, 2**64), "0.5", "1/0", " 2/3", "1/" + "9" * 20],
+        ids=["negative", "numerator-65-bits", "denominator-65-bits", "text-decimal",
+             "text-zero-denominator", "text-space", "text-20-digits"],
     )
     @pytest.mark.parametrize(
         "call",
@@ -74,6 +77,14 @@ class TestGammaValidation:
     def test_rejected(self, call, gamma):
         with pytest.raises(ValueError, match="gamma"):
             call(gamma)
+
+    def test_text_checked_before_fraction_parses_it(self):
+        """Fraction('1e-9999999') alone takes seconds; the text check
+        refuses it first."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="gamma"):
+            triangle_row("1e-9999999", 3)
+        assert time.perf_counter() - start < 1
 
     def test_64_bits_and_other_types_accepted(self):
         g = Fraction(1, 2**64 - 1)
