@@ -112,8 +112,6 @@ def cmd_verify(parser, args) -> int:
         if args.suite in ("roots", "all"):
             sturm.check_roots_cap(args.n_max)
         cfg.n_max = args.n_max
-    if args.suite in ("edgeworth", "all"):  # it refines roots at precision_bits
-        sturm.check_roots_cap(0, args.precision_bits)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, cfg)
     for result in results:
@@ -192,7 +190,10 @@ def cmd_asymptotics(parser, args) -> int:
     triangles.check_row_cap(n_list[-1] + (args.nu if saddle else 0))
     if saddle:
         z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
-        rows = laplace.saddle_expansion_check(args.nu, z, n_list, bits)
+        rows = []
+        for row in laplace.saddle_expansion_check(args.nu, z, n_list, bits):
+            r = row[0] + args.nu  # the lattice truncation bound at r, defined from r = 2
+            rows.append(row + (eisenstein.tail_bound(r, z, bits) if r >= 2 else mp.mpf("nan"),))
         _write_csv("n,Q,Q_minus_b,n_times_Q_minus_b,residual,tail_bound", rows, bits)
         return EXIT_OK
     # mass: total-mass ratio decay table; abs(m - 1) is taken at mpmath's
@@ -289,9 +290,14 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "precision_bits", 256) < 64:
+    bits = getattr(args, "precision_bits", None)  # table and compute have none
+    if bits is not None and bits < 64:
         parser.error("--precision-bits must be at least 64")
     try:
+        if bits is not None and bits > precision.MAX_BITS:
+            raise ResourceLimitError(
+                f"--precision-bits {bits} exceeds the cap of {precision.MAX_BITS}"
+            )
         return COMMANDS[args.command](parser, args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

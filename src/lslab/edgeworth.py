@@ -13,6 +13,8 @@ ways, and evaluates the Hermite-corrected density expansion
 at x = (j - mean)/sigma, where q_nu pairs Hermite values with
 normalized-cumulant powers (Petrov, Sums of Independent Random
 Variables, 1975, ch. VI); the order cap k <= 4 leaves q_1 and q_2.
+One evaluation serves one profile: it checks and converts once, then
+gives every order up to k at each lattice point asked for.
 """
 
 from __future__ import annotations
@@ -172,43 +174,24 @@ def hermite_value(m: int, x):
     return cur
 
 
-def hermite_correction(nu: int, profile: CumulantProfile, x, precision_bits: int = 256):
-    """Correction term q_nu(x), normal density factor included, for the
-    two orders that MAX_EXPANSION_ORDER reaches:
+def density_expansion(
+    profile: CumulantProfile, js, k: int = 2, precision_bits: int = 256
+) -> list[tuple]:
+    """One tuple (x, e_2, ..., e_k) for each lattice point j in js, at
+    x = (j - mean)/sigma; the caller compares e_k with sigma * P(S = j).
+    e_2 = phi(x) is the normal density, and each further order adds one
+    correction q_nu(x)/n^(nu/2), of the two that MAX_EXPANSION_ORDER
+    reaches:
 
         q_1 = phi H_3 lambda_3/3!,
         q_2 = phi (H_4 lambda_4/4! + H_6 (lambda_3/3!)^2/2!).
 
-    Needs normalized cumulants up to order nu + 2 in the profile."""
-    if nu not in (1, 2):
-        raise ValueError(f"nu must be 1 or 2, got {nu}")
-    if profile.order < nu + 2:
-        raise ValueError(
-            f"profile holds cumulants to order {profile.order}, need {nu + 2}"
-        )
-    with mp.workprec(precision_bits):
-        xv = mp.mpf(x)
-        lam3 = profile.normalized_cumulant(3) / factorial(3)
-        if nu == 1:
-            total = hermite_value(3, xv) * lam3
-        else:
-            lam4 = profile.normalized_cumulant(4) / factorial(4)
-            total = hermite_value(4, xv) * lam4 + hermite_value(6, xv) * (lam3**2 / factorial(2))
-        phi = mp.e ** (-xv * xv / 2) / mp.sqrt(2 * mp.pi)
-        return +(phi * total)
-
-
-def density_expansion(
-    profile: CumulantProfile,
-    j: int,
-    k: int = 2,
-    precision_bits: int = 256,
-):
-    """Order-k expansion value at lattice point j (the caller compares it
-    with sigma * P(S = j)).  k = 2 is the plain normal density; each extra
-    order adds one Hermite correction."""
+    The checks (k, the profile's cumulant order, the variance floor) and
+    every factor that does not depend on j are made once per call."""
     if k < 2 or k > MAX_EXPANSION_ORDER:
         raise ValueError(f"k must be between 2 and {MAX_EXPANSION_ORDER}")
+    if profile.order < k:
+        raise ValueError(f"profile holds cumulants to order {profile.order}, need {k}")
     n = profile.n
     with mp.workprec(precision_bits):
         var = to_mpf(profile.variance)
@@ -218,31 +201,41 @@ def density_expansion(
             )
         mean = to_mpf(profile.mean)
         sigma = mp.sqrt(var)
-        x = (j - mean) / sigma
-        value = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)
-        for nu in range(1, k - 1):
-            value += hermite_correction(nu, profile, x, precision_bits) / mp.mpf(n) ** (
-                mp.mpf(nu) / 2
-            )
-        return +value
+        root_2pi = mp.sqrt(2 * mp.pi)
+        scale = [mp.mpf(n) ** (mp.mpf(nu) / 2) for nu in range(1, k - 1)]
+        if k > 2:
+            lam3 = profile.normalized_cumulant(3) / factorial(3)
+        if k > 3:
+            lam4 = profile.normalized_cumulant(4) / factorial(4)
+            half_lam3_sq = lam3**2 / factorial(2)
+        rows = []
+        for j in js:
+            x = (j - mean) / sigma
+            phi = mp.e ** (-x * x / 2) / root_2pi
+            row = [x, phi]
+            if k > 2:
+                q1 = hermite_value(3, x) * lam3
+                row.append(row[-1] + phi * q1 / scale[0])
+            if k > 3:
+                q2 = hermite_value(4, x) * lam4 + hermite_value(6, x) * half_lam3_sq
+                row.append(row[-1] + phi * q2 / scale[1])
+            rows.append(tuple(row))
+    return rows
 
 
 def comparison_table(n: int, precision_bits: int = 256) -> list[tuple]:
     """Rows (j, x, sigma p_j, order-2 value, order-3 value and the two
     absolute errors) for the scaled Legendre row n, where p_j is its
     normalized coefficient and x = (j - mean)/sigma with the row's exact
-    mean and variance."""
+    mean and variance, all from one density_expansion call."""
     row = modified_legendre_row(n)
     prof = cumulants_from_genpoly(row, DEFAULT_CUMULANT_ORDER, precision_bits)
+    expansion = density_expansion(prof, range(n + 1), 3, precision_bits)
     total = sum(row)
     rows = []
     with mp.workprec(precision_bits):
         sigma = mp.sqrt(to_mpf(prof.variance))
-        mean = to_mpf(prof.mean)
-        for j, c in enumerate(row):
+        for (j, c), (x, v2, v3) in zip(enumerate(row), expansion):
             target = sigma * mp.mpf(c) / total
-            v2 = density_expansion(prof, j, 2, precision_bits)
-            v3 = density_expansion(prof, j, 3, precision_bits)
-            x = (j - mean) / sigma
             rows.append((j, x, target, v2, v3, abs(target - v2), abs(target - v3)))
     return rows

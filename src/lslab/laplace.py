@@ -74,6 +74,11 @@ def derivative_identity_holds(r: int, n: int, order: int) -> bool:
     return terms == laplace_closed_form(r + order, n).terms
 
 
+# Largest z: the saddle table's values grow like exp(z/2), and above
+# about 2^64 printing their decimal exponents alone takes seconds.
+Z_MAX = 2**64
+
+
 @dataclass(frozen=True)
 class SaddleCoefficients:
     z: mp.mpf
@@ -86,8 +91,8 @@ def saddle_coefficients(nu: int, z, precision_bits: int = 256) -> SaddleCoeffici
         raise ValueError("nu must be non-negative")
     with mp.workprec(precision_bits):
         zz = mp.mpf(z)
-        if zz <= 0:
-            raise ValueError("z must be positive")
+        if not 0 < zz <= Z_MAX:  # refuses nan too
+            raise ValueError(f"z must be positive and at most 2^64, got {mp.nstr(zz, 8)}")
         ch, sh = mp.cosh(zz / 2), mp.sinh(zz / 2)
         corr = -(zz * zz / 2 * ch + 2 * zz * nu * sh + (2 * nu * nu + 2 * nu + 1) * ch) / 8
         return SaddleCoefficients(z=zz, leading=ch, correction=corr)
@@ -111,12 +116,9 @@ def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
 
 
 def saddle_expansion_check(nu: int, z, n_list, precision_bits: int = 256) -> list[tuple]:
-    """Rows (n, Q, Q - b, n (Q - b), residual, tail) along n_list: Q(n),
-    its distance from the two-term expansion, the residual
-    n (Q - b) - b_nu, which must shrink along the list, and the lattice
-    truncation bound at r = n + nu (nan below r = 2)."""
-    from .eisenstein import tail_bound
-
+    """Rows (n, Q, Q - b, n (Q - b), residual) along n_list: Q(n), its
+    distance from the two-term expansion, and the residual
+    n (Q - b) - b_nu, which must shrink along the list."""
     ns = list(n_list)
     if ns != sorted(ns):
         raise ValueError("n_list must be ascending")
@@ -127,6 +129,5 @@ def saddle_expansion_check(nu: int, z, n_list, precision_bits: int = 256) -> lis
             q = normalized_value(nu, z, n, precision_bits)
             diff = q - coeffs.leading
             scaled = n * diff
-            tail = tail_bound(n + nu, coeffs.z, precision_bits) if n + nu >= 2 else mp.mpf("nan")
-            rows.append((n, q, diff, scaled, scaled - coeffs.correction, tail))
+            rows.append((n, q, diff, scaled, scaled - coeffs.correction))
     return rows

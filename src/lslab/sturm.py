@@ -44,7 +44,7 @@ from math import gcd
 import mpmath as mp
 
 from .errors import CertificationError, ResourceLimitError
-from .precision import to_mpf
+from .precision import MAX_BITS, to_mpf
 from .triangles import modified_legendre_row
 
 # Largest n whose roots are certified.  On a 2-vCPU Xeon VM with CPython
@@ -52,10 +52,6 @@ from .triangles import modified_legendre_row
 # refinement to 256 bits 0.06 s and 3.0 s; the cost grows steeply, as the
 # interval next to 0 is about 2^-(n+1) wide.
 ROOTS_MAX_N = 200
-
-# Largest refinement precision.  On the same VM refinement at n =
-# ROOTS_MAX_N takes 3.0 s to 256 bits, 19 s to 1024 and 68 s to 2048.
-REFINE_MAX_BITS = 2048
 
 
 def sign_at(p: tuple[int, ...], x: Fraction) -> int:
@@ -177,9 +173,9 @@ def check_roots_cap(n: int, refine_bits: int = 0) -> None:
     """The caps on root work, checked before any work."""
     if n > ROOTS_MAX_N:
         raise ResourceLimitError(f"roots of row {n} exceed the cap of n <= {ROOTS_MAX_N}")
-    if refine_bits > REFINE_MAX_BITS:
+    if refine_bits > MAX_BITS:
         raise ResourceLimitError(
-            f"refinement to {refine_bits} bits exceeds the cap of {REFINE_MAX_BITS}"
+            f"refinement to {refine_bits} bits exceeds the cap of {MAX_BITS}"
         )
 
 
@@ -268,7 +264,7 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     the size of the coefficients.  The bracket is taken only if q has two
     nonzero, different exact signs at its ends; otherwise the interval is
     bisected.  Either way the output is that of bisection, and fully
-    deterministic.  More than REFINE_MAX_BITS raises ResourceLimitError
+    deterministic.  More than precision.MAX_BITS raises ResourceLimitError
     before any work.
 
     Newton's sign at lo needs no sign test: q = M_n/s has the sign

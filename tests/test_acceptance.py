@@ -135,7 +135,8 @@ def test_criterion_01_explained_by_local_expansion():
     """The exact entry at (1000, 930) matches the order-4 local expansion
     built from the exact cumulants of row 1000 to about 1.5e-5, so no
     correction term comes near the 4.1% the reference window asks for.
-    Ratios sigma * P(S = 930) / density_expansion(k), measured: 1.002867
+    Ratios sigma * P(S = 930) / e_k, with e_k the order-k value that
+    density_expansion gives at j = 930, measured: 1.002867
     at k = 2, 0.998843 at k = 3 and 0.9999846 at k = 4."""
     bits = 256
     row = modified_legendre_row(1000)
@@ -143,10 +144,8 @@ def test_criterion_01_explained_by_local_expansion():
     with mp.workprec(bits):
         sigma = mp.sqrt(to_mpf(prof.variance))
         prob = mp.mpf(row[930]) / sum(row)
-        ratios = {
-            k: sigma * prob / edgeworth.density_expansion(prof, 930, k, bits)
-            for k in (2, 3, 4)
-        }
+        [(_, *expansion)] = edgeworth.density_expansion(prof, [930], 4, bits)
+        ratios = {k: sigma * prob / expansion[k - 2] for k in (2, 3, 4)}
         assert abs(ratios[4] - 1) < 1e-4
         assert abs(ratios[4] - 1) < abs(ratios[3] - 1) < abs(ratios[2] - 1)
 

@@ -152,9 +152,9 @@ class TestCompute:
 
 class TestRowCap:
     """Row 2000 is refused with exit 3 by every command that reads rows,
-    root work past row 200 by `roots` and `verify roots|all`, and root
-    refinement past 2048 bits by `verify edgeworth|all` (and `roots
-    --refine-bits`, in test_sturm), before any work is done."""
+    root work past row 200 by `roots` and `verify roots|all`, and a
+    --precision-bits past 2048 by every command that takes one (as is
+    `roots --refine-bits`, in test_sturm), before any work is done."""
 
     @pytest.mark.parametrize(
         "command",
@@ -175,6 +175,10 @@ class TestRowCap:
             "verify all --n-max 1999",
             "verify edgeworth --precision-bits 2049",
             "verify all --precision-bits 2049",
+            "verify identities --precision-bits 2049",
+            "clt --report ratio --n 2 --j 1 --precision-bits 2049",
+            "edgeworth --n 1999 --precision-bits 2049",
+            "asymptotics --report saddle --n-list 2 --precision-bits 2049",
         ],
     )
     def test_exit_3_at_once(self, command, tmp_path, capsys):
@@ -197,6 +201,29 @@ class TestRatioIndexRange:
         assert code == 2
         assert out == ""
         assert "usage error" in err
+        assert time.perf_counter() - start < 5
+
+
+class TestSaddlePoint:
+    """A saddle --z that is not a positive number of at most 2^64 is a
+    usage error before any work: nan and inf would print a table of nan,
+    and at z = 1e3000 printing the exponents alone takes over 30 s."""
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1", "1e3000", "2e64"])
+    def test_exit_2_at_once(self, z, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(f"asymptotics --report saddle --z {z} --n-list 2".split(), capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error: z must be positive and at most 2^64" in err
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("z", ["1e-100000000", str(2**64)])
+    def test_extremes_accepted(self, z, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(f"asymptotics --report saddle --z {z} --n-list 2".split(), capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 2
         assert time.perf_counter() - start < 5
 
 

@@ -35,7 +35,11 @@ many blocks of the table printer: the Legendre table at n 400 as JSON (43 MB,
 served warm from the file the CSV commands wrote), whose hash was
 recorded on the commit before `lslab table` printed in checked blocks,
 and the cold Jacobi 2/3 table at n 200 (Fractions, 48 blocks), which
-carries the hash of `perfbench/golden.json`.
+carries the hash of `perfbench/golden.json`.  The last two commands,
+the Edgeworth tables of rows 2 and 3 (the second at 80 bits), are the
+smallest rows the expansion takes; they were recorded while every
+lattice point re-ran the expansion's checks and conversions, before
+`density_expansion` evaluated a whole row in one call.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -147,6 +151,10 @@ GOLDEN = [
      "4075781383950c36b893bee03394aaec5a125fbd1caf2f5caa2cec3eca7956c0"),
     ("table --family jacobi --gamma 2/3 --n-max 200 --cache-dir {cache}", 0,
      "9fac330b570b8c1770b313ff1f36c5ac313572f1bb56bbc18fe5f0855e97de86"),
+    ("edgeworth --n 2", 0,
+     "a32d7f61cf5c5fe42bb31aa396d1db4296906972ed94311591396e75c915c148"),
+    ("edgeworth --n 3 --precision-bits 80", 0,
+     "2d33380699f5fc5c94655436cf268d472e98d36ae22a9b99d620519812d733b9"),
 ]
 
 

@@ -1,25 +1,29 @@
 """Bernoulli-array engine tests: exact convolution vs brute force,
-cumulant paths, Hermite values, correction terms, expansion values."""
+cumulant paths, Hermite values, correction terms, expansion values
+against a point-by-point oracle."""
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lslab import edgeworth
 from lslab.edgeworth import (
+    MAX_EXPANSION_ORDER,
     cumulants_from_genpoly,
     cumulants_from_probabilities,
     density_expansion,
     distribution,
-    hermite_correction,
     hermite_value,
     probabilities_from_roots,
 )
 from lslab.errors import DegenerateVarianceError, ExpansionConditionError
 from lslab.genpoly import legendre_genpoly_recurrence
+from lslab.precision import to_mpf
 from lslab.sturm import certify_roots, refine_roots
 from lslab.triangles import modified_legendre_row
 from lslab.verify import _enumerate_distribution
@@ -170,51 +174,114 @@ class TestHermite:
             poly = nxt
 
 
+def pointwise_expansion(profile, j, k, bits):
+    """Oracle: the expansion at one point, with x, phi, the cumulant
+    factors and the scale n^(nu/2) rebuilt for every order, as in the
+    textbook form sigma P(S = j) ~ phi + sum_nu q_nu/n^(nu/2)."""
+    n = profile.n
+    with mp.workprec(bits):
+        x = (j - to_mpf(profile.mean)) / mp.sqrt(to_mpf(profile.variance))
+        value = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)
+        values = [x, value]
+        for nu in range(1, k - 1):
+            lam3 = profile.normalized_cumulant(3) / factorial(3)
+            if nu == 1:
+                total = hermite_value(3, x) * lam3
+            else:
+                lam4 = profile.normalized_cumulant(4) / factorial(4)
+                total = hermite_value(4, x) * lam4 + hermite_value(6, x) * (lam3**2 / factorial(2))
+            phi = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)
+            value += phi * total / mp.mpf(n) ** (mp.mpf(nu) / 2)
+            values.append(value)
+    return tuple(values)
+
+
 class TestCorrectionTerms:
+    """q_1 and q_2 read off density_expansion: q_nu = (e_{nu+2} - e_{nu+1})
+    n^(nu/2), up to the rounding of one addition."""
+
     @pytest.fixture()
     def profile(self):
         return cumulants_from_genpoly(modified_legendre_row(20), 6, 192)
 
+    @staticmethod
+    def at(profile, x, k):
+        """The tuple (x, e_2, ..., e_k) at the real point j = mean + x sigma."""
+        with mp.workprec(192):
+            j = to_mpf(profile.mean) + mp.mpf(x) * mp.sqrt(to_mpf(profile.variance))
+        [row] = density_expansion(profile, [j], k, 192)
+        return row
+
     def test_odd_vanishes_at_zero(self, profile):
-        assert abs(hermite_correction(1, profile, mp.mpf(0), 192)) < mp.mpf(2) ** -150
+        with mp.workprec(192):
+            mean = to_mpf(profile.mean)
+        [(x, e2, e3)] = density_expansion(profile, [mean], 3, 192)
+        assert x == 0
+        assert abs(e3 - e2) < mp.mpf(2) ** -150
 
     def test_first_correction_shape(self, profile):
+        x, e2, e3 = self.at(profile, "0.7", 3)
         with mp.workprec(192):
-            x = mp.mpf("0.7")
             lam3 = profile.normalized_cumulant(3)
             phi = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)
             expected = phi * hermite_value(3, x) * lam3 / 6
-            assert abs(hermite_correction(1, profile, x, 192) - expected) < mp.mpf(2) ** -150
+            assert abs((e3 - e2) * mp.sqrt(20) - expected) < mp.mpf(2) ** -150
 
     def test_second_correction_shape(self, profile):
+        x, _, e3, e4 = self.at(profile, "-1.1", 4)
         with mp.workprec(192):
-            x = mp.mpf("-1.1")
             lam3 = profile.normalized_cumulant(3)
             lam4 = profile.normalized_cumulant(4)
             phi = mp.e ** (-x * x / 2) / mp.sqrt(2 * mp.pi)
             expected = phi * (
                 hermite_value(4, x) * lam4 / 24 + hermite_value(6, x) * lam3**2 / 72
             )
-            assert abs(hermite_correction(2, profile, x, 192) - expected) < mp.mpf(2) ** -140
+            assert abs((e4 - e3) * 20 - expected) < mp.mpf(2) ** -140
 
     def test_order_past_cap(self, profile):
         # MAX_EXPANSION_ORDER = 4 reaches q_1 and q_2 only
-        for nu in (0, 3):
+        assert MAX_EXPANSION_ORDER == 4
+        assert len(self.at(profile, 0, 4)) == 4  # x, e_2, e_3, e_4
+        for k in (5, 6):
             with pytest.raises(ValueError):
-                hermite_correction(nu, profile, mp.mpf(0), 192)
+                density_expansion(profile, [10], k, 192)
 
     def test_insufficient_cumulants(self):
         prof = cumulants_from_genpoly(modified_legendre_row(6), 3, 128)
+        assert len(density_expansion(prof, [3], 3, 128)[0]) == 3
         with pytest.raises(ValueError):
-            hermite_correction(2, prof, mp.mpf(0), 128)
+            density_expansion(prof, [3], 4, 128)
 
 
 class TestDensityExpansion:
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_matches_pointwise_oracle(self, bits):
+        profiles = [cumulants_from_genpoly(modified_legendre_row(n), 6, bits) for n in (2, 20, 60)]
+        two_point = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
+        profiles.append(cumulants_from_probabilities(two_point, 6, bits))
+        for prof in profiles:
+            js = range(prof.n + 1)
+            for k in (2, 3, 4):
+                expected = [pointwise_expansion(prof, j, k, bits) for j in js]
+                assert density_expansion(prof, js, k, bits) == expected
+
+    def test_comparison_table_makes_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return density_expansion(*args)
+
+        monkeypatch.setattr(edgeworth, "density_expansion", counted)
+        rows = edgeworth.comparison_table(20, 128)
+        assert calls == [range(21)]
+        assert [row[0] for row in rows] == list(range(21))
+
     def test_two_point_reference_values(self):
         probs = probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
         prof = cumulants_from_probabilities(probs, 6, 128)
         with mp.workprec(128):
-            value = density_expansion(prof, 2, 2, 128)
+            [(_, value)] = density_expansion(prof, [2], 2, 128)
             assert abs(value - mp.mpf("0.36704462")) < 1e-7
             sigma_p = mp.sqrt(mp.mpf(6) / 49) * mp.mpf(6) / 7
             assert abs(sigma_p - mp.mpf("0.29993751")) < 1e-7
@@ -223,7 +290,7 @@ class TestDensityExpansion:
         prof = cumulants_from_genpoly(modified_legendre_row(80), 6, 128)
         j = round(float(mp.mpf(prof.mean.numerator) / prof.mean.denominator))
         with mp.workprec(128):
-            value = density_expansion(prof, j, 2, 128)
+            [(_, value)] = density_expansion(prof, [j], 2, 128)
             assert abs(value - 1 / mp.sqrt(2 * mp.pi)) < 0.05
 
     def test_order3_improves_on_order2_small_row(self):
@@ -231,26 +298,22 @@ class TestDensityExpansion:
         prof = cumulants_from_genpoly(modified_legendre_row(n), 6, 160)
         row = modified_legendre_row(n)
         total = sum(row)
+        expansion = density_expansion(prof, range(n + 1), 3, 160)
         with mp.workprec(160):
             sigma = mp.sqrt(mp.mpf(prof.variance.numerator) / prof.variance.denominator)
-            err2 = max(
-                abs(sigma * mp.mpf(row[j]) / total - density_expansion(prof, j, 2, 160))
-                for j in range(n + 1)
-            )
-            err3 = max(
-                abs(sigma * mp.mpf(row[j]) / total - density_expansion(prof, j, 3, 160))
-                for j in range(n + 1)
-            )
+            targets = [sigma * mp.mpf(c) / total for c in row]
+            err2 = max(abs(t - e2) for t, (_, e2, _) in zip(targets, expansion))
+            err3 = max(abs(t - e3) for t, (_, _, e3) in zip(targets, expansion))
         assert err3 < err2
 
     def test_order_cap(self):
         prof = cumulants_from_genpoly(modified_legendre_row(10), 6, 128)
         with pytest.raises(ValueError):
-            density_expansion(prof, 5, 5, 128)
+            density_expansion(prof, [5], 5, 128)
         with pytest.raises(ValueError):
-            density_expansion(prof, 5, 1, 128)
+            density_expansion(prof, [5], 1, 128)
 
     def test_variance_floor_guard(self):
         prof = cumulants_from_probabilities((Fraction(1, 10**6),) * 5, 6, 128)
         with pytest.raises(ExpansionConditionError):
-            density_expansion(prof, 0, 2, 128)
+            density_expansion(prof, [0], 2, 128)

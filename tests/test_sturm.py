@@ -214,7 +214,7 @@ class TestValidation:
             raise AssertionError("row built past the cap")
 
         monkeypatch.setattr(sturm, "modified_legendre_row", no_row)
-        bits = str(sturm.REFINE_MAX_BITS + 1)
+        bits = str(sturm.MAX_BITS + 1)
         assert main(["roots", "--n", "5", "--refine-bits", bits]) == 3
         out, err = capsys.readouterr()
         assert out == ""
