@@ -189,7 +189,7 @@ def cmd_asymptotics(parser, args) -> int:
     # the saddle report's cost grows with n + nu through J(n + nu, n; z)
     triangles.check_row_cap(n_list[-1] + (args.nu if saddle else 0))
     if saddle:
-        z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z)
+        z = clt.saddle_constant(bits) if args.z == "w" else mp.mpf(args.z, prec=bits)
         rows = []
         for row in laplace.saddle_expansion_check(args.nu, z, n_list, bits):
             r = row[0] + args.nu  # the lattice truncation bound at r, defined from r = 2

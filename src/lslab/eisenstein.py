@@ -11,16 +11,41 @@ and the Legendre-side ones
     M_n(g(w)) = ((cosh w - 1)/sinh w) * sum_{m in Z} J(n, n; w + 2 pi i m)
 
 with J the exact closed-form integral from the laplace module.  Sums are
-truncated at |m| <= m_max and always reduced in the fixed order
-m = 0, -1, +1, -2, +2, ...; both are real, and only real parts are
-added.  mpmath rounds the real and imaginary parts of every mpc
-operation on their own, to nearest or toward zero, and both commute
-with negation (as do atan2 and sine on the log/exp route of a large
-power), so the term at w - 2 pi i m is bit for bit the conjugate of the
-term at w + 2 pi i m.  Each pair is evaluated once and its real part
-added twice, which is the real part of the complex sum over every point
-bit for bit.  Every truncated sum can be certified by the proof-grade
-estimate
+truncated at |m| <= m_max; both are real, and (cosh w - 1)/sinh w =
+tanh(w/2).  Each is tanh(w/2) sum_k c_k Re sum_m z_m^(-e_k), z_m = w +
+2 pi i m, for a term list (c_k, e_k) of positive integers: that of
+J(n, n; z) for M_n, and the one term (2 (2n)!, 2n + 1) for L_n.
+
+One kernel serves a list of rows at one w.  w is rounded to bits + 32
+(bits = precision_bits) and the sum is that of the rounded w.  With
+P = bits + 32 + g, g = ceil(e_max log2 max(1, w)) + bitlen(e_max) +
+bitlen(2 m_max + 1) + 8 and e_max the largest e_k of the call, it builds
+one integer table R_e ~ 2^P Re sum_{|m| <= m_max} z_m^(-e), e =
+1..e_max.  1/z_m is computed once per point m = 0..m_max in mpmath at
+P + 16 and truncated to a Gaussian integer; each further power is one
+integer complex multiply and a floor shift by P, and the real part is
+added once for m = 0 and twice for m > 0, the point -m being the
+conjugate of m.  A row is the integer dot product sum_k c_k R_{e_k},
+rounded once at P and multiplied by tanh(w/2) 2^-P.  In units of
+2^-P (ulps):
+- For m >= 1, |1/z_m| <= 1/(2 pi) < 1/6, and the Gaussian integer is
+  within 1.5 ulps of 2^P/z_m (sqrt 2 from truncation).  The k-th
+  power's error is at most err_(k-1)/6 + 1.5/6^(k-1) + sqrt 2, which
+  stays below 2, so each pair adds at most 4 ulps to every R_e.
+- For m = 0, 1/w is real.  If w >= 1 each power adds at most about 2
+  ulps; if w < 1 each adds a relative 2.02 2^-P.  Either way the m = 0
+  part of R_e is within 3e max(1, w^-e) ulps.
+- The c_k are positive and max(1, w^-e) <= max(1, w)^e_max w^-e, so
+  the dot product is within (3 e_max + 4 m_max) max(1, w)^e_max ulps of
+  2^P J, with J = sum_k c_k w^-e_k; by the choice of g that is at most
+  2^-(bits+38) J.  |z_m| >= w, so |R_e| is at most (2 m_max + 1) 2^P
+  w^-e, and rounding the dot product at P, tanh at P and the product
+  add less again.
+So before the final rounding the value is within 2^-(bits+32) h of the
+truncated sum, h = tanh(w/2) J being its m = 0 term, and rounding to
+nearest at bits adds half an ulp of the value.
+
+Every truncated sum can be certified by the proof-grade estimate
 
     |relative truncation error| <= 2 zeta((r+1)/2) (w/(4 pi))^((r+1)/2),
 
@@ -128,46 +153,62 @@ def tail_bound(r: int, w, precision_bits: int = 256) -> mp.mpf:
         return 2 * zeta_series(mp.mpf(r + 1) / 2, precision_bits) * power
 
 
-def _lattice_sum(n: int, w, m_max: int, precision_bits: int, term, prefactor) -> mp.mpf:
-    """prefactor(w) times the real part of the sum of term(z) over
-    z = w + 2 pi i m, |m| <= m_max, in the fixed order.  The real part t
-    shared by a conjugate pair is added twice: two roundings, as in the
-    sum over every point, where adding 2 t would round once."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
+def _power_table(wv, e_max: int, m_max: int, shift: int) -> list[int]:
+    """R[e] ~ 2^shift Re sum_{|m| <= m_max} (wv + 2 pi i m)^-e for
+    e = 1..e_max (R[0] = 0), within the ulps of the module docstring."""
+    table = [0] * (e_max + 1)
+    with mp.workprec(shift + 16):
+        for m in range(m_max + 1):
+            u = 1 / mp.mpc(wv, 2 * mp.pi * m)
+            a, b = int(mp.ldexp(u.real, shift)), int(mp.ldexp(u.imag, shift))
+            weight = 2 if m else 1  # the point -m is the conjugate of m
+            x, y = 1 << shift, 0
+            for e in range(1, e_max + 1):
+                x, y = (x * a - y * b) >> shift, (x * b + y * a) >> shift
+                table[e] += weight * x
+    return table
+
+
+def _lattice_values(rows: list, w, m_max: int, precision_bits: int) -> list[mp.mpf]:
+    """tanh(w/2) sum_k c_k Re sum_{|m| <= m_max} (w + 2 pi i m)^-e_k for
+    each term list [(c_k, e_k), ...] in rows, all from one power table."""
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
     with mp.workprec(precision_bits + 32):
         wv = mp.mpf(w)
         if wv <= 0:
             raise ValueError("w must be positive")
-        total = term(mp.mpc(wv, 0)).real
-        for m in range(1, m_max + 1):
-            t = term(mp.mpc(wv, 2 * mp.pi * m)).real
-            total += t
-            total += t
-        total *= prefactor(wv)
+        e_max = max((e for terms in rows for _, e in terms), default=1)
+        guard = (ceil(e_max * float(mp.log(max(wv, 1), 2))) + e_max.bit_length()
+                 + (2 * m_max + 1).bit_length() + 8)
+    shift = precision_bits + 32 + guard
+    table = _power_table(wv, e_max, m_max, shift)
+    with mp.workprec(shift):
+        scale = mp.ldexp(mp.tanh(wv / 2), -shift)
+        values = [scale * sum(c * table[e] for c, e in terms) for terms in rows]
     with mp.workprec(precision_bits):
-        return +total
+        return [+v for v in values]
 
 
-def eisenstein_chebyshev(n: int, w, m_max: int, precision_bits: int = 256) -> mp.mpf:
-    """Truncated lattice sum approximating L_n(g(w))."""
-    return _lattice_sum(
-        n, w, m_max, precision_bits,
-        lambda z: z ** (-(2 * n + 1)),
-        lambda wv: mp.mpf(factorial(2 * n)) * 2 * (mp.cosh(wv) - 1) / mp.sinh(wv),
-    )
+def _rows(ns) -> list[int]:
+    ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise ValueError("requires n >= 1")
+    return ns
 
 
-def eisenstein_legendre(n: int, w, m_max: int, precision_bits: int = 256) -> mp.mpf:
-    """Truncated lattice sum approximating M_n(g(w)) via the closed-form
-    integrals J(n, n; w + 2 pi i m)."""
-    return _lattice_sum(
-        n, w, m_max, precision_bits,
-        laplace_closed_form(n, n).eval,
-        lambda wv: (mp.cosh(wv) - 1) / mp.sinh(wv),
-    )
+def eisenstein_chebyshev(ns, w, m_max: int, precision_bits: int = 256) -> list[mp.mpf]:
+    """Truncated lattice sums approximating L_n(g(w)), one per n in ns:
+    the one term 2 (2n)! z^-(2n+1)."""
+    rows = [((2 * factorial(2 * n), 2 * n + 1),) for n in _rows(ns)]
+    return _lattice_values(rows, w, m_max, precision_bits)
+
+
+def eisenstein_legendre(ns, w, m_max: int, precision_bits: int = 256) -> list[mp.mpf]:
+    """Truncated lattice sums approximating M_n(g(w)), one per n in ns,
+    via the closed-form term lists of J(n, n; z)."""
+    rows = [laplace_closed_form(n, n).terms for n in _rows(ns)]
+    return _lattice_values(rows, w, m_max, precision_bits)
 
 
 def squeeze_argument(w, precision_bits: int = 256) -> mp.mpf:
@@ -212,12 +253,16 @@ class CertifiedValue:
             return rel <= floor or rel <= self.bound * shrink
 
 
-def certified_legendre(n: int, w, m_max: int = 16, precision_bits: int = 256) -> CertifiedValue:
-    """eisenstein_legendre with its truncation certificate (r = n); needs
-    n >= 2 for the bound to exist."""
-    return CertifiedValue(eisenstein_legendre(n, w, m_max, precision_bits), n, w, precision_bits)
+def certified_legendre(ns, w, m_max: int = 16, precision_bits: int = 256) -> list[CertifiedValue]:
+    """eisenstein_legendre with one truncation certificate per n (r = n);
+    needs every n >= 2 for the bound to exist."""
+    ns = list(ns)
+    values = eisenstein_legendre(ns, w, m_max, precision_bits)
+    return [CertifiedValue(v, n, w, precision_bits) for n, v in zip(ns, values)]
 
 
-def certified_chebyshev(n: int, w, m_max: int = 16, precision_bits: int = 256) -> CertifiedValue:
-    """eisenstein_chebyshev with its truncation certificate (r = 2n)."""
-    return CertifiedValue(eisenstein_chebyshev(n, w, m_max, precision_bits), 2 * n, w, precision_bits)
+def certified_chebyshev(ns, w, m_max: int = 16, precision_bits: int = 256) -> list[CertifiedValue]:
+    """eisenstein_chebyshev with one truncation certificate per n (r = 2n)."""
+    ns = list(ns)
+    values = eisenstein_chebyshev(ns, w, m_max, precision_bits)
+    return [CertifiedValue(v, 2 * n, w, precision_bits) for n, v in zip(ns, values)]

@@ -46,7 +46,9 @@ class InversePowerSum:
         return tuple(mp.convert(c) for c, _ in self.terms)
 
     def eval(self, z):
-        """Evaluate at an mpf/mpc z with Re z > 0 (Horner in 1/z^2)."""
+        """Evaluate at an mpf/mpc z with Re z > 0 (Horner in 1/z^2).  The
+        lattice sums read `terms` instead, so the package calls this at
+        real z only."""
         inv2 = 1 / (z * z)
         acc = 0
         for c in self._coefficients:

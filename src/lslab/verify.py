@@ -210,11 +210,11 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
     with mp.workprec(bits + 64):
         for wv in (w / 2, w, 2 * w):
             g = eisenstein.squeeze_argument(wv, bits + 64)
-            for n in range(2, nmax + 1):
+            certs = eisenstein.certified_legendre(range(2, nmax + 1), wv, 16, bits + 64)
+            for n, cert in enumerate(certs, start=2):
                 exact = 0 * g
                 for c in reversed(triangles.modified_legendre_row(n)):
                     exact = exact * g + c
-                cert = eisenstein.certified_legendre(n, wv, 16, bits + 64)
                 rel = abs(cert.value - exact) / exact
                 if not cert.covers(rel):
                     ok, detail = False, f"n={n} w={mp.nstr(wv, 6)} rel={mp.nstr(rel, 4)}"
@@ -225,10 +225,10 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
     detail = ""
     w_fine = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        for n in range(1, 31):
+        certs = eisenstein.certified_chebyshev(range(1, 31), w_fine, 16, bits + 64)
+        for n, cert in enumerate(certs, start=1):
             row = triangles.scale_row(triangles.triangle_row(triangles.CHEBYSHEV, n))
             exact = mp.mpf(sum(row))
-            cert = eisenstein.certified_chebyshev(n, w_fine, 16, bits + 64)
             rel = abs(cert.value - exact) / exact
             if not cert.covers(rel):
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
@@ -350,8 +350,7 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
     detail = ""
     w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        for n in range(2, 51):
-            cert = eisenstein.certified_legendre(n, w, 16, bits)
+        for n, cert in enumerate(eisenstein.certified_legendre(range(2, 51), w, 16, bits), start=2):
             exact = mp.mpf(triangles.legendre_row_mass(n))
             rel = abs(cert.value - exact) / exact
             if not cert.covers(rel):

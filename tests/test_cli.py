@@ -12,15 +12,17 @@ import tempfile
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lslab
-from lslab import cache, triangles
+from lslab import cache, laplace, triangles
 from lslab.cache import parse_record, triangle_record
 from lslab.cli import main
 from lslab.errors import CacheCorruptionError
+from lslab.precision import print_digits
 from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
 
 
@@ -225,6 +227,26 @@ class TestSaddlePoint:
         assert code == 0
         assert len(out.splitlines()) == 2
         assert time.perf_counter() - start < 5
+
+    def test_z_one_above_the_cap_is_refused(self, capsys):
+        # 2^64 + 1 needs 65 bits; at 53 it would round to 2^64 and pass
+        code, out, err = run_cli(
+            f"asymptotics --report saddle --z {2**64 + 1} --n-list 2".split(), capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "usage error: z must be positive and at most 2^64" in err
+
+    def test_z_parsed_at_the_command_precision(self, capsys):
+        code, out, _ = run_cli("asymptotics --report saddle --z 0.1 --n-list 100".split(), capsys)
+        assert code == 0
+        with mp.workprec(256):
+            z = mp.mpf("0.1")
+        q = laplace.saddle_expansion_check(0, z, [100], 256)[0][1]
+        printed = out.splitlines()[1].split(",")[1]
+        assert printed == mp.nstr(q, print_digits(256))
+        # the 53-bit double nearest 0.1 gives ...652008703...
+        assert printed.startswith("0.9999932033380652007324")
 
 
 class TestNegativeNMax:

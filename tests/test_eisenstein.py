@@ -124,26 +124,54 @@ class TestCovers:
                 CertifiedValue(mp.mpf(0), r, w, 256)
 
 
+@pytest.fixture(scope="class")
+def lattice_suites():
+    """`verify clt` and `verify eisenstein` at the default configuration,
+    each run once with zeta's memo cleared and every power table counted:
+    suite -> (passed by line name, zeta misses, power tables built)."""
+    runs = {}
+    built = []
+    real = eisenstein._power_table
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eisenstein, "_power_table", counting)
+        for name, suite in (("clt", verify.suite_clt), ("eisenstein", verify.suite_eisenstein)):
+            eisenstein._zeta_series.cache_clear()
+            built.clear()
+            passed = {r.name: r.passed for r in suite(verify.SuiteConfig())}
+            runs[name] = (passed, eisenstein._zeta_series.cache_info().misses, len(built))
+    return runs
+
+
 class TestLatticeLinesSkipZeta:
     """The lattice lines of `verify clt` and `verify eisenstein` decide
-    every comparison by the zeta-free floor, and no other line of
-    `verify eisenstein` reads a tail bound."""
+    every comparison by the zeta-free floor, no other line of `verify
+    eisenstein` reads a tail bound, and each line builds one power table
+    per w for all its rows."""
 
-    def test_clt_suite(self):
-        eisenstein._zeta_series.cache_clear()
-        results = verify.suite_clt(verify.SuiteConfig())
-        line = next(r for r in results if r.name == "lattice identity for sqrt5 * row mass n<=50")
-        assert line.passed
-        assert eisenstein._zeta_series.cache_info().misses == 0
+    def test_clt_suite(self, lattice_suites):
+        passed, zeta_misses, _ = lattice_suites["clt"]
+        assert passed["lattice identity for sqrt5 * row mass n<=50"]
+        assert zeta_misses == 0
 
-    def test_eisenstein_lattice_lines(self):
+    def test_eisenstein_lattice_lines(self, lattice_suites):
         # the saddle lines read no tail bound, so the whole suite calls no zeta
-        eisenstein._zeta_series.cache_clear()
-        results = {r.name: r.passed for r in verify.suite_eisenstein(verify.SuiteConfig())}
-        assert results["lattice sums within certified bound n<=50"]
-        assert results["row-sum lattice values n<=30"]
-        assert all(results.values())
-        assert eisenstein._zeta_series.cache_info().misses == 0
+        passed, zeta_misses, _ = lattice_suites["eisenstein"]
+        assert passed["lattice sums within certified bound n<=50"]
+        assert passed["row-sum lattice values n<=30"]
+        assert all(passed.values())
+        assert zeta_misses == 0
+
+    def test_clt_builds_one_power_table(self, lattice_suites):
+        assert lattice_suites["clt"][2] == 1
+
+    def test_eisenstein_builds_four_power_tables(self, lattice_suites):
+        # three Legendre w's and one Chebyshev w
+        assert lattice_suites["eisenstein"][2] == 4
 
 
 class TestSqueezeArgument:
@@ -159,18 +187,18 @@ class TestChebyshevLattice:
     def test_row_one(self, w):
         # L_1(1) = 2; the |m| > 16 truncation leaves an error around 5e-7,
         # well inside the certified bound (reference run: 4.908e-7)
-        val = eisenstein_chebyshev(1, w, 16, 256)
+        val = eisenstein_chebyshev([1], w, 16, 256)[0]
         err = abs(float(val) - 2)
         assert err < 1e-6
         assert err < float(tail_bound(2, w)) * 2
 
     def test_row_three(self, w):
-        val = eisenstein_chebyshev(3, w, 16, 256)
+        val = eisenstein_chebyshev([3], w, 16, 256)[0]
         assert abs(val - 842) < float(tail_bound(6, w)) * 842
 
     def test_single_term_at_double_argument(self, w):
         # g(2w) = 1/5 exactly, so the target value is  L_2(1/5) = 34/25
-        val = eisenstein_chebyshev(2, 2 * w, 0, 256)
+        val = eisenstein_chebyshev([2], 2 * w, 0, 256)[0]
         exact = 24 / mp.mpf(25) + 2 / mp.mpf(5)
         rel = abs(val - exact) / exact
         assert float(rel) < float(tail_bound(4, 2 * w))
@@ -179,28 +207,28 @@ class TestChebyshevLattice:
         with mp.workprec(300):
             for n in range(1, 11):
                 exact = mp.mpf(sum(scale_row(triangle_row(CHEBYSHEV, n))))
-                val = eisenstein_chebyshev(n, w, 16, 256)
+                val = eisenstein_chebyshev([n], w, 16, 256)[0]
                 assert abs(val - exact) / exact < tail_bound(2 * n, w, 256)
 
     def test_domain(self, w):
         with pytest.raises(ValueError):
-            eisenstein_chebyshev(0, w, 16)
+            eisenstein_chebyshev([0], w, 16)
         with pytest.raises(ValueError):
-            eisenstein_chebyshev(2, -w, 16)
+            eisenstein_chebyshev([2], -w, 16)
         with pytest.raises(ValueError):
-            eisenstein_chebyshev(2, w, -1)
+            eisenstein_chebyshev([2], w, -1)
 
 
 class TestLegendreLattice:
     def test_reference_rows(self, w):
-        assert abs(eisenstein_legendre(3, w, 16, 256) - 920) < 1e-6
-        assert abs(eisenstein_legendre(1, w, 16, 256) - 2) < 1e-4
+        assert abs(eisenstein_legendre([3], w, 16, 256)[0] - 920) < 1e-6
+        assert abs(eisenstein_legendre([1], w, 16, 256)[0] - 2) < 1e-4
 
     def test_half_argument(self, w):
         with mp.workprec(300):
             g = squeeze_argument(w / 2, 300)
             exact = legendre_at(2, g)
-            val = eisenstein_legendre(2, w / 2, 16, 256)
+            val = eisenstein_legendre([2], w / 2, 16, 256)[0]
             assert abs(val - exact) / exact < tail_bound(2, w / 2, 256)
 
     def test_bound_certified_sweep(self, w):
@@ -209,14 +237,14 @@ class TestLegendreLattice:
                 g = squeeze_argument(wv, 300)
                 for n in range(2, 13):
                     exact = legendre_at(n, g)
-                    val = eisenstein_legendre(n, wv, 16, 256)
+                    val = eisenstein_legendre([n], wv, 16, 256)[0]
                     assert abs(val - exact) / exact < tail_bound(n, wv, 256)
 
     def test_certified_values_carry_their_bound(self, w):
-        cert = certified_legendre(3, w, 16, 256)
+        cert = certified_legendre([3], w, 16, 256)[0]
         assert abs(float(cert.value) - 920) < float(cert.bound) * 920
         assert [f.name for f in fields(cert)] == ["value", "r", "w", "precision_bits"]
-        cert2 = certified_chebyshev(3, w, 16, 256)
+        cert2 = certified_chebyshev([3], w, 16, 256)[0]
         assert abs(float(cert2.value) - 842) < float(cert2.bound) * 842
         with mp.workprec(280):
             assert cert.bound == tail_bound(3, w, 256)
@@ -298,6 +326,25 @@ def every_point_sum(family, n, w, m_max, bits):
         return +real
 
 
+def assert_within_proven_bound(family, n, wv, m_max, bits, value):
+    """The eisenstein docstring's bound: before its final rounding the
+    value is within 2^-(bits+32) h of the truncated sum at w rounded to
+    bits + 32, h being that sum's m = 0 term, and the rounding adds half
+    an ulp.  The oracle, taken at bits + 64, is off by far less than the
+    other half ulp the window allows."""
+    with mp.workprec(bits + 32):
+        wq = +wv
+    oracle = every_point_sum(family, n, wq, m_max, bits + 64)
+    term, prefactor = lattice_terms(family, n)
+    with mp.workprec(bits + 64):
+        h = term(wq) * prefactor(wq)
+        window = mp.ldexp(h, -(bits + 32)) + mp.ldexp(1, mp.mag(value) - bits)
+        assert abs(value - oracle) <= window
+
+
+LATTICES = {"legendre": eisenstein_legendre, "chebyshev": eisenstein_chebyshev}
+
+
 class TestEveryPointOracle:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -312,10 +359,42 @@ class TestEveryPointOracle:
     @example(family="chebyshev", n=50, scale="w/2", m_max=16, bits=256)
     @example(family="legendre", n=1, scale="w", m_max=0, bits=64)
     def test_equals_every_point_sum(self, w, family, n, scale, m_max, bits):
-        """Bit-identical (==) to the complex sum that evaluates both
-        points of each conjugate pair; `verify eisenstein` certifies its
-        lattice sums at 320 bits."""
+        """Equal, within the proven bound, to the complex sum that
+        evaluates both points of each conjugate pair; `verify eisenstein`
+        certifies its lattice sums at 320 bits."""
         with mp.workprec(256):
             wv = {"w/2": w / 2, "w": w, "2w": 2 * w}[scale]
-        lattice = eisenstein_legendre if family == "legendre" else eisenstein_chebyshev
-        assert lattice(n, wv, m_max, bits) == every_point_sum(family, n, wv, m_max, bits)
+        value = LATTICES[family]([n], wv, m_max, bits)[0]
+        assert_within_proven_bound(family, n, wv, m_max, bits, value)
+
+
+class TestSharedTable:
+    """One power table serves every row of a call: a row's value is
+    within the proven bound whatever other rows share the call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["legendre", "chebyshev"]),
+        n=st.integers(min_value=1, max_value=60),
+        others=st.lists(st.integers(min_value=1, max_value=60), max_size=4),
+        scale=st.sampled_from(["w/2", "w", "2w"]),
+        m_max=st.sampled_from([0, 1, 16]),
+        bits=st.sampled_from([64, 256, 320]),
+    )
+    @example(family="legendre", n=50, others=list(range(2, 50)), scale="w", m_max=16, bits=256)
+    @example(family="chebyshev", n=30, others=list(range(1, 30)), scale="w", m_max=16, bits=320)
+    @example(family="legendre", n=2, others=[], scale="2w", m_max=16, bits=64)
+    @example(family="legendre", n=2, others=[60], scale="2w", m_max=16, bits=64)
+    @example(family="chebyshev", n=1, others=[60, 60], scale="w/2", m_max=1, bits=256)
+    def test_row_within_bound_whatever_shares_the_call(
+        self, w, family, n, others, scale, m_max, bits
+    ):
+        with mp.workprec(256):
+            wv = {"w/2": w / 2, "w": w, "2w": 2 * w}[scale]
+        values = LATTICES[family]([*others, n], wv, m_max, bits)
+        assert len(values) == len(others) + 1
+        assert_within_proven_bound(family, n, wv, m_max, bits, values[-1])
+
+    def test_no_rows(self, w):
+        assert eisenstein_legendre([], w, 16) == []
+        assert certified_chebyshev([], w) == []
