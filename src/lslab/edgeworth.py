@@ -52,15 +52,11 @@ def probabilities_from_roots(roots, precision_bits: int = 256) -> tuple:
     return tuple(probs)
 
 
-def _is_exact(probs) -> bool:
-    return all(isinstance(p, (int, Fraction)) for p in probs)
-
-
 def distribution(probs, precision_bits: int = 256) -> list:
     """P(S = j) for j = 0..n by convolution of the factors; exact rationals
     in, exact rationals out (precision_bits only matters on the mpf path)."""
     with mp.workprec(precision_bits):
-        poly = [Fraction(1) if _is_exact(probs) else mp.mpf(1)]
+        poly = [1]
         for p in probs:
             q = 1 - p
             new = [0 * p] * (len(poly) + 1)
@@ -127,8 +123,7 @@ def cumulants_from_probabilities(
     if order < 2:
         raise ValueError("order must be at least 2")
     with mp.workprec(precision_bits):
-        zero = Fraction(0) if _is_exact(probs) else mp.mpf(0)
-        totals = [zero] * order
+        totals = [0] * order
         for p in probs:
             kappas = _cumulants_from_raw([p] * order)
             for i in range(order):

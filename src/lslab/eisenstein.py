@@ -71,7 +71,7 @@ printed `tail_bound` stays rounded to nearest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import ceil, factorial, log, tau
 
 import mpmath as mp
@@ -95,14 +95,7 @@ def zeta_series(s, precision_bits: int = 256) -> mp.mpf:
     remainder lies between 0 and the first term left out, and the
     truncation error is below 2^-b (zeta(s) > 1, so also relatively).
     A term that stops shrinking before it drops below 2^-b raises
-    PrecisionError; the loop ends either way.  The value depends only on
-    (s, precision_bits), and an mpf is immutable, so the last 64 are
-    memoized: tail_bound asks again for the same s at each call."""
-    return _zeta_series(s, precision_bits)
-
-
-@lru_cache(maxsize=64)
-def _zeta_series(s, precision_bits: int) -> mp.mpf:
+    PrecisionError; the loop ends either way."""
     bits = precision_bits + 40
     n = max(64, ceil((bits + 24) * log(2) / tau))
     with mp.workprec(precision_bits + 32):
@@ -207,7 +200,7 @@ def eisenstein_chebyshev(ns, w, m_max: int, precision_bits: int = 256) -> list[m
 def eisenstein_legendre(ns, w, m_max: int, precision_bits: int = 256) -> list[mp.mpf]:
     """Truncated lattice sums approximating M_n(g(w)), one per n in ns,
     via the closed-form term lists of J(n, n; z)."""
-    rows = [laplace_closed_form(n, n).terms for n in _rows(ns)]
+    rows = [laplace_closed_form(n, n) for n in _rows(ns)]
     return _lattice_values(rows, w, m_max, precision_bits)
 
 

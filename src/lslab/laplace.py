@@ -25,55 +25,40 @@ and this module verifies that expansion numerically for concrete n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb, factorial
 
 import mpmath as mp
 
 
-@dataclass(frozen=True)
-class InversePowerSum:
-    """Finite sum of positive integer multiples of inverse powers of z,
+def laplace_closed_form(r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Exact term list of J(r, n; z): (coefficient, inverse power) pairs,
     powers strictly decreasing with uniform stride 2."""
-
-    terms: tuple[tuple[int, int], ...]  # (coefficient, inverse power)
-
-    @cached_property
-    def _coefficients(self) -> tuple:
-        """The coefficients as exact mpfs, converted once per term list:
-        the same lossless conversion mpmath makes of an int in every
-        mpf or mpc sum, so eval is bit for bit the sum with ints."""
-        return tuple(mp.convert(c) for c, _ in self.terms)
-
-    def eval(self, z):
-        """Evaluate at an mpf/mpc z with Re z > 0 (Horner in 1/z^2).  The
-        lattice sums read `terms` instead, so the package calls this at
-        real z only."""
-        inv2 = 1 / (z * z)
-        acc = 0
-        for c in self._coefficients:
-            acc = acc * inv2 + c
-        return acc / z ** self.terms[-1][1]
-
-
-def laplace_closed_form(r: int, n: int) -> InversePowerSum:
-    """Exact term list of J(r, n; z)."""
     if r < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    terms = tuple(
+    return tuple(
         (2 * comb(n, k) * factorial(r + n - k), r + n - k + 1)
         for k in range(0, n + 1, 2)
     )
-    return InversePowerSum(terms=terms)
+
+
+def eval_terms(terms, z):
+    """sum_k c_k z^-e_k for a term list from laplace_closed_form at an
+    mpf/mpc z with Re z > 0: Horner in 1/z^2, each int coefficient added
+    exactly (mpmath converts an int without rounding)."""
+    inv2 = 1 / (z * z)
+    acc = 0
+    for c, _ in terms:
+        acc = acc * inv2 + c
+    return acc / z ** terms[-1][1]
 
 
 def derivative_identity_holds(r: int, n: int, order: int) -> bool:
     """Differentiate the closed form termwise `order` times and compare,
     as exact term lists, with (-1)^order * J(r+order, n; .)."""
-    terms = laplace_closed_form(r, n).terms
+    terms = laplace_closed_form(r, n)
     for _ in range(order):
         terms = tuple((c * e, e + 1) for c, e in terms)
-    return terms == laplace_closed_form(r + order, n).terms
+    return terms == laplace_closed_form(r + order, n)
 
 
 # Largest z: the saddle table's values grow like exp(z/2), and above
@@ -83,7 +68,6 @@ Z_MAX = 2**64
 
 @dataclass(frozen=True)
 class SaddleCoefficients:
-    z: mp.mpf
     leading: mp.mpf      # cosh(z/2)
     correction: mp.mpf   # first 1/n coefficient, always negative
 
@@ -97,7 +81,7 @@ def saddle_coefficients(nu: int, z, precision_bits: int = 256) -> SaddleCoeffici
             raise ValueError(f"z must be positive and at most 2^64, got {mp.nstr(zz, 8)}")
         ch, sh = mp.cosh(zz / 2), mp.sinh(zz / 2)
         corr = -(zz * zz / 2 * ch + 2 * zz * nu * sh + (2 * nu * nu + 2 * nu + 1) * ch) / 8
-        return SaddleCoefficients(z=zz, leading=ch, correction=corr)
+        return SaddleCoefficients(leading=ch, correction=corr)
 
 
 def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
@@ -108,7 +92,7 @@ def normalized_value(nu: int, z, n: int, precision_bits: int = 256) -> mp.mpf:
     saddle_coefficients rejects any other."""
     with mp.workprec(precision_bits + 48):
         zz = mp.mpf(z)
-        val = laplace_closed_form(n + nu, n).eval(zz)
+        val = eval_terms(laplace_closed_form(n + nu, n), zz)
         return (
             val
             * mp.sqrt(mp.pi * n)

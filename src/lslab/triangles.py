@@ -329,19 +329,6 @@ def legendre_from_chebyshev(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gamma_zero_identity(n: int, j: int) -> int:
-    """Check T_0(n, j) == T_1(n-1, j-1) and return the common value."""
-    if n < 1 or j < 1:
-        raise ValueError("requires n, j >= 1")
-    if j > n:
-        return 0
-    lhs = triangle_row(GAMMA_ZERO, n)[j]
-    rhs = triangle_row(LEGENDRE, n - 1)[j - 1]
-    if lhs != rhs:
-        raise KernelInvariantError(f"gamma-zero shift failed at ({n}, {j}): {lhs} != {rhs}")
-    return int(lhs)
-
-
 # --- exported rows and the decimal form of an entry -----------------------
 
 

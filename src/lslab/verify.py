@@ -99,10 +99,11 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
     )
     out.append(_result("first-column doubling law n<=200", ok))
 
-    ok = True
-    for n in range(1, 41):
-        for j in range(1, n + 1):
-            triangles.gamma_zero_identity(n, j)  # raises on mismatch
+    ok = all(
+        triangles.triangle_row(triangles.GAMMA_ZERO, n)[1:]
+        == triangles.triangle_row(triangles.LEGENDRE, n - 1)
+        for n in range(1, 41)
+    )
     out.append(_result("gamma-zero index shift n<=40", ok))
 
     ok = True
@@ -190,9 +191,9 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
     ok = True
     with mp.workprec(bits):
         for r, n in itertools.product(range(0, 51, 5), range(0, 51, 5)):
-            form = laplace.laplace_closed_form(r, n)
+            terms = laplace.laplace_closed_form(r, n)
             for z in (w / 2, mp.mpf(1), w, mp.mpf(2), 2 * w):
-                if not form.eval(z) > 0:
+                if not laplace.eval_terms(terms, z) > 0:
                     ok = False
     out.append(_result("closed-form positivity r,n<=50", ok))
 

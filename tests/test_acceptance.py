@@ -15,7 +15,7 @@ import pytest
 from lslab import edgeworth, verify
 from lslab.genpoly import legendre_genpoly_recurrence
 from lslab.precision import to_mpf
-from lslab.triangles import gamma_zero_identity, modified_legendre_row
+from lslab.triangles import modified_legendre_row
 
 CFG = verify.SuiteConfig()
 
@@ -236,12 +236,8 @@ def test_criterion_12_expansion_engine(edgeworth_run):
                f"suite {edgeworth_run.elapsed:.1f}s")
 
 
-def test_criterion_13_gamma_zero_identity():
-    start = time.monotonic()
-    ok = True
-    for n in range(1, 41):
-        for j in range(1, n + 1):
-            gamma_zero_identity(n, j)
-    elapsed = time.monotonic() - start
-    _criterion(13, "gamma-zero index shift exact for 1<=j<=n<=40",
-               ok and elapsed < 5, f"{elapsed:.2f}s")
+def test_criterion_13_gamma_zero_identity(identities_run):
+    check = identities_run.named("gamma-zero index shift n<=40")
+    ok = check.passed and identities_run.elapsed < 10
+    _criterion(13, "gamma-zero index shift exact for 1<=j<=n<=40", ok,
+               f"suite {identities_run.elapsed:.1f}s")

@@ -100,6 +100,80 @@ class TestDistribution:
         assert sum(distribution(probs)) == 1
 
 
+def typed_seed_distribution(probs, precision_bits=256):
+    """Oracle: distribution as it was with a typed seed, Fraction(1) for
+    exact probabilities and mpf(1) otherwise."""
+    exact = all(isinstance(p, (int, Fraction)) for p in probs)
+    with mp.workprec(precision_bits):
+        poly = [Fraction(1) if exact else mp.mpf(1)]
+        for p in probs:
+            q = 1 - p
+            new = [0 * p] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                new[i] += c * q
+                new[i + 1] += c * p
+            poly = new
+    return poly
+
+
+def typed_seed_cumulants(probs, order, precision_bits=256):
+    """Oracle: cumulants_from_probabilities as it was with a typed zero,
+    Fraction(0) for exact probabilities and mpf(0) otherwise."""
+    exact = all(isinstance(p, (int, Fraction)) for p in probs)
+    with mp.workprec(precision_bits):
+        totals = [Fraction(0) if exact else mp.mpf(0)] * order
+        for p in probs:
+            kappas = edgeworth._cumulants_from_raw([p] * order)
+            for i in range(order):
+                totals[i] += kappas[i]
+    return edgeworth._normalize_cumulants(len(probs), totals, precision_bits)
+
+
+def profile_parts(prof):
+    return [prof.mean, prof.variance, *prof.normalized]
+
+
+class TestIntSeeds:
+    """The int seeds 1 and 0 promote to the types the typed seeds gave,
+    and round nothing: the results equal the typed-seed oracles bit for
+    bit (mpf == compares every bit)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        probs=st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**6), min_size=2, max_size=60
+        ),
+        bits=st.sampled_from([64, 256, 1024]),
+        finer_input=st.booleans(),
+    )
+    def test_mpf_path_equals_typed_seeds(self, probs, bits, finer_input):
+        probs[0] = Fraction(1, 2)  # variance > 0
+        with mp.workprec(2 * bits if finer_input else bits):
+            mprobs = tuple(to_mpf(p) for p in probs)
+        ours, oracle = distribution(mprobs, bits), typed_seed_distribution(mprobs, bits)
+        assert all(type(a) is type(b) is mp.mpf for a, b in zip(ours, oracle))
+        assert ours == oracle
+        ours = profile_parts(cumulants_from_probabilities(mprobs, 6, bits))
+        oracle = profile_parts(typed_seed_cumulants(mprobs, 6, bits))
+        assert all(type(a) is type(b) is mp.mpf for a, b in zip(ours, oracle))
+        assert ours == oracle
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        probs=st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=50), min_size=2, max_size=60
+        ),
+    )
+    def test_fractions_in_fractions_out(self, probs):
+        probs = (Fraction(1, 2), *probs)
+        dist = distribution(probs)
+        assert all(type(d) is Fraction for d in dist)
+        assert dist == typed_seed_distribution(probs)
+        prof = cumulants_from_probabilities(probs, 4)
+        assert type(prof.mean) is Fraction and type(prof.variance) is Fraction
+        assert prof == typed_seed_cumulants(probs, 4)
+
+
 class TestCumulants:
     def test_lambda2_is_one(self):
         probs = tuple(Fraction(1, k + 2) for k in range(6))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lslab import eisenstein, verify
+from lslab.cli import main
 from lslab.clt import saddle_constant
 from lslab.eisenstein import (
     CertifiedValue,
@@ -25,7 +26,7 @@ from lslab.eisenstein import (
     tail_bound,
     zeta_series,
 )
-from lslab.laplace import laplace_closed_form
+from lslab.laplace import eval_terms, laplace_closed_form
 from lslab.triangles import CHEBYSHEV, modified_legendre_row, scale_row, triangle_row
 
 
@@ -124,26 +125,30 @@ class TestCovers:
                 CertifiedValue(mp.mpf(0), r, w, 256)
 
 
+def counting(calls, real):
+    """real, with the arguments of every call appended to calls."""
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    return wrapper
+
+
 @pytest.fixture(scope="class")
 def lattice_suites():
     """`verify clt` and `verify eisenstein` at the default configuration,
-    each run once with zeta's memo cleared and every power table counted:
-    suite -> (passed by line name, zeta misses, power tables built)."""
+    each run once with every zeta evaluation and every power table
+    counted: suite -> (passed by line name, zeta calls, power tables
+    built)."""
     runs = {}
-    built = []
-    real = eisenstein._power_table
-
-    def counting(*args):
-        built.append(args)
-        return real(*args)
-
+    zetas, built = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eisenstein, "_power_table", counting)
+        patch.setattr(eisenstein, "zeta_series", counting(zetas, eisenstein.zeta_series))
+        patch.setattr(eisenstein, "_power_table", counting(built, eisenstein._power_table))
         for name, suite in (("clt", verify.suite_clt), ("eisenstein", verify.suite_eisenstein)):
-            eisenstein._zeta_series.cache_clear()
+            zetas.clear()
             built.clear()
             passed = {r.name: r.passed for r in suite(verify.SuiteConfig())}
-            runs[name] = (passed, eisenstein._zeta_series.cache_info().misses, len(built))
+            runs[name] = (passed, len(zetas), len(built))
     return runs
 
 
@@ -154,17 +159,17 @@ class TestLatticeLinesSkipZeta:
     per w for all its rows."""
 
     def test_clt_suite(self, lattice_suites):
-        passed, zeta_misses, _ = lattice_suites["clt"]
+        passed, zeta_calls, _ = lattice_suites["clt"]
         assert passed["lattice identity for sqrt5 * row mass n<=50"]
-        assert zeta_misses == 0
+        assert zeta_calls == 0
 
     def test_eisenstein_lattice_lines(self, lattice_suites):
         # the saddle lines read no tail bound, so the whole suite calls no zeta
-        passed, zeta_misses, _ = lattice_suites["eisenstein"]
+        passed, zeta_calls, _ = lattice_suites["eisenstein"]
         assert passed["lattice sums within certified bound n<=50"]
         assert passed["row-sum lattice values n<=30"]
         assert all(passed.values())
-        assert zeta_misses == 0
+        assert zeta_calls == 0
 
     def test_clt_builds_one_power_table(self, lattice_suites):
         assert lattice_suites["clt"][2] == 1
@@ -172,6 +177,20 @@ class TestLatticeLinesSkipZeta:
     def test_eisenstein_builds_four_power_tables(self, lattice_suites):
         # three Legendre w's and one Chebyshev w
         assert lattice_suites["eisenstein"][2] == 4
+
+
+class TestZetaTraffic:
+    def test_saddle_table_asks_once_per_row(self, monkeypatch, capsys):
+        """The saddle table's tail_bound column is zeta's one caller in
+        the CLI: one evaluation per row, each at its own s = (n + nu +
+        1)/2, so a memo of zeta would never be hit."""
+        zetas = []
+        monkeypatch.setattr(eisenstein, "zeta_series", counting(zetas, eisenstein.zeta_series))
+        argv = "asymptotics --report saddle --n-list 100,200,400".split()
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert len(zetas) == 3
+        assert len({s for s, _ in zetas}) == 3
 
 
 class TestSqueezeArgument:
@@ -252,15 +271,12 @@ class TestLegendreLattice:
 
     def test_mass_identity(self, w):
         # sqrt5 * M_n(1) equals the full lattice sum of the closed forms
-        from lslab.laplace import laplace_closed_form
-        from lslab.triangles import modified_legendre_row
-
         with mp.workprec(300):
             for n in (5, 20):
-                closed = laplace_closed_form(n, n)
+                terms = laplace_closed_form(n, n)
                 total = mp.mpc(0)
                 for m in range(-16, 17):
-                    total += closed.eval(mp.mpc(w, 2 * mp.pi * m))
+                    total += eval_terms(terms, mp.mpc(w, 2 * mp.pi * m))
                 exact = mp.sqrt(5) * mp.mpf(sum(modified_legendre_row(n)))
                 assert abs(total.real - exact) / exact < tail_bound(n, w, 256)
                 assert abs(total.imag) < mp.mpf(2) ** -240 * abs(total.real)
@@ -270,7 +286,8 @@ def lattice_terms(family, n):
     """The summand and the prefactor of eisenstein_<family>, as written
     there."""
     if family == "legendre":
-        return laplace_closed_form(n, n).eval, lambda wv: (mp.cosh(wv) - 1) / mp.sinh(wv)
+        terms = laplace_closed_form(n, n)
+        return lambda z: eval_terms(terms, z), lambda wv: (mp.cosh(wv) - 1) / mp.sinh(wv)
     return (
         lambda z: z ** (-(2 * n + 1)),
         lambda wv: mp.mpf(factorial(2 * n)) * 2 * (mp.cosh(wv) - 1) / mp.sinh(wv),

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lslab.cli import main
 from lslab.laplace import (
     derivative_identity_holds,
+    eval_terms,
     laplace_closed_form,
     normalized_value,
     saddle_coefficients,
@@ -19,15 +20,15 @@ from lslab.laplace import (
 
 class TestClosedForm:
     def test_tiny_cases(self):
-        assert laplace_closed_form(0, 0).terms == ((2, 1),)
-        assert laplace_closed_form(1, 1).terms == ((4, 3),)
-        assert laplace_closed_form(2, 2).terms == ((48, 5), (4, 3))
+        assert laplace_closed_form(0, 0) == ((2, 1),)
+        assert laplace_closed_form(1, 1) == ((4, 3),)
+        assert laplace_closed_form(2, 2) == ((48, 5), (4, 3))
 
     def test_eval_against_quadrature(self):
         # independent oracle: direct numerical integration
         with mp.workprec(80):
             for r, n, z in [(0, 0, mp.mpf(2)), (2, 3, mp.mpf("1.7")), (4, 2, mp.mpf("0.8"))]:
-                closed = laplace_closed_form(r, n).eval(z)
+                closed = eval_terms(laplace_closed_form(r, n), z)
                 quad = mp.quad(
                     lambda x: mp.e ** (-x * z) * x**r * ((x + 1) ** n + (x - 1) ** n),
                     [0, mp.inf],
@@ -39,12 +40,12 @@ class TestClosedForm:
             for r in range(0, 30, 7):
                 for n in range(0, 30, 7):
                     for z in (mp.mpf("0.3"), mp.mpf(1), mp.mpf(5)):
-                        assert laplace_closed_form(r, n).eval(z) > 0
+                        assert eval_terms(laplace_closed_form(r, n), z) > 0
 
     def test_complex_evaluation(self):
         with mp.workprec(64):
             z = mp.mpc(1, 3)
-            val = laplace_closed_form(2, 2).eval(z)
+            val = eval_terms(laplace_closed_form(2, 2), z)
             assert abs(val - (48 / z**5 + 4 / z**3)) < mp.mpf(2) ** -50
 
     def test_rejects_negative_indices(self):
@@ -52,33 +53,38 @@ class TestClosedForm:
             laplace_closed_form(-1, 0)
 
 
-def mixed_int_eval(terms, z):
-    """Oracle: Horner in 1/z^2 with each int coefficient added as an int,
-    so mpmath converts it at every point."""
+def converted_once_eval(terms, z):
+    """Oracle: the evaluator as it was while term lists were objects,
+    each int coefficient converted to an exact mpf once per list and the
+    mpfs added in Horner's scheme."""
+    coefficients = tuple(mp.convert(c) for c, _ in terms)
     inv2 = 1 / (z * z)
     acc = 0
-    for c, _ in terms:
+    for c in coefficients:
         acc = acc * inv2 + c
     return acc / z ** terms[-1][1]
 
 
-class TestEvalCoefficients:
+class TestEvalTermsBits:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=0, max_value=60),
-        bits=st.integers(min_value=64, max_value=352),
+        nu=st.integers(min_value=0, max_value=2),
+        bits=st.sampled_from([64, 256, 1024]),
         m=st.integers(min_value=-16, max_value=16),
         x=st.sampled_from(["1/3", "0.9624236501192069", "2", "7.5"]),
         complex_z=st.booleans(),
     )
-    def test_equals_mixed_int_horner(self, n, bits, m, x, complex_z):
-        """eval adds exact mpf coefficients converted once; the value is
-        bit for bit (== on both parts) the sum with int coefficients."""
-        form = laplace_closed_form(n, n)
+    @example(n=60, nu=0, bits=1024, m=16, x="1/3", complex_z=True)
+    @example(n=60, nu=2, bits=64, m=0, x="7.5", complex_z=False)
+    def test_equals_converted_once_horner(self, n, nu, bits, m, x, complex_z):
+        """eval_terms adds the ints themselves; the value is bit for bit
+        (== on both parts) the sum of the once-converted mpfs."""
+        terms = laplace_closed_form(n + nu, n)
         with mp.workprec(bits):
             re = mp.mpf(Fraction(x).numerator) / Fraction(x).denominator
             z = mp.mpc(re, 2 * mp.pi * m) if complex_z else re
-            ours, oracle = form.eval(z), mixed_int_eval(form.terms, z)
+            ours, oracle = eval_terms(terms, z), converted_once_eval(terms, z)
             assert type(ours) is type(oracle)
             assert mp.re(ours) == mp.re(oracle) and mp.im(ours) == mp.im(oracle)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lslab import cache, triangles
+from lslab import cache, triangles, verify
 from lslab.cache import parse_record, triangle_record
 from lslab.errors import CacheCorruptionError, ResourceLimitError
 from lslab.triangles import (
@@ -26,7 +26,6 @@ from lslab.triangles import (
     MAX_ROWS,
     chebyshev_stirling_binsum,
     format_entry,
-    gamma_zero_identity,
     iter_triangle,
     jacobi_stirling,
     jacobi_stirling_explicit,
@@ -365,11 +364,24 @@ class TestConnections:
 class TestGammaZero:
     @pytest.mark.parametrize("n,j,expected", [(3, 2, 2), (1, 1, 1), (4, 2, 4)])
     def test_examples(self, n, j, expected):
-        assert gamma_zero_identity(n, j) == expected
+        # T_0(n, j) = T_1(n-1, j-1)
+        assert triangle_row(GAMMA_ZERO, n)[j] == triangle_row(LEGENDRE, n - 1)[j - 1] == expected
 
-    def test_rejects_zero_indices(self):
-        with pytest.raises(ValueError):
-            gamma_zero_identity(0, 1)
+    def test_mismatch_fails_its_line_only(self, monkeypatch):
+        """A wrong gamma-zero entry is reported as one FAIL line; the
+        suite still runs to its end."""
+        real = triangles.triangle_row
+
+        def one_wrong_entry(gamma, n):
+            row = real(gamma, n)
+            if gamma == GAMMA_ZERO and n == 17:
+                return row[:5] + (row[5] + 1,) + row[6:]
+            return row
+
+        monkeypatch.setattr(triangles, "triangle_row", one_wrong_entry)
+        results = verify.suite_identities(verify.SuiteConfig())
+        assert len(results) == 7
+        assert [r.name for r in results if not r.passed] == ["gamma-zero index shift n<=40"]
 
 
 class TestFirstColumn:
