@@ -108,9 +108,10 @@ def cmd_table(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     cfg = verify.SuiteConfig(precision_bits=args.precision_bits)
     if args.n_max is not None:
-        triangles.check_row_cap(args.n_max)
-        if args.suite in ("roots", "all"):
-            sturm.check_roots_cap(args.n_max)
+        if args.n_max > sturm.ROOTS_MAX_N:
+            raise ResourceLimitError(
+                f"--n-max {args.n_max} exceeds the cap of {sturm.ROOTS_MAX_N}"
+            )
         cfg.n_max = args.n_max
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, cfg)

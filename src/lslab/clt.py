@@ -12,15 +12,14 @@ golden ratio, about 0.9624).  With
     spread(n) = (1/2 - w/sqrt 5) (2/w)^2 n/5,
 
 the exact row mean approaches center(n) at rate 1/n and the exact row
-variance stays within O(1) of spread(n); the pointwise normal estimate
-
-    A(n, j) = (2n)! / (sqrt(2 pi spread) (2j)! w^(2n+1)) * exp(-x^2/2),
-    x = (j - center)/sqrt(spread),
-
-tracks the exact numbers near the center, and the scaled partial row
-sums converge to the normal distribution function.  Every check here
-runs on exact integer rows scaled at working precision; mpf exponents
-are arbitrary-precision integers, so there is no overflow at any n.
+variance stays within O(1) of spread(n).  On row n's frame, center(n),
+sigma = sqrt(spread(n)) and scale = w^(2n+1)/(2n)! (`centering_scaling`),
+the pointwise normal estimate A(n, j) = phi(x) / (sigma (2j)! scale), phi
+the standard normal density at x = (j - center)/sigma, tracks the exact
+numbers near the center, and the scaled partial row sums converge to the
+normal distribution function.  Every check here runs on exact integer
+rows scaled at working precision; mpf exponents are arbitrary-precision
+integers, so there is no overflow at any n.
 """
 
 from __future__ import annotations
@@ -66,26 +65,27 @@ def _saddle_constant(precision_bits: int) -> mp.mpf:
 
 @dataclass(frozen=True)
 class CenteringScaling:
+    """Row n's normal frame; scale takes row n's coefficient sum to a mass near 1."""
     center: mp.mpf
     spread: mp.mpf
-    w: mp.mpf
+    sigma: mp.mpf
+    scale: mp.mpf
 
 
 def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
-    if n < 1:
-        raise ValueError("requires n >= 1")
+    """The frame of row n, every field computed at precision_bits."""
+    if n < 0:
+        raise ValueError("requires n >= 0")
     with mp.workprec(precision_bits):
         w = saddle_constant(precision_bits)
         s5 = mp.sqrt(5)
-        center = (2 * n + 1) / (s5 * w) - mp.mpf(1) / 2
         spread = (mp.mpf(1) / 2 - w / s5) * (2 / w) ** 2 * mp.mpf(n) / 5
-        return CenteringScaling(center=+center, spread=+spread, w=+w)
-
-
-def row_scale(n: int, w) -> mp.mpf:
-    """w^(2n+1)/(2n)! at the working precision: the factor that takes
-    row n's coefficient sum to a mass near 1."""
-    return w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+        return CenteringScaling(
+            center=(2 * n + 1) / (s5 * w) - mp.mpf(1) / 2,
+            spread=spread,
+            sigma=mp.sqrt(spread),
+            scale=w ** (2 * n + 1) / mp.mpf(factorial(2 * n)),
+        )
 
 
 def mean_variance_exact(n: int) -> tuple[Fraction, Fraction]:
@@ -115,19 +115,15 @@ def mean_variance_residuals(n_list, precision_bits: int = 256) -> list[tuple]:
 
 
 def normal_approximation(n: int, j: int, precision_bits: int = 256) -> mp.mpf:
-    """The pointwise estimate A(n, j).  Factorials enter as exact integers
-    converted at working precision; mpf exponents are unbounded, so the
-    (2n)!/w^(2n+1) scale cannot overflow."""
+    """The pointwise estimate A(n, j) on row n's frame.  Factorials enter
+    as exact integers converted at working precision; mpf exponents are
+    unbounded, so the scale cannot underflow."""
     if not 1 <= j <= n:
         raise ValueError("requires 1 <= j <= n")
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        x = (j - cs.center) / mp.sqrt(cs.spread)
-        value = (
-            mp.mpf(factorial(2 * n))
-            / (mp.sqrt(2 * mp.pi * cs.spread) * mp.mpf(factorial(2 * j)) * cs.w ** (2 * n + 1))
-            * mp.e ** (-x * x / 2)
-        )
+        x = (j - cs.center) / cs.sigma
+        value = mp.npdf(x) / (cs.sigma * cs.scale * mp.mpf(factorial(2 * j)))
     with mp.workprec(precision_bits):
         return +value
 
@@ -151,44 +147,33 @@ def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]
 
 
 def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
-    """max over 0 <= j <= n of |sqrt(spread) (2j)! w^(2n+1)/(2n)! T(n,j)
-    - phi(x)| with the exact scaled row."""
+    """max over 0 <= j <= n of |sigma scale (2j)! T(n,j) - phi(x)| with
+    the exact scaled row."""
     if n < 2:
         raise ValueError("requires n >= 2")
     row = modified_legendre_row(n)
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        sqrt_spread = mp.sqrt(cs.spread)
-        scale = row_scale(n, cs.w)
-        inv_sqrt2pi = 1 / mp.sqrt(2 * mp.pi)
-        worst = mp.mpf(0)
-        for j in range(n + 1):
-            x = (j - cs.center) / sqrt_spread
-            gauss = inv_sqrt2pi * mp.e ** (-x * x / 2)
-            diff = abs(sqrt_spread * scale * mp.mpf(row[j]) - gauss)
-            if diff > worst:
-                worst = diff
+        worst = max(
+            abs(cs.sigma * cs.scale * mp.mpf(c) - mp.npdf((j - cs.center) / cs.sigma))
+            for j, c in enumerate(row)
+        )
     with mp.workprec(precision_bits):
         return +worst
 
 
 def scaled_cdf(n: int, ys, precision_bits: int = 256) -> list:
-    """Partial-sum distribution values, one for each y in ys:
-
-        w^(2n+1)/(2n)! * sum_{j <= floor(center + y sqrt(spread))} (2j)! T(n, j).
-
-    The row, its prefix sums, the centering and the scale are built once."""
+    """scale * sum_{j <= floor(center + y sigma)} (2j)! T(n, j) for each y
+    in ys; the row, its prefix sums and the frame are built once."""
     if n < 2:
         raise ValueError("requires n >= 2")
     prefix = list(accumulate(modified_legendre_row(n)))
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        sqrt_spread = mp.sqrt(cs.spread)
-        scale = row_scale(n, cs.w)
         values = []
         for y in ys:
-            j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * sqrt_spread)), n)
-            values.append(mp.mpf(prefix[j_hi]) * scale if j_hi >= 0 else mp.mpf(0))
+            j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * cs.sigma)), n)
+            values.append(mp.mpf(prefix[j_hi]) * cs.scale if j_hi >= 0 else mp.mpf(0))
     with mp.workprec(precision_bits):
         return [+v for v in values]
 
@@ -204,11 +189,11 @@ def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
 
 
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
-    """M_n(1) w^(2n+1) / (2n)!; approaches 1 at rate 1/n.  The exact mass
-    M_n(1) comes from `legendre_row_mass`, so no triangle row is built."""
+    """M_n(1) times row n's scale; approaches 1 at rate 1/n.  M_n(1) comes
+    from `legendre_row_mass`, so no triangle row is built."""
     mass = legendre_row_mass(n)
     with mp.workprec(precision_bits + 16):
-        value = mp.mpf(mass) * row_scale(n, saddle_constant(precision_bits + 16))
+        value = mp.mpf(mass) * centering_scaling(n, precision_bits + 16).scale
     with mp.workprec(precision_bits):
         return +value
 

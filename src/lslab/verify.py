@@ -2,10 +2,14 @@
 
 Each suite re-checks one cluster of module invariants at desk scale and
 returns a list of CheckResult records; the CLI prints one PASS/FAIL line
-per record and exits nonzero on any failure.  Suites contain no logic of
-their own beyond driving module functions and comparing against frozen
-expected values (constants marked 'reference run' below were fixed by an
-independent high-precision oracle run during development).
+per record and exits nonzero on any failure.  Suites mostly drive module
+functions and compare against frozen expected values (constants marked
+'reference run' below were fixed by an independent high-precision oracle
+run during development).  Four checks carry an oracle of their own, a
+route no module provides: `_enumerate_distribution` (all 2^n outcomes),
+the Hermite coefficient recursion P_{m+1} = P' - x P, the Horner sum of
+M_n(g) the lattice sums must meet, and the fixed-j growth prediction
+T(n, j) ~ (j (j + 2 gamma - 1))^n / (j! prod_{t<j} (j + 2 gamma - 1 + t)).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import factorial, lcm
 import mpmath as mp
 
 from . import clt, edgeworth, eisenstein, genpoly, laplace, sturm, triangles
-from .errors import LslabError
+from .errors import CertificationError, LslabError, UnimodalityError
 from .precision import to_mpf
 
 RATIO_WINDOW = (Fraction("1.0438485"), Fraction("1.0438495"))
@@ -154,24 +158,30 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
     out.append(_result(f"connection polynomials k<={kmax}", ok))
 
     cmax = cfg.n_max
-    certs = [sturm.certify_roots(n) for n in range(1, cmax + 1)]  # raise on any clause
     ok = True
     detail = ""
-    for n, points, signs in sturm.separators(min(cmax, CROSSCHECK_MAX)):
-        q = triangles.modified_legendre_row(n)[1:]
-        if list(certs[n - 1].intervals) != sturm.tree_intervals(q, points, signs):
-            ok, detail = False, f"Descartes and interlacing intervals differ at n={n}"
-            break
+    try:
+        certs = [sturm.certify_roots(n) for n in range(1, cmax + 1)]
+        for n, points, signs in sturm.separators(min(cmax, CROSSCHECK_MAX)):
+            q = triangles.modified_legendre_row(n)[1:]
+            if list(certs[n - 1].intervals) != sturm.tree_intervals(q, points, signs):
+                ok, detail = False, f"Descartes and interlacing intervals differ at n={n}"
+                break
+    except CertificationError as exc:
+        ok, detail = False, str(exc)
     out.append(_result(f"root certificates 1<=n<={cmax}", ok, detail))
 
     ok = True
     detail = ""
-    for n in range(3, UNIMODALITY_MAX + 1):
-        mode = genpoly.unimodality_report(n)  # raises UnimodalityError
-        cs = clt.centering_scaling(n, 64)
-        if abs(mode - float(cs.center)) > 3:
-            ok, detail = False, f"mode far from center at n={n}"
-            break
+    try:
+        for n in range(3, UNIMODALITY_MAX + 1):
+            mode = genpoly.unimodality_report(n)
+            cs = clt.centering_scaling(n, 64)
+            if abs(mode - float(cs.center)) > 3:
+                ok, detail = False, f"mode far from center at n={n}"
+                break
+    except UnimodalityError as exc:
+        ok, detail = False, str(exc)
     out.append(_result(f"unimodality with centered mode 3<=n<={UNIMODALITY_MAX}", ok, detail))
 
     mean2 = clt.mean_variance_exact(2)[0]
@@ -235,25 +245,23 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
                 ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
     out.append(_result("row-sum lattice values n<=30", ok, detail))
 
-    def saddle_residuals(nu, z):
-        # |n (Q - b) - b_nu| at n = 100, 200, 400; a row ends with the residual
-        rows = laplace.saddle_expansion_check(nu, z, [100, 200, 400], bits)
-        return [abs(row[-1]) for row in rows]
-
     ok = True
     detail = ""
     for nu in (0, 1, 2):
         for z in (w, mp.mpf(1), mp.mpf(2)):
-            res = saddle_residuals(nu, z)
+            # |n (Q - b) - b_nu| at n = 100, 200, 400; a row ends with the residual
+            rows = laplace.saddle_expansion_check(nu, z, [100, 200, 400], bits)
+            res = [abs(row[-1]) for row in rows]
+            if (nu, z) == (2, 1):
+                halving = res
             final_rel = res[-1] / abs(laplace.saddle_coefficients(nu, z, bits).correction)
             shrinks = all(b < a for a, b in zip(res, res[1:]))
             if not shrinks or final_rel > SADDLE_REL_TOLERANCE:
                 ok, detail = False, f"nu={nu} z={mp.nstr(z, 5)} rel={mp.nstr(final_rel, 4)}"
     out.append(_result("saddle expansion two-term match at n=400", ok, detail))
 
-    res = saddle_residuals(2, mp.mpf(1))
-    r1 = res[1] / res[0]
-    r2 = res[2] / res[1]
+    r1 = halving[1] / halving[0]
+    r2 = halving[2] / halving[1]
     ok = 0.35 < r1 < 0.65 and 0.35 < r2 < 0.65
     out.append(
         _result(
@@ -367,11 +375,10 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
         mass = clt.total_mass_ratio(n, bits)
         row = triangles.modified_legendre_row(n)
         total = sum(row)
-        scale = clt.row_scale(n, cs.w)
         for j in range(n + 1):
-            lhs = mp.sqrt(cs.spread) * scale * mp.mpf(row[j])
+            lhs = cs.sigma * cs.scale * mp.mpf(row[j])
             sigma_p = sigma * mp.mpf(row[j]) / total
-            rhs = sigma_p * (mp.sqrt(cs.spread) / sigma) * mass
+            rhs = sigma_p * (cs.sigma / sigma) * mass
             if abs(lhs - rhs) > mp.mpf(2) ** (-bits + 32) * (1 + abs(lhs)):
                 ok = False
     out.append(_result("scaled row matches rescaled row-sum distribution at n=20", ok))

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lslab
-from lslab import cache, laplace, triangles
+from lslab import cache, genpoly, laplace, sturm, triangles
 from lslab.cache import parse_record, triangle_record
 from lslab.cli import main
-from lslab.errors import CacheCorruptionError
+from lslab.errors import CacheCorruptionError, CertificationError
 from lslab.precision import print_digits
 from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
 
@@ -154,9 +154,10 @@ class TestCompute:
 
 class TestRowCap:
     """Row 2000 is refused with exit 3 by every command that reads rows,
-    root work past row 200 by `roots` and `verify roots|all`, and a
-    --precision-bits past 2048 by every command that takes one (as is
-    `roots --refine-bits`, in test_sturm), before any work is done."""
+    root work past row 200 by `roots`, a `--n-max` past 200 by `verify`
+    for every suite, and a --precision-bits past 2048 by every command
+    that takes one (as is `roots --refine-bits`, in test_sturm), before
+    any work is done."""
 
     @pytest.mark.parametrize(
         "command",
@@ -170,6 +171,7 @@ class TestRowCap:
             "asymptotics --report mass --n-list 50,2000",
             "asymptotics --report saddle --n-list 2000",
             "verify identities --n-max 2000",
+            "verify identities --n-max 201",
             "asymptotics --report saddle --nu 200000 --n-list 100",
             "compute --family legendre --n 2000 --j 2600",
             "roots --n 1999",
@@ -191,6 +193,14 @@ class TestRowCap:
         assert "resource limit" in err
         assert time.perf_counter() - start < 5
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "suite", ["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
+    )
+    def test_verify_n_max_cap_names_the_flag(self, suite, capsys):
+        code, out, err = run_cli(["verify", suite, "--n-max", "201"], capsys)
+        assert (code, out) == (3, "")
+        assert "--n-max 201" in err
 
 
 class TestRatioIndexRange:
@@ -629,6 +639,50 @@ class TestVerifyCommand:
             main(["verify", "clt", "--n", "1000", "--j", "930"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestRootsLinesFailAlone:
+    """A raised certification or unimodality error FAILs its own line of
+    `verify roots`, with the error text as the detail; the other lines
+    still run and pass."""
+
+    @staticmethod
+    def _only_failure(capsys):
+        code, out, _ = run_cli(["verify", "roots", "--n-max", "10"], capsys)
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 6
+        failed = [line for line in lines if not line.startswith("PASS ")]
+        assert len(failed) == 1
+        return failed[0]
+
+    def test_row_not_unimodal(self, monkeypatch, capsys):
+        real = genpoly.modified_legendre_row
+
+        def bumpy(n):
+            row = list(real(n))
+            if n == 17:
+                row[2], row[3] = row[3], row[2]  # a fall, then a rise
+            return tuple(row)
+
+        monkeypatch.setattr(genpoly, "modified_legendre_row", bumpy)
+        assert self._only_failure(capsys) == (
+            "FAIL unimodality with centered mode 3<=n<=300"
+            "  [row 17 is not unimodal: rise or tie at j=3 after the mode]"
+        )
+
+    def test_certificate_raises(self, monkeypatch, capsys):
+        real = sturm.certify_roots
+
+        def failing(n):
+            if n == 7:
+                raise CertificationError("zero-root", "injected at n=7")
+            return real(n)
+
+        monkeypatch.setattr(sturm, "certify_roots", failing)
+        assert self._only_failure(capsys) == (
+            "FAIL root certificates 1<=n<=10  [zero-root: injected at n=7]"
+        )
 
 
 class TestOneFormatter:

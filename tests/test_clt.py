@@ -5,10 +5,13 @@ Reference decimals were frozen from an independent 320-bit oracle run.
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lslab.cli import main
 from lslab.clt import (
@@ -24,7 +27,7 @@ from lslab.clt import (
     total_mass_ratio,
 )
 from lslab.errors import DegenerateVarianceError
-from lslab.triangles import legendre_stirling_binsum
+from lslab.triangles import legendre_row_mass, legendre_stirling_binsum, modified_legendre_row
 
 
 class TestSaddleConstant:
@@ -59,9 +62,17 @@ class TestCenteringScaling:
     def test_row_one(self):
         cs = centering_scaling(1, 128)
         with mp.workprec(128):
-            direct = 3 / (mp.sqrt(5) * cs.w) - mp.mpf(1) / 2
+            direct = 3 / (mp.sqrt(5) * saddle_constant(128)) - mp.mpf(1) / 2
             assert abs(cs.center - direct) < mp.mpf(2) ** -120
         assert abs(float(cs.center) - 0.894) < 1e-3
+
+    def test_row_zero(self):
+        # the mass table's n = 0 row reads this frame: M_0(1) = 1, scale w
+        cs = centering_scaling(0, 128)
+        assert cs.spread == cs.sigma == 0
+        assert cs.scale == saddle_constant(128)
+        with pytest.raises(ValueError):
+            centering_scaling(-1, 128)
 
     def test_spread_is_linear(self):
         a = centering_scaling(100, 128)
@@ -211,3 +222,99 @@ class TestNormalCdf:
                 with mp.workprec(bits + 200):
                     reference = mp.erfc(-y / mp.sqrt(2)) / 2
                     assert abs(ours - reference) <= mp.mpf(2) ** -bits * reference
+
+
+# Oracles: the row scale, the pointwise estimate and the density residual
+# as they were computed before centering_scaling returned the whole frame
+# (sigma and scale rebuilt by each caller from center, spread and w).
+
+
+def old_row_scale(n, w):
+    return w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
+
+
+def old_normal_approximation(n, j, precision_bits):
+    with mp.workprec(precision_bits + 16):
+        cs = centering_scaling(n, precision_bits + 16)
+        w = saddle_constant(precision_bits + 16)
+        x = (j - cs.center) / mp.sqrt(cs.spread)
+        value = (
+            mp.mpf(factorial(2 * n))
+            / (mp.sqrt(2 * mp.pi * cs.spread) * mp.mpf(factorial(2 * j)) * w ** (2 * n + 1))
+            * mp.e ** (-x * x / 2)
+        )
+    with mp.workprec(precision_bits):
+        return +value
+
+
+def old_max_density_residual(n, precision_bits):
+    row = modified_legendre_row(n)
+    with mp.workprec(precision_bits + 16):
+        cs = centering_scaling(n, precision_bits + 16)
+        sqrt_spread = mp.sqrt(cs.spread)
+        scale = old_row_scale(n, saddle_constant(precision_bits + 16))
+        inv_sqrt2pi = 1 / mp.sqrt(2 * mp.pi)
+        worst = mp.mpf(0)
+        for j in range(n + 1):
+            x = (j - cs.center) / sqrt_spread
+            gauss = inv_sqrt2pi * mp.e ** (-x * x / 2)
+            worst = max(worst, abs(sqrt_spread * scale * mp.mpf(row[j]) - gauss))
+    with mp.workprec(precision_bits):
+        return +worst
+
+
+def ulp(x, bits):
+    """One unit in the last place of the nonzero mpf x at `bits` bits."""
+    return mp.mpf(2) ** (mp.mag(x) - bits)
+
+
+BITS = st.sampled_from([64, 256, 1024])
+
+
+class TestFrameOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 400), bits=BITS)
+    def test_scale_and_mass_bit_for_bit(self, n, bits):
+        with mp.workprec(bits):
+            assert centering_scaling(n, bits).scale == old_row_scale(n, saddle_constant(bits))
+        with mp.workprec(bits + 16):
+            mass = mp.mpf(legendre_row_mass(n)) * old_row_scale(n, saddle_constant(bits + 16))
+        with mp.workprec(bits):
+            assert total_mass_ratio(n, bits) == +mass
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 400), bits=BITS,
+        ys=st.lists(st.floats(-8, 8), min_size=1, max_size=5),
+    )
+    def test_scaled_cdf_bit_for_bit(self, n, bits, ys):
+        prefix = list(accumulate(modified_legendre_row(n)))
+        with mp.workprec(bits + 16):
+            cs = centering_scaling(n, bits + 16)
+            scale = old_row_scale(n, saddle_constant(bits + 16))
+            old = []
+            for y in ys:
+                j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * mp.sqrt(cs.spread))), n)
+                old.append(mp.mpf(prefix[j_hi]) * scale if j_hi >= 0 else mp.mpf(0))
+        with mp.workprec(bits):
+            assert scaled_cdf(n, ys, bits) == [+v for v in old]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 400), bits=BITS)
+    def test_normal_approximation_within_one_ulp(self, data, n, bits):
+        j = data.draw(st.integers(1, n))
+        new, old = normal_approximation(n, j, bits), old_normal_approximation(n, j, bits)
+        assert abs(new - old) <= ulp(max(new, old), bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 400), bits=BITS)
+    def test_density_residual_within_guard_bits(self, n, bits):
+        # Both paths share x, sigma and scale and differ only in phi(x).
+        # Each phi is a few roundings of at most 2^-(bits+16) relative on
+        # values below 1/2 (phi, and phi x^2/2 for the rounding of e in
+        # e^(-x^2/2)), so it is within 8 units of 2^-(bits+16); the two
+        # maxima differ by at most 16 such units before the final rounding
+        # to bits, which adds at most one ulp of the result.
+        new, old = max_density_residual(n, bits), old_max_density_residual(n, bits)
+        with mp.workprec(bits + 64):
+            assert abs(new - old) <= mp.mpf(2) ** -(bits + 12) + ulp(max(new, old), bits)
