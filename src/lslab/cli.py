@@ -1,6 +1,8 @@
 """Command-line front door.
 
 Subcommands: compute, table, verify, roots, clt, edgeworth, asymptotics.
+`verify` runs its suites at fixed sizes; --precision-bits is its one
+option.
 Every output goes to stdout; redirect it to keep a file.  `table` prints
 from its cache file (--cache-dir, else ~/.cache/lslab) once the file's
 hash is checked, building or rebuilding the file first when needed; the
@@ -106,15 +108,8 @@ def cmd_table(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    cfg = verify.SuiteConfig(precision_bits=args.precision_bits)
-    if args.n_max is not None:
-        if args.n_max > sturm.ROOTS_MAX_N:
-            raise ResourceLimitError(
-                f"--n-max {args.n_max} exceeds the cap of {sturm.ROOTS_MAX_N}"
-            )
-        cfg.n_max = args.n_max
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, cfg)
+    results = verify.run_suites(names, args.precision_bits)
     for result in results:
         print(result.line())
     failures = [r for r in results if not r.passed]
@@ -249,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "suite", choices=["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
     )
-    p.add_argument("--n-max", type=_non_negative, help="cap for the exhaustive identity scans")
     p.add_argument("--precision-bits", type=int, default=256)
 
     p = subs.add_parser("roots", help="certify the generating polynomial roots")

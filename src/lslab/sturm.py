@@ -47,12 +47,10 @@ from .errors import CertificationError, ResourceLimitError
 from .precision import MAX_BITS, to_mpf
 from .triangles import modified_legendre_row
 
-# Largest n whose roots are certified, and the cap on `verify --n-max`
-# for every suite.  On a 2-vCPU Xeon VM with CPython 3.11 the certificate
-# takes 0.08 s at n = 55 and 14 s at n = 200, and refinement to 256 bits
-# 0.06 s and 3.0 s; the cost grows steeply, as the interval next to 0 is
-# about 2^-(n+1) wide.  The `verify identities` scans grow like n^4: on
-# a 2-vCPU AMD EPYC VM they take 1.5 s at n = 120 and 12 s at n = 200.
+# Largest n whose roots are certified.  On a 2-vCPU Xeon VM with CPython
+# 3.11 the certificate takes 0.08 s at n = 55 and 14 s at n = 200, and
+# refinement to 256 bits 0.06 s and 3.0 s; the cost grows steeply, as
+# the interval next to 0 is about 2^-(n+1) wide.
 ROOTS_MAX_N = 200
 
 

@@ -1,22 +1,28 @@
 """Named verification suites.
 
 Each suite re-checks one cluster of module invariants at desk scale and
-returns a list of CheckResult records; the CLI prints one PASS/FAIL line
-per record and exits nonzero on any failure.  Suites mostly drive module
-functions and compare against frozen expected values (constants marked
-'reference run' below were fixed by an independent high-precision oracle
-run during development).  Four checks carry an oracle of their own, a
-route no module provides: `_enumerate_distribution` (all 2^n outcomes),
-the Hermite coefficient recursion P_{m+1} = P' - x P, the Horner sum of
-M_n(g) the lattice sums must meet, and the fixed-j growth prediction
+yields one CheckResult record per check; the CLI prints one PASS/FAIL
+line per record and exits nonzero on any failure.  A suite takes the
+working precision in bits: `identities` and `roots` are exact and read
+none of it, and `clt` and `edgeworth` work at 256 bits at least.  A
+suite that raises keeps the lines it yielded before its abort line
+(run_suites).  Suites mostly drive module functions and compare against
+frozen expected values (constants marked 'reference run' below were
+fixed by an independent high-precision oracle run during development).
+Four checks carry an oracle of their own, a route no module provides:
+`_enumerate_distribution` (all 2^n outcomes), the Hermite coefficient
+recursion P_{m+1} = P' - x P, the Horner sum of M_n(g) the lattice sums
+must meet, and the fixed-j growth prediction
 T(n, j) ~ (j (j + 2 gamma - 1))^n / (j! prod_{t<j} (j + 2 gamma - 1 + t)).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
 
 import mpmath as mp
@@ -33,7 +39,7 @@ VAR_RESIDUAL_CEILING = 0.031         # reference run: 0.0296..0.0300 over n=100.
 VAR_RESIDUAL_SLACK = 5e-4            # trendwise non-increase allowance
 SADDLE_REL_TOLERANCE = 0.05          # reference run: <= 0.0061 at n=400
 
-# Scan sizes no caller varies (`verify --n-max` sets SuiteConfig.n_max)
+# Scan sizes, each named in its line
 UNIMODALITY_MAX = 300
 POLY_EQUALITY_MAX = 200
 CONNECTION_MAX = 20
@@ -54,61 +60,64 @@ class CheckResult:
         )
 
 
-@dataclass
-class SuiteConfig:
-    precision_bits: int = 256
-    n_max: int = 30
-
-
 def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _uncovered(ns, certs, exact, where: str = "") -> str:
+    """Each certified lattice sum against its exact value, at the caller's
+    precision: the detail of the last n whose relative error its
+    certificate does not cover, or "" when it covers every n."""
+    detail = ""
+    for n, cert, value in zip(ns, certs, exact):
+        rel = abs(cert.value - value) / value
+        if not cert.covers(rel):
+            detail = f"n={n}{where} rel={mp.nstr(rel, 4)}"
+    return detail
 
 
 # --------------------------------------------------------------------------
 # identities
 
 
-def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    nmax = cfg.n_max
-
+def suite_identities(bits: int) -> Iterator[CheckResult]:
     for gamma, binsum in (
         (triangles.LEGENDRE, triangles.legendre_stirling_binsum),
         (triangles.CHEBYSHEV, triangles.chebyshev_stirling_binsum),
     ):
         ok = all(
             rec == triangles.jacobi_stirling_explicit(n, j, gamma) == binsum(n, j)
-            for n in range(nmax + 1)
+            for n in range(CROSSCHECK_MAX + 1)
             for j, rec in enumerate(triangles.triangle_row(gamma, n))
         )
-        out.append(_result(f"cross-formula equality gamma={gamma} n<={nmax}", ok))
+        yield _result(f"cross-formula equality gamma={gamma} n<={CROSSCHECK_MAX}", ok)
 
     ok = all(
         triangles.odd_power_cancellation(j, ell) == 0
         for j in range(13)
         for ell in range(13)
     )
-    out.append(_result("odd-power binomial cancellation j,l<=12", ok))
+    yield _result("odd-power binomial cancellation j,l<=12", ok)
 
     kmax = CONNECTION_MAX
     ok = all(
         triangles.legendre_from_chebyshev(n) == triangles.triangle_row(triangles.LEGENDRE, n)
         for n in range(2 * kmax + 2)
     )
-    out.append(_result(f"parity connection formulas k<={kmax}", ok))
+    yield _result(f"parity connection formulas k<={kmax}", ok)
 
     ok = all(
         triangles.jacobi_stirling(n, 1, triangles.LEGENDRE) == 2 ** (n - 1)
         for n in range(1, 201)
     )
-    out.append(_result("first-column doubling law n<=200", ok))
+    yield _result("first-column doubling law n<=200", ok)
 
     ok = all(
         triangles.triangle_row(triangles.GAMMA_ZERO, n)[1:]
         == triangles.triangle_row(triangles.LEGENDRE, n - 1)
         for n in range(1, 41)
     )
-    out.append(_result("gamma-zero index shift n<=40", ok))
+    yield _result("gamma-zero index shift n<=40", ok)
 
     ok = True
     detail = ""
@@ -127,27 +136,24 @@ def suite_identities(cfg: SuiteConfig) -> list[CheckResult]:
             strict_needed = devs[0] != 0
             if (devs[1] > devs[0]) or (strict_needed and devs[1] >= devs[0]):
                 ok, detail = False, f"gamma={g} j={j} no sharpening at n=400"
-    out.append(_result("fixed-j growth-rate ratio j<=3", ok, detail))
-    return out
+    yield _result("fixed-j growth-rate ratio j<=3", ok, detail)
 
 
 # --------------------------------------------------------------------------
 # polynomials and roots
 
 
-def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
-
+def suite_roots(bits: int) -> Iterator[CheckResult]:
     printed = [(0, 2), (0, 4, 24), (0, 8, 192, 720)]
     ok = list(genpoly.legendre_genpoly_recurrence(3))[1:] == printed
-    out.append(_result("generating polynomials n=1..3 exact", ok))
+    yield _result("generating polynomials n=1..3 exact", ok)
 
     nmax = POLY_EQUALITY_MAX
     ok = all(
         row == triangles.modified_legendre_row(n)
         for n, row in enumerate(genpoly.legendre_genpoly_recurrence(nmax))
     )
-    out.append(_result(f"recurrence vs triangle polynomials n<={nmax}", ok))
+    yield _result(f"recurrence vs triangle polynomials n<={nmax}", ok)
 
     kmax = CONNECTION_POLY_MAX
     ok = all(
@@ -155,21 +161,20 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
         == triangles.modified_legendre_row(n)
         for n in range(2 * kmax + 2)
     )
-    out.append(_result(f"connection polynomials k<={kmax}", ok))
+    yield _result(f"connection polynomials k<={kmax}", ok)
 
-    cmax = cfg.n_max
     ok = True
     detail = ""
     try:
-        certs = [sturm.certify_roots(n) for n in range(1, cmax + 1)]
-        for n, points, signs in sturm.separators(min(cmax, CROSSCHECK_MAX)):
+        certs = [sturm.certify_roots(n) for n in range(1, CROSSCHECK_MAX + 1)]
+        for n, points, signs in sturm.separators(CROSSCHECK_MAX):
             q = triangles.modified_legendre_row(n)[1:]
             if list(certs[n - 1].intervals) != sturm.tree_intervals(q, points, signs):
                 ok, detail = False, f"Descartes and interlacing intervals differ at n={n}"
                 break
     except CertificationError as exc:
         ok, detail = False, str(exc)
-    out.append(_result(f"root certificates 1<=n<={cmax}", ok, detail))
+    yield _result(f"root certificates 1<=n<={CROSSCHECK_MAX}", ok, detail)
 
     ok = True
     detail = ""
@@ -182,20 +187,17 @@ def suite_roots(cfg: SuiteConfig) -> list[CheckResult]:
                 break
     except UnimodalityError as exc:
         ok, detail = False, str(exc)
-    out.append(_result(f"unimodality with centered mode 3<=n<={UNIMODALITY_MAX}", ok, detail))
+    yield _result(f"unimodality with centered mode 3<=n<={UNIMODALITY_MAX}", ok, detail)
 
     mean2 = clt.mean_variance_exact(2)[0]
-    out.append(_result("row-2 mean equals 13/7", mean2 == Fraction(13, 7)))
-    return out
+    yield _result("row-2 mean equals 13/7", mean2 == Fraction(13, 7))
 
 
 # --------------------------------------------------------------------------
 # laplace / eisenstein
 
 
-def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    bits = cfg.precision_bits
+def suite_eisenstein(bits: int) -> Iterator[CheckResult]:
     w = clt.saddle_constant(bits)
 
     ok = True
@@ -205,7 +207,7 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
             for z in (w / 2, mp.mpf(1), w, mp.mpf(2), 2 * w):
                 if not laplace.eval_terms(terms, z) > 0:
                     ok = False
-    out.append(_result("closed-form positivity r,n<=50", ok))
+    yield _result("closed-form positivity r,n<=50", ok)
 
     ok = all(
         laplace.derivative_identity_holds(r, n, order)
@@ -213,37 +215,30 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
         for n in range(11)
         for order in (1, 2, 3)
     )
-    out.append(_result("derivative identity r,n<=10 order<=3", ok))
+    yield _result("derivative identity r,n<=10 order<=3", ok)
 
-    nmax = LATTICE_MAX
-    ok = True
+    ns = range(2, LATTICE_MAX + 1)
+    rows = [triangles.modified_legendre_row(n) for n in ns]
     detail = ""
     with mp.workprec(bits + 64):
         for wv in (w / 2, w, 2 * w):
             g = eisenstein.squeeze_argument(wv, bits + 64)
-            certs = eisenstein.certified_legendre(range(2, nmax + 1), wv, 16, bits + 64)
-            for n, cert in enumerate(certs, start=2):
-                exact = 0 * g
-                for c in reversed(triangles.modified_legendre_row(n)):
-                    exact = exact * g + c
-                rel = abs(cert.value - exact) / exact
-                if not cert.covers(rel):
-                    ok, detail = False, f"n={n} w={mp.nstr(wv, 6)} rel={mp.nstr(rel, 4)}"
-    out.append(_result(f"lattice sums within certified bound n<={nmax}", ok, detail))
+            # M_n(g) by Horner's rule, the value each lattice sum must meet
+            exact = [reduce(lambda acc, c: acc * g + c, reversed(row), 0 * g) for row in rows]
+            certs = eisenstein.certified_legendre(ns, wv, 16, bits + 64)
+            detail = _uncovered(ns, certs, exact, f" w={mp.nstr(wv, 6)}") or detail
+    yield _result(f"lattice sums within certified bound n<={LATTICE_MAX}", not detail, detail)
 
     # The sum is certified at bits + 64, so w must be accurate to as many.
-    ok = True
-    detail = ""
+    ns = range(1, 31)
     w_fine = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        certs = eisenstein.certified_chebyshev(range(1, 31), w_fine, 16, bits + 64)
-        for n, cert in enumerate(certs, start=1):
-            row = triangles.scale_row(triangles.triangle_row(triangles.CHEBYSHEV, n))
-            exact = mp.mpf(sum(row))
-            rel = abs(cert.value - exact) / exact
-            if not cert.covers(rel):
-                ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
-    out.append(_result("row-sum lattice values n<=30", ok, detail))
+        exact = [
+            mp.mpf(sum(triangles.scale_row(triangles.triangle_row(triangles.CHEBYSHEV, n))))
+            for n in ns
+        ]
+        detail = _uncovered(ns, eisenstein.certified_chebyshev(ns, w_fine, 16, bits + 64), exact)
+    yield _result("row-sum lattice values n<=30", not detail, detail)
 
     ok = True
     detail = ""
@@ -258,19 +253,14 @@ def suite_eisenstein(cfg: SuiteConfig) -> list[CheckResult]:
             shrinks = all(b < a for a, b in zip(res, res[1:]))
             if not shrinks or final_rel > SADDLE_REL_TOLERANCE:
                 ok, detail = False, f"nu={nu} z={mp.nstr(z, 5)} rel={mp.nstr(final_rel, 4)}"
-    out.append(_result("saddle expansion two-term match at n=400", ok, detail))
+    yield _result("saddle expansion two-term match at n=400", ok, detail)
 
     r1 = halving[1] / halving[0]
     r2 = halving[2] / halving[1]
     ok = 0.35 < r1 < 0.65 and 0.35 < r2 < 0.65
-    out.append(
-        _result(
-            "saddle residual halves per doubling",
-            ok,
-            f"ratios {mp.nstr(r1, 4)}, {mp.nstr(r2, 4)}",
-        )
+    yield _result(
+        "saddle residual halves per doubling", ok, f"ratios {mp.nstr(r1, 4)}, {mp.nstr(r2, 4)}"
     )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -292,9 +282,9 @@ def ratio_window_check(bits: int) -> CheckResult:
     )
 
 
-def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
-    bits = max(cfg.precision_bits, 256)
-    out = [ratio_window_check(bits)]
+def suite_clt(bits: int) -> Iterator[CheckResult]:
+    bits = max(bits, 256)
+    yield ratio_window_check(bits)
 
     resid = clt.mean_variance_residuals([100, 200, 400], bits)
     mean_res = {n: m for n, m, _ in resid}
@@ -305,41 +295,31 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
             ratio = +abs(mean_res[2 * n]) / abs(mean_res[n])
             if not (DOUBLING_WINDOW[0] < float(ratio) < DOUBLING_WINDOW[1]):
                 ok, detail = False, f"ratio {mp.nstr(ratio, 5)} at {n}->{2 * n}"
-    out.append(_result("mean-residual doubling ratios n=100,200", ok, detail))
+    yield _result("mean-residual doubling ratios n=100,200", ok, detail)
 
     vr = [abs(v) for _, _, v in resid]
     ok = all(float(v) <= VAR_RESIDUAL_CEILING for v in vr) and all(
         float(b) <= float(a) + VAR_RESIDUAL_SLACK for a, b in zip(vr, vr[1:])
     )
-    out.append(
-        _result(
-            "variance residual bounded over n=100..400",
-            ok,
-            ", ".join(mp.nstr(v, 5) for v in vr),
-        )
+    yield _result(
+        "variance residual bounded over n=100..400", ok, ", ".join(mp.nstr(v, 5) for v in vr)
     )
 
     r100 = clt.max_density_residual(100, bits)
     r400 = clt.max_density_residual(400, bits)
     ok = r400 < r100 and float(r100) < DENSITY_RESIDUAL_CEILING
-    out.append(
-        _result(
-            "pointwise residual decay n=100 -> n=400",
-            ok,
-            f"{mp.nstr(r100, 5)} -> {mp.nstr(r400, 5)}",
-        )
+    yield _result(
+        "pointwise residual decay n=100 -> n=400", ok, f"{mp.nstr(r100, 5)} -> {mp.nstr(r400, 5)}"
     )
 
     with mp.workprec(bits):
         ks100, ks400 = (
             max(abs(s - p) for _, s, p in clt.cdf_grid(n, bits)) for n in (100, 400)
         )
-    out.append(
-        _result(
-            "grid KS distance decay n=100 -> n=400",
-            ks400 < ks100,
-            f"{mp.nstr(ks100, 5)} -> {mp.nstr(ks400, 5)}",
-        )
+    yield _result(
+        "grid KS distance decay n=100 -> n=400",
+        ks400 < ks100,
+        f"{mp.nstr(ks100, 5)} -> {mp.nstr(ks400, 5)}",
     )
 
     masses = {n: clt.total_mass_ratio(n, bits) for n in (50, 100, 200, 400)}
@@ -350,21 +330,17 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
         detail.append(mp.nstr(ratio, 5))
         if not (DOUBLING_WINDOW[0] < float(ratio) < DOUBLING_WINDOW[1]):
             ok = False
-    out.append(_result("total-mass ratio doubling decay", ok, ", ".join(detail)))
+    yield _result("total-mass ratio doubling decay", ok, ", ".join(detail))
 
     # At w, g(w) = 1 and (cosh w - 1)/sinh w = 1/sqrt5, so the certified
     # Legendre lattice sum is the row mass itself; its exact side comes
     # from legendre_row_mass, which this checks against the lattice sum.
-    ok = True
-    detail = ""
+    ns = range(2, 51)
     w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        for n, cert in enumerate(eisenstein.certified_legendre(range(2, 51), w, 16, bits), start=2):
-            exact = mp.mpf(triangles.legendre_row_mass(n))
-            rel = abs(cert.value - exact) / exact
-            if not cert.covers(rel):
-                ok, detail = False, f"n={n} rel={mp.nstr(rel, 4)}"
-    out.append(_result("lattice identity for sqrt5 * row mass n<=50", ok, detail))
+        exact = [mp.mpf(triangles.legendre_row_mass(n)) for n in ns]
+        detail = _uncovered(ns, eisenstein.certified_legendre(ns, w, 16, bits), exact)
+    yield _result("lattice identity for sqrt5 * row mass n<=50", not detail, detail)
 
     n = 20
     ok = True
@@ -381,18 +357,15 @@ def suite_clt(cfg: SuiteConfig) -> list[CheckResult]:
             rhs = sigma_p * (cs.sigma / sigma) * mass
             if abs(lhs - rhs) > mp.mpf(2) ** (-bits + 32) * (1 + abs(lhs)):
                 ok = False
-    out.append(_result("scaled row matches rescaled row-sum distribution at n=20", ok))
+    yield _result("scaled row matches rescaled row-sum distribution at n=20", ok)
 
     center, tail = clt.scaled_cdf(400, [0, -8], bits)
     ok = abs(float(center) - 0.5) < 0.05 and float(tail) < 1e-6
-    out.append(
-        _result(
-            "cdf median and far tail at n=400",
-            ok,
-            f"center {mp.nstr(center, 6)}, tail {mp.nstr(tail, 4)}",
-        )
+    yield _result(
+        "cdf median and far tail at n=400",
+        ok,
+        f"center {mp.nstr(center, 6)}, tail {mp.nstr(tail, 4)}",
     )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -420,17 +393,16 @@ def _enumerate_distribution(probs) -> list:
     return [Fraction(w, den**n) for w in dist]
 
 
-def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def suite_edgeworth(bits: int) -> Iterator[CheckResult]:
     # The root-derived distribution is held to 2^-180, out of reach below
     # 256 bits.
-    bits = max(cfg.precision_bits, 256)
+    bits = max(bits, 256)
 
     rational = tuple(Fraction(i + 1, i + 3) for i in range(12))
     ok = edgeworth.distribution(rational) == _enumerate_distribution(rational)
     m2 = edgeworth.probabilities_from_roots([Fraction(0), Fraction(-1, 6)])
     ok = ok and edgeworth.distribution(m2) == [0, Fraction(1, 7), Fraction(6, 7)]
-    out.append(_result("brute-force enumeration equals convolution n<=12", ok))
+    yield _result("brute-force enumeration equals convolution n<=12", ok)
 
     cert = sturm.certify_roots(12)
     roots = [mp.mpf(0)] + sturm.refine_roots(cert, bits)
@@ -443,7 +415,7 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
         ok = all(
             abs(approx[j] - mp.mpf(row[j]) / total) < tol for j in range(13)
         )
-    out.append(_result("root-derived distribution matches exact row at n=12", ok))
+    yield _result("root-derived distribution matches exact row at n=12", ok)
 
     ok = True
     detail = ""
@@ -463,7 +435,7 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
                 b = prof_poly.normalized_cumulant(nu)
                 if abs(a - b) > tol * (1 + abs(b)):
                     ok, detail = False, f"n={n} nu={nu}"
-    out.append(_result("two-path cumulants agree n in {5,10,20,50}", ok, detail))
+    yield _result("two-path cumulants agree n in {5,10,20,50}", ok, detail)
 
     ok = all(
         edgeworth.hermite_value(m, Fraction(x)) ==
@@ -471,7 +443,7 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
         for m in range(11)
         for x in (Fraction(1, 3), Fraction(7, 5), 2)
     )
-    out.append(_result("hermite parity m<=10", ok))
+    yield _result("hermite parity m<=10", ok)
 
     # Rodrigues-style coefficient recursion: P_0 = 1, P_{m+1} = P' - x P,
     # and the value is (-1)^m P_m.
@@ -488,16 +460,14 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
                 nxt[i] += (i + 1) * poly[i + 1]
             nxt[i + 1] -= c
         poly = nxt
-    out.append(_result("hermite recurrence matches derivative form m<=6", ok))
+    yield _result("hermite recurrence matches derivative form m<=6", ok)
 
     table = edgeworth.comparison_table(200, bits)  # each row ends with |err2|, |err3|
     err2, err3 = max(row[-2] for row in table), max(row[-1] for row in table)
-    out.append(
-        _result(
-            "order-3 expansion beats order-2 at n=200",
-            err3 < err2,
-            f"k=2: {mp.nstr(err2, 5)}, k=3: {mp.nstr(err3, 5)}",
-        )
+    yield _result(
+        "order-3 expansion beats order-2 at n=200",
+        err3 < err2,
+        f"k=2: {mp.nstr(err2, 5)}, k=3: {mp.nstr(err3, 5)}",
     )
 
     m2prof = edgeworth.cumulants_from_probabilities(m2, 6, bits)
@@ -506,8 +476,7 @@ def suite_edgeworth(cfg: SuiteConfig) -> list[CheckResult]:
         sigma2 = mp.sqrt(mp.mpf(6) / 49)
         exact = sigma2 * mp.mpf(6) / 7
         ok = abs(val - mp.mpf("0.36704462")) < 1e-7 and abs(exact - mp.mpf("0.29993751")) < 1e-7
-    out.append(_result("two-point row reference values", ok))
-    return out
+    yield _result("two-point row reference values", ok)
 
 
 SUITES = {
@@ -519,14 +488,15 @@ SUITES = {
 }
 
 
-def run_suites(names, cfg: SuiteConfig):
-    """A raised invariant error (the modules raise on violated exact
-    identities rather than returning falsy values) becomes a FAIL record
-    carrying the first counterexample."""
+def run_suites(names, bits: int) -> list[CheckResult]:
+    """Every line of the named suites at `bits`.  A raised invariant error
+    (the modules raise on violated exact identities rather than returning
+    falsy values) ends its suite with a FAIL record carrying the first
+    counterexample, after the lines the suite already yielded."""
     results: list[CheckResult] = []
     for name in names:
         try:
-            results.extend(SUITES[name](cfg))
+            results.extend(SUITES[name](bits))
         except LslabError as exc:
             results.append(CheckResult(name=f"{name} suite aborted", passed=False, detail=str(exc)))
     return results

@@ -17,7 +17,7 @@ from lslab.genpoly import legendre_genpoly_recurrence
 from lslab.precision import to_mpf
 from lslab.triangles import modified_legendre_row
 
-CFG = verify.SuiteConfig()
+BITS = 256
 
 
 class SuiteRun:
@@ -34,33 +34,33 @@ class SuiteRun:
 
 def _run(suite_fn, *args) -> SuiteRun:
     start = time.monotonic()
-    results = suite_fn(*args)
+    results = list(suite_fn(*args))
     return SuiteRun(results, time.monotonic() - start)
 
 
 @pytest.fixture(scope="module")
 def identities_run():
-    return _run(verify.suite_identities, CFG)
+    return _run(verify.suite_identities, BITS)
 
 
 @pytest.fixture(scope="module")
 def roots_run():
-    return _run(verify.suite_roots, CFG)
+    return _run(verify.suite_roots, BITS)
 
 
 @pytest.fixture(scope="module")
 def eisenstein_run():
-    return _run(verify.suite_eisenstein, CFG)
+    return _run(verify.suite_eisenstein, BITS)
 
 
 @pytest.fixture(scope="module")
 def clt_run():
-    return _run(verify.suite_clt, CFG)
+    return _run(verify.suite_clt, BITS)
 
 
 @pytest.fixture(scope="module")
 def edgeworth_run():
-    return _run(verify.suite_edgeworth, CFG)
+    return _run(verify.suite_edgeworth, BITS)
 
 
 # sha256 of the lines `lslab verify <suite>` prints at the default
@@ -106,7 +106,7 @@ def test_edgeworth_suite_lines_unchanged(edgeworth_run):
 
 @pytest.mark.parametrize("suite", ["eisenstein", "edgeworth"])
 def test_suite_passes_at_64_bits(suite):
-    results = verify.SUITES[suite](verify.SuiteConfig(precision_bits=64))
+    results = list(verify.SUITES[suite](64))
     assert [r.line() for r in results if not r.passed] == []
 
 

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lslab
-from lslab import cache, genpoly, laplace, sturm, triangles
+from lslab import cache, clt, genpoly, laplace, sturm, triangles
 from lslab.cache import parse_record, triangle_record
 from lslab.cli import main
-from lslab.errors import CacheCorruptionError, CertificationError
+from lslab.errors import CacheCorruptionError, CertificationError, KernelInvariantError
 from lslab.precision import print_digits
 from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
 
@@ -154,10 +154,10 @@ class TestCompute:
 
 class TestRowCap:
     """Row 2000 is refused with exit 3 by every command that reads rows,
-    root work past row 200 by `roots`, a `--n-max` past 200 by `verify`
-    for every suite, and a --precision-bits past 2048 by every command
-    that takes one (as is `roots --refine-bits`, in test_sturm), before
-    any work is done."""
+    root work past row 200 by `roots`, and a --precision-bits past 2048
+    by every command that takes one (as is `roots --refine-bits`, in
+    test_sturm), before any work is done.  `verify` takes no --n-max: its
+    scan sizes are fixed."""
 
     @pytest.mark.parametrize(
         "command",
@@ -170,13 +170,9 @@ class TestRowCap:
             "edgeworth --n 2000",
             "asymptotics --report mass --n-list 50,2000",
             "asymptotics --report saddle --n-list 2000",
-            "verify identities --n-max 2000",
-            "verify identities --n-max 201",
             "asymptotics --report saddle --nu 200000 --n-list 100",
             "compute --family legendre --n 2000 --j 2600",
             "roots --n 1999",
-            "verify roots --n-max 1999",
-            "verify all --n-max 1999",
             "verify edgeworth --precision-bits 2049",
             "verify all --precision-bits 2049",
             "verify identities --precision-bits 2049",
@@ -198,9 +194,11 @@ class TestRowCap:
         "suite", ["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
     )
     def test_verify_n_max_cap_names_the_flag(self, suite, capsys):
-        code, out, err = run_cli(["verify", suite, "--n-max", "201"], capsys)
-        assert (code, out) == (3, "")
-        assert "--n-max 201" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--n-max", "8"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --n-max 8" in err
 
 
 class TestRatioIndexRange:
@@ -623,7 +621,7 @@ class TestSkippedWork:
 
 class TestVerifyCommand:
     def test_small_identities_suite(self, capsys):
-        code, out, _ = run_cli(["verify", "identities", "--n-max", "8"], capsys)
+        code, out, _ = run_cli(["verify", "identities"], capsys)
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
@@ -632,6 +630,17 @@ class TestVerifyCommand:
             main(["verify", "identities", "--precision-bits", "32"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_aborted_suite_keeps_its_earlier_lines(self, monkeypatch, capsys):
+        def raising(ns, bits):
+            raise KernelInvariantError("injected")
+
+        monkeypatch.setattr(clt, "mean_variance_residuals", raising)
+        code, out, _ = run_cli(["verify", "clt"], capsys)
+        assert code == 1
+        first, aborted = out.splitlines()
+        assert first.startswith("FAIL pointwise ratio window at (1000, 930)  [computed ")
+        assert aborted == "FAIL clt suite aborted  [injected]"
 
     def test_ratio_target_options_retired(self, capsys):
         # the ratio at any (n, j) is `clt --report ratio`
@@ -648,7 +657,7 @@ class TestRootsLinesFailAlone:
 
     @staticmethod
     def _only_failure(capsys):
-        code, out, _ = run_cli(["verify", "roots", "--n-max", "10"], capsys)
+        code, out, _ = run_cli(["verify", "roots"], capsys)
         lines = out.splitlines()
         assert code == 1
         assert len(lines) == 6
@@ -681,7 +690,7 @@ class TestRootsLinesFailAlone:
 
         monkeypatch.setattr(sturm, "certify_roots", failing)
         assert self._only_failure(capsys) == (
-            "FAIL root certificates 1<=n<=10  [zero-root: injected at n=7]"
+            "FAIL root certificates 1<=n<=30  [zero-root: injected at n=7]"
         )
 
 

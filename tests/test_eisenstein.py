@@ -147,7 +147,7 @@ def lattice_suites():
         for name, suite in (("clt", verify.suite_clt), ("eisenstein", verify.suite_eisenstein)):
             zetas.clear()
             built.clear()
-            passed = {r.name: r.passed for r in suite(verify.SuiteConfig())}
+            passed = {r.name: r.passed for r in suite(256)}
             runs[name] = (passed, len(zetas), len(built))
     return runs
 

@@ -247,7 +247,7 @@ class TestDescartes:
             return intervals[:-1] if len(q) == 8 else intervals
 
         monkeypatch.setattr(sturm, "tree_intervals", drop_last_at_n8)
-        results = verify.suite_roots(verify.SuiteConfig())
+        results = list(verify.suite_roots(256))
         (line,) = [r for r in results if r.name == "root certificates 1<=n<=30"]
         assert not line.passed
         assert line.detail == "Descartes and interlacing intervals differ at n=8"

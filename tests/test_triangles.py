@@ -379,7 +379,7 @@ class TestGammaZero:
             return row
 
         monkeypatch.setattr(triangles, "triangle_row", one_wrong_entry)
-        results = verify.suite_identities(verify.SuiteConfig())
+        results = list(verify.suite_identities(256))
         assert len(results) == 7
         assert [r.name for r in results if not r.passed] == ["gamma-zero index shift n<=40"]
 
