@@ -191,14 +191,26 @@ class TestRowCap:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "suite", ["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
+        "command",
+        [
+            pytest.param(f"verify {suite} --n-max 8", id=suite)
+            for suite in ["identities", "roots", "eisenstein", "clt", "edgeworth", "all"]
+        ]
+        + [
+            # Sizes the retired option refused with exit 3.
+            "verify all --n-max 1999",
+            "verify identities --n-max 2000",
+            "verify identities --n-max 201",
+            "verify roots --n-max 1999",
+        ],
     )
-    def test_verify_n_max_cap_names_the_flag(self, suite, capsys):
+    def test_verify_n_max_cap_names_the_flag(self, command, capsys):
+        argv = command.split()
         with pytest.raises(SystemExit) as exc:
-            main(["verify", suite, "--n-max", "8"])
+            main(argv)
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert "unrecognized arguments: --n-max 8" in err
+        assert f"unrecognized arguments: --n-max {argv[-1]}" in err
 
 
 class TestRatioIndexRange:
