@@ -36,8 +36,8 @@ from .edgeworth import exact_cumulants
 from .errors import DegenerateVarianceError, KernelInvariantError
 from .precision import to_mpf
 from .triangles import (
-    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass, legendre_stirling_binsum,
-    modified_legendre_row,
+    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass, legendre_row_mass_bounds,
+    legendre_stirling_binsum, modified_legendre_row,
 )
 
 
@@ -189,11 +189,18 @@ def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
 
 
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
-    """M_n(1) times row n's scale; approaches 1 at rate 1/n.  M_n(1) comes
-    from `legendre_row_mass`, so no triangle row is built."""
-    mass = legendre_row_mass(n)
-    with mp.workprec(precision_bits + 16):
-        value = mp.mpf(mass) * centering_scaling(n, precision_bits + 16).scale
+    """M_n(1) times row n's scale; approaches 1 at rate 1/n.  No triangle
+    row is built.  M_n(1) is rounded at precision_bits + 16, from the
+    ends of `legendre_row_mass_bounds`: rounding to nearest is monotone,
+    so when both ends round to one mpf, M_n(1) rounds to it too.  Only
+    when they differ is the exact `legendre_row_mass` computed."""
+    bits = precision_bits + 16
+    lo, hi, e = legendre_row_mass_bounds(n, bits)
+    with mp.workprec(bits):
+        mass = mp.mpf((lo, e))
+        if mass != mp.mpf((hi, e)):
+            mass = mp.mpf(legendre_row_mass(n))
+        value = mass * centering_scaling(n, bits).scale
     with mp.workprec(precision_bits):
         return +value
 

@@ -15,16 +15,47 @@ Q^(n-j)-scaled entries, which are integers, and divides once at the
 end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
 row MAX_ROWS and beyond before doing any work.  The mass of a
 (2j)!-scaled Legendre row, `legendre_row_mass`, needs no row: a
-regrouped binomial sum gives it in O(n) big-integer steps.  The whole
-rows `iter_triangle` exports for an integer 2*gamma are exact base-10
-`decimal.Decimal` integers, so printing them is a linear copy instead of
-the quadratic binary-to-decimal conversion of str(int).
+regrouped binomial sum gives it in O(n) big-integer steps, and
+`legendre_row_mass_bounds` encloses it to a requested precision on
+truncated powers.  The whole rows `iter_triangle` exports for an
+integer 2*gamma are exact base-10 `decimal.Decimal` integers, so
+printing them is a linear copy instead of the quadratic binary-to-decimal
+conversion of str(int).
 
 Everything in this module is exact: Python integers, fractions, and
 those trapped Decimals.  The alternating direct sums below pit terms of
 size (j^2)^n against results that can be hundreds of digits smaller, so
 floating point would lose essentially every digit; exactness is not an
-optimisation here, it is the correctness contract.
+optimisation here, it is the correctness contract.  The one float, a
+log2 in `legendre_row_mass_bounds`, only picks a working precision.
+
+`legendre_row_mass_bounds(n, bits)` sums M_n(1) = sum_k a_k x_k^n, with
+a_k = (-1)^k S_k and x_k = k(k+1) as in `legendre_row_mass`.  Let L_k =
+bitlen(a_k) + floor(n log2 x_k) + 2, top the largest L_k, F =
+bitlen((2n)!), p = top - F + bits + 64 and e = max(0, top - p).  Power
+k is `_truncated_power` at p_k = max(p - top + L_k, bitlen(n) + 2) bits,
+so every term is carried to the same absolute precision; it returns y
+2^f and the truncation count c.
+- Cutting an integer v of b > p_k bits to its top p_k bits loses less
+  than 2^(b-p_k) <= 2^(1-p_k) v.  A square squares the factor an
+  approximation is low by, so by induction x^n (1-d)^c <= y 2^f <= x^n,
+  d = 2^(1-p_k).  After the first i bits of n, c <= 2^(i-1) - 1, so c < n
+  and c d <= 1/2.  Hence x^n - y 2^f <= c d x^n <= 2 c d y 2^f < 4c 2^f,
+  since y < 2^p_k once c > 0 (and c = 0 means y 2^f = x^n).
+- Term k, a_k y 2^f, goes to the scale 2^e by an exact left shift or a
+  floor shift (less than 1 off), and its bound 4c |a_k| 2^(f-e) is
+  rounded up, so total - err <= M_n(1) 2^-e <= total + err.
+So the enclosure holds whatever the L_k are.  Its width uses them:
+bitlen(x^n) = floor(n log2 x) + 1, and the float n log2 x, below 2^16,
+is within 2^-30 of its true value (log2 is good to an ulp or two), so
+|a_k| x_k^n < 2^L_k.  When c > 0, y >= 2^(p_k-1), so term k's bound is
+at most 8c 2^(L_k-p_k) <= 8n 2^(top-p), and a floor shift (only when e
+= top - p) adds at most 2 units of 2^(top-p).  Over the n terms, (hi -
+lo) 2^e < 20 n^2 2^(top-p) = 20 n^2 2^(F-bits-64).  c(n, n) = (2n)! and
+every c(n, j) >= 0, so 2^F <= 2 (2n)! <= 2 M_n(1), and n < 2000 gives
+(hi - lo) 2^e < 2^-(bits+36) M_n(1).  The 64 guard bits are fixed: they
+put the width 36 bits below one unit at `bits` on every row under the
+cap.
 """
 
 from __future__ import annotations
@@ -43,12 +74,13 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, log2, prod
 
 from .errors import KernelInvariantError, ResourceLimitError
 
 MAX_ROWS = 2000
 ROW_MEMO_SIZE = 16
+_MASS_GUARD = 64  # the fixed guard bits of `legendre_row_mass_bounds`
 
 
 LEGENDRE = Fraction(1)
@@ -269,6 +301,20 @@ def modified_legendre_row(n: int) -> tuple[int, ...]:
     return scale_row(triangle_row(LEGENDRE, n))
 
 
+def _mass_weights(n: int):
+    """Yield (k, (-1)^k S_k) for k = n, n-1, ..., 1: the weights of the
+    powers (k(k+1))^n in M_n(1), for n >= 1; see `legendre_row_mass`."""
+    binom = [1]  # C(2n+2, i) for i = 0..n+1
+    for i in range(n + 1):
+        binom.append(binom[-1] * (2 * n + 2 - i) // (i + 1))
+    sign = -1 if n & 1 else 1
+    s_k, s_next = sign, 0
+    for k in range(n, 0, -1):
+        yield k, -s_k if k & 1 else s_k
+        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
+        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
+
+
 def legendre_row_mass(n: int) -> int:
     """M_n(1) = sum_j (2j)! T_1(n, j), the mass of the scaled row, in O(n)
     big-integer steps and without building the row.
@@ -291,17 +337,49 @@ def legendre_row_mass(n: int) -> int:
     check_row_cap(n)
     if n == 0:
         return 1
-    binom = [1]  # C(2n+2, i) for i = 0..n+1
-    for i in range(n + 1):
-        binom.append(binom[-1] * (2 * n + 2 - i) // (i + 1))
-    sign = -1 if n & 1 else 1
-    s_k, s_next, total = sign, 0, 0
-    for k in range(n, 0, -1):
-        term = s_k * (k * (k + 1)) ** n
-        total += -term if k & 1 else term
-        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
-        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
-    return total
+    return sum(a * (k * (k + 1)) ** n for k, a in _mass_weights(n))
+
+
+def _truncated_power(x: int, n: int, p: int) -> tuple[int, int, int]:
+    """(y, f, c) with x^n (1 - 2^(1-p))^c <= y 2^f <= x^n: x^n by
+    left-to-right binary powering, each square (times x at a one bit)
+    truncated toward zero to its top p bits, c counting the truncations;
+    a square doubles the count it inherits."""
+    y, f, c = x, 0, 0
+    for bit in bin(n)[3:]:
+        y, f, c = y * y, 2 * f, 2 * c
+        if bit == "1":
+            y *= x
+        s = y.bit_length() - p
+        if s > 0:
+            y, f, c = y >> s, f + s, c + 1
+    return y, f, c
+
+
+def legendre_row_mass_bounds(n: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= M_n(1) <= hi 2^e, and (hi - lo) 2^e
+    below 2^-(bits+36) M_n(1): the sum of `legendre_row_mass` on
+    truncated powers, with the error bound summed beside it.  The module
+    docstring proves both."""
+    check_row_cap(n)
+    if n == 0:
+        return 1, 1, 0
+    weights = list(_mass_weights(n))
+    sizes = [a.bit_length() + int(n * log2(k * (k + 1))) + 2 for k, a in weights]
+    top = max(sizes)
+    p = top - factorial(2 * n).bit_length() + bits + _MASS_GUARD
+    e, p_min = max(0, top - p), n.bit_length() + 2
+    total = err = 0
+    for (k, a), size in zip(weights, sizes):
+        y, f, c = _truncated_power(k * (k + 1), n, max(p - top + size, p_min))
+        d = f - e
+        if d >= 0:
+            total += a * y << d
+            err += 4 * c * abs(a) << d
+        else:
+            total += a * y >> -d
+            err += (4 * c * abs(a) >> -d) + 2
+    return total - err, total + err, e
 
 
 def odd_power_cancellation(j: int, ell: int) -> int:

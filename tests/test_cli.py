@@ -272,15 +272,20 @@ class TestSaddlePoint:
 class TestNegativeNMax:
     @pytest.mark.parametrize(
         "command",
-        ["verify identities --n-max -3", "table --family legendre --n-max -1 --cache-dir {cache}"],
+        [
+            "table --family chebyshev --n-max -2 --cache-dir {cache}",
+            "table --family legendre --n-max -1 --cache-dir {cache}",
+        ],
     )
     def test_usage_error_writes_nothing(self, command, tmp_path, capsys):
+        argv = command.format(cache=tmp_path).split()
         with pytest.raises(SystemExit) as exc:
-            main(command.format(cache=tmp_path).split())
+            main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "--n-max" in err
+        value = argv[argv.index("--n-max") + 1]
+        assert f"argument --n-max: must be non-negative, got {value}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_negative_refine_bits_is_usage_error(self, capsys):
@@ -584,6 +589,16 @@ class TestAsymptoticsCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,mass_ratio,abs_deviation"
 
+    @pytest.mark.parametrize("bits", ["64", "256", "1024", "2048"])
+    def test_mass_exact_fallback_prints_the_same_bytes(self, bits, capsys, monkeypatch):
+        argv = ["asymptotics", "--report", "mass", "--n-list", "0,1,2,3,50,1999",
+                "--precision-bits", bits]
+        fast = run_cli(argv, capsys)
+        # ends that round apart: every row takes the exact mass
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", lambda n, bits: (-1, 1, 0))
+        assert run_cli(argv, capsys) == fast
+        assert fast[0] == 0
+
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["asymptotics", "--n-list", "100,50"])
@@ -603,6 +618,19 @@ class TestSkippedWork:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "21e0db405f21e276c21c6de36c27985645c2e252e8ad68f72aef698e44087d4e"
+        )
+
+    def test_mass_report_computes_no_exact_mass(self, capsys, monkeypatch):
+        # every row's mass is decided by the bounds kernel at the default bits
+        def no_exact_mass(n):
+            raise AssertionError(f"the mass report computed M_{n}(1) exactly")
+
+        monkeypatch.setattr(clt, "legendre_row_mass", no_exact_mass)
+        argv = ["asymptotics", "--report", "mass", "--n-list", "200,400,800,1600"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "260fab2329c51e7aceff8adf0f8bea1bfa7d845da7d91a6a2d9c82a0bc812c5c"
         )
 
     @pytest.mark.parametrize(
@@ -632,10 +660,12 @@ class TestSkippedWork:
 
 
 class TestVerifyCommand:
-    def test_small_identities_suite(self, capsys):
-        code, out, _ = run_cli(["verify", "identities"], capsys)
+    def test_identities_suite_passes_with_empty_stderr(self, capsys):
+        # the lines themselves are pinned by digest in test_acceptance
+        code, out, err = run_cli(["verify", "identities"], capsys)
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+        assert err == ""
 
     def test_precision_floor(self, capsys):
         with pytest.raises(SystemExit) as exc:

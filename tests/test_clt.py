@@ -10,9 +10,10 @@ from math import factorial
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lslab import clt
 from lslab.cli import main
 from lslab.clt import (
     centering_scaling,
@@ -27,7 +28,9 @@ from lslab.clt import (
     total_mass_ratio,
 )
 from lslab.errors import DegenerateVarianceError
-from lslab.triangles import legendre_row_mass, legendre_stirling_binsum, modified_legendre_row
+from lslab.triangles import (
+    legendre_row_mass, legendre_row_mass_bounds, legendre_stirling_binsum, modified_legendre_row,
+)
 
 
 class TestSaddleConstant:
@@ -274,6 +277,9 @@ BITS = st.sampled_from([64, 256, 1024])
 class TestFrameOracles:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 400), bits=BITS)
+    @example(n=800, bits=64)
+    @example(n=1600, bits=256)
+    @example(n=1999, bits=1024)
     def test_scale_and_mass_bit_for_bit(self, n, bits):
         with mp.workprec(bits):
             assert centering_scaling(n, bits).scale == old_row_scale(n, saddle_constant(bits))
@@ -318,3 +324,31 @@ class TestFrameOracles:
         new, old = max_density_residual(n, bits), old_max_density_residual(n, bits)
         with mp.workprec(bits + 64):
             assert abs(new - old) <= mp.mpf(2) ** -(bits + 12) + ulp(max(new, old), bits)
+
+
+class TestMassRounding:
+    """total_mass_ratio rounds the ends of the bounds kernel and computes
+    the exact mass only when they round apart."""
+
+    @pytest.mark.parametrize("n,bits", [(3, 64), (200, 256), (1600, 1024)])
+    def test_straddling_interval_falls_back_to_exact(self, n, bits, monkeypatch):
+        def straddling(n, bits):
+            lo, hi, e = legendre_row_mass_bounds(n, bits)
+            pad = 1 << max(0, hi.bit_length() - bits + 2)  # 4 units at bits
+            with mp.workprec(bits):
+                assert mp.mpf((lo - pad, e)) != mp.mpf((hi + pad, e))
+            return lo - pad, hi + pad, e
+
+        exact_calls = []
+
+        def counted(n):
+            exact_calls.append(n)
+            return legendre_row_mass(n)
+
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", straddling)
+        monkeypatch.setattr(clt, "legendre_row_mass", counted)
+        with mp.workprec(bits + 16):
+            mass = mp.mpf(legendre_row_mass(n)) * old_row_scale(n, saddle_constant(bits + 16))
+        with mp.workprec(bits):
+            assert total_mass_ratio(n, bits) == +mass
+        assert exact_calls == [n]

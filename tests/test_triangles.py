@@ -31,6 +31,7 @@ from lslab.triangles import (
     jacobi_stirling_explicit,
     legendre_from_chebyshev,
     legendre_row_mass,
+    legendre_row_mass_bounds,
     legendre_stirling_binsum,
     modified_legendre_row,
     odd_power_cancellation,
@@ -163,6 +164,7 @@ class TestRecurrence:
             lambda: chebyshev_stirling_binsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
             lambda: legendre_row_mass(n),
+            lambda: legendre_row_mass_bounds(n, 64),
         ]
         for call in refused:
             with pytest.raises(ResourceLimitError):
@@ -342,6 +344,45 @@ class TestRowMass:
 
     def test_equals_row_sum_far_out(self):
         assert legendre_row_mass(800) == sum(modified_legendre_row(800))
+
+
+def assert_tight_bounds(n, bits, mass):
+    """lo 2^e <= M_n(1) <= hi 2^e, with the width below 2^-(bits+36)
+    M_n(1), the bound the triangles docstring proves."""
+    lo, hi, e = legendre_row_mass_bounds(n, bits)
+    assert lo << e <= mass <= hi << e
+    assert (hi - lo) << (e + bits + 36) <= mass
+
+
+class TestRowMassBounds:
+    """legendre_row_mass_bounds encloses the exact mass, and the
+    enclosure is far narrower than one unit at the requested bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=400), bits=st.sampled_from([64, 256, 1024, 2048]))
+    def test_encloses_exact_mass(self, n, bits):
+        assert_tight_bounds(n, bits, legendre_row_mass(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.integers(min_value=2, max_value=2000 * 2001),
+        n=st.integers(min_value=1, max_value=2000),
+        p=st.integers(min_value=2, max_value=80),
+    )
+    def test_truncated_power_lemma(self, x, n, p):
+        # x^n (1 - 2^(1-p))^c <= y 2^f <= x^n, the first step of the proof
+        p = max(p, n.bit_length() + 2)
+        y, f, c = triangles._truncated_power(x, n, p)
+        exact = x**n
+        assert exact * (2 ** (p - 1) - 1) ** c <= y << (f + (p - 1) * c)
+        assert y << f <= exact
+        assert c < n and (c == 0 or y < 2**p)
+
+    @pytest.mark.parametrize("n", [800, 1600, 1999])
+    def test_encloses_exact_mass_far_out(self, n):
+        mass = legendre_row_mass(n)
+        for bits in (64, 256, 1024, 2048):
+            assert_tight_bounds(n, bits, mass)
 
 
 class TestConnections:
