@@ -15,7 +15,7 @@ where D s is f -> (s f)'.
 from __future__ import annotations
 
 from .errors import UnimodalityError
-from .triangles import modified_legendre_row
+from .triangles import LEGENDRE, triangle_row
 
 
 def legendre_genpoly_recurrence(n: int):
@@ -36,19 +36,26 @@ def legendre_genpoly_recurrence(n: int):
 
 
 def unimodality_report(n: int) -> int:
-    """Mode of the scaled row by an exact peak-or-plateau scan: strictly
-    increasing, then strictly decreasing, with at most one adjacent equal
-    pair at the top, whose left index is the mode.  Raises
-    UnimodalityError on any other shape."""
+    """Mode of the scaled row c_j = (2j)! T(n, j) by an exact
+    peak-or-plateau scan: strictly increasing, then strictly decreasing,
+    with at most one adjacent equal pair at the top, whose left index is
+    the mode.  Raises UnimodalityError on any other shape.
+
+    The scan reads the unscaled row T = triangle_row(LEGENDRE, n) and
+    forms no factorial: c_(j+1) - c_j = (2j)! ((2j+1)(2j+2) T(n, j+1) -
+    T(n, j)), and (2j)! > 0, so each step compares the two terms of the
+    bracket."""
     if n < 3:
         raise ValueError("requires n >= 3")
-    row = modified_legendre_row(n)
+    row = triangle_row(LEGENDRE, n)
+    # up[j] = c_(j+1)/(2j)!, to compare with row[j] = c_j/(2j)!
+    up = [(2 * j + 1) * (2 * j + 2) * row[j + 1] for j in range(n)]
     mode = 0
-    while mode < n and row[mode] < row[mode + 1]:
+    while mode < n and row[mode] < up[mode]:
         mode += 1
-    start = mode + 1 if mode < n and row[mode] == row[mode + 1] else mode
+    start = mode + 1 if mode < n and row[mode] == up[mode] else mode
     for k in range(start, n):
-        if not row[k] > row[k + 1]:
+        if not row[k] > up[k]:
             raise UnimodalityError(
                 f"row {n} is not unimodal: rise or tie at j={k} after the mode"
             )

@@ -19,12 +19,27 @@ every node of the split tree is an integer polynomial, and the sign
 variations of its reversed polynomial shifted by 1 bound the roots in
 the node's interval from above.  So d leaves, each with an exact sign
 change, leave no room for another root: every root is real and simple,
-and every count was exact.  `refine_roots` narrows each interval to the
-bracket that exact bisection ends in; a Newton iteration in fixed-point
-integers at precision_bits + 64 bits only proposes that bracket (every
-root lies in (-1/4, 0), so its Horner value is off by under 4/3 ulp
-whatever the size of the coefficients), and two exact sign tests accept
-it or hand the interval back to bisection.
+and every count was exact.  Bisection reads only whether a count is 0,
+1 or at least 2, so the count stops there (`_capped_count`, the early
+termination of Collins and Akritas, SYMSAC 1976).  Deleting terms from a
+sequence never adds a sign change, and the shift of a(x) to a(x + 1)
+has nonnegative binomial weights: a list of one sign shifts to a list
+of that sign, count 0, and once pass i of the in-place shift has fixed
+the low coefficients 0..i, those and the leading coefficient, which no
+pass changes, are a subsequence of the shifted list; two sign changes
+among them mean at least two in the whole.  Every other node runs the
+whole shift and counts exactly, so each node decides as the full count
+would.
+
+`refine_roots` narrows each interval to the bracket that exact
+bisection ends in; a Newton iteration in fixed-point integers at p =
+precision_bits + 64 bits only proposes that bracket, and the signs of q
+at its two ends accept it or hand the interval back to bisection.  An
+end is a dyadic X/2^p unless the certified interval is narrower than
+2^-p, and there the floored Horner value F of 2^p q is off by less than
+4/3 (every root lies in (-1/4, 0); see refine_roots).  So F >= 2 or
+F <= -2 gives the exact sign, and `sign_at` runs only when |F| < 2,
+where |2^p q| < 10/3, next to a root, or at an end X/2^p cannot hold.
 
 `separators` and `tree_intervals` are the independent cross-check that
 `verify roots` runs for n <= 30: q_n alternates in sign, tested exactly,
@@ -48,9 +63,9 @@ from .precision import MAX_BITS, to_mpf
 from .triangles import modified_legendre_row
 
 # Largest n whose roots are certified.  On a 2-vCPU Xeon VM with CPython
-# 3.11 the certificate takes 0.08 s at n = 55 and 14 s at n = 200, and
-# refinement to 256 bits 0.06 s and 3.0 s; the cost grows steeply, as
-# the interval next to 0 is about 2^-(n+1) wide.
+# 3.11.7 the certificate takes 0.026 s at n = 55 and 5.7 s at n = 200,
+# and refinement to 256 bits 0.028 s and 1.0 s; the cost grows steeply,
+# as the interval next to 0 is about 2^-(n+1) wide.
 ROOTS_MAX_N = 200
 
 
@@ -70,12 +85,6 @@ def sign_at(p: tuple[int, ...], x: Fraction) -> int:
             acc = acc * num + c * dpow
             dpow *= den
     return (acc > 0) - (acc < 0)
-
-
-def _variations(values) -> int:
-    """Sign changes along a sequence of numbers, zeros skipped."""
-    signs = [v > 0 for v in values if v]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,29 @@ def _shift_one(a: list[int]) -> list[int]:
     return a
 
 
+def _capped_count(a: list[int]) -> int:
+    """min(2, sign variations of a(x + 1)), zeros skipped; a is shifted
+    in place only as far as that value needs (see the module docstring).
+    A list of one sign gives 0 with no shift.  Otherwise pass i of the
+    shift fixes a[i], and a[d] never changes, so the shift stops once
+    a[0..i] and a[d] show two variations."""
+    if len({c > 0 for c in a if c}) < 2:
+        return 0
+    d = len(a) - 1
+    top = (a[d] > 0) - (a[d] < 0)
+    count = last = 0
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += a[j + 1]
+        if a[i]:
+            s = 1 if a[i] > 0 else -1
+            count += last == -s
+            last = s
+            if count + (top == -s) >= 2:
+                return 2
+    return count + (top == -last)
+
+
 def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
     """Isolating intervals, ascending, for the roots of q in (lo, hi), by
     Descartes bisection at midpoints; q must not vanish at lo or hi.
@@ -108,8 +140,9 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
     D the least common denominator.  A node (c, k) stands for
     (c/2^k, (c+1)/2^k) and holds P, a positive multiple of
     p((x + c)/2^k); its count is the number of sign variations of
-    x^d P(1/x) shifted by 1.  Count 0 drops the node, count 1 makes it a
-    leaf, and a split makes the children 2^d P(x/2) and its shift by 1.
+    x^d P(1/x) shifted by 1, capped at 2 (`_capped_count`, exact by the
+    module docstring).  Count 0 drops the node, count 1 makes it a leaf,
+    and 2 splits it into the children 2^d P(x/2) and its shift by 1.
     Raises CertificationError("midpoint-root") when q vanishes at a split
     midpoint, and CertificationError("depth-cap") when a node of depth
     2 + B still splits, where B bounds log2 of 1/(root separation of p)
@@ -130,7 +163,7 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
     stack = [(p, 0, 0)]
     while stack:
         poly, c, k = stack.pop()
-        count = _variations(_shift_one(poly[::-1]))
+        count = _capped_count(poly[::-1])
         if count == 0:
             continue
         if count == 1:
@@ -250,6 +283,22 @@ def _newton(coeffs: list[int], p: int, a: int, b: int, s_lo: int, tol: int) -> i
     return x
 
 
+def _certified_sign(q: tuple[int, ...], coeffs: list[int], p: int, x: Fraction) -> int:
+    """Exact sign of q at x in [-1/4, 0]: the sign of the floored
+    fixed-point Horner value F of `_newton` when x = X/2^p and |F| >= 2,
+    else sign_at.  |F - 2^p q(x)| < 4/3 there, so F >= 2 puts 2^p q(x)
+    above 2/3 and F <= -2 below -2/3."""
+    den = x.denominator
+    e = den.bit_length() - 1
+    if den & (den - 1) == 0 and e <= p:
+        fixed, f = x.numerator << (p - e), 0
+        for c in coeffs:
+            f = (f * fixed >> p) + c
+        if abs(f) >= 2:
+            return 1 if f > 0 else -1
+    return sign_at(q, x)
+
+
 def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     """Midpoints, ascending, of the brackets that exact bisection of each
     certified interval ends in once narrower than 2^-precision_bits, as
@@ -261,11 +310,14 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     precision_bits + 64, gives k = floor((x - lo) 2^m/W).  Every root
     lies in (-1/4, 0), so each floored Horner product is scaled by less
     than 1/4 at the next step and q(x) is off by under 4/3 ulp, whatever
-    the size of the coefficients.  The bracket is taken only if q has two
-    nonzero, different exact signs at its ends; otherwise the interval is
-    bisected.  Either way the output is that of bisection, and fully
-    deterministic.  More than precision.MAX_BITS raises ResourceLimitError
-    before any work.
+    the size of the coefficients: the error e of one Horner step becomes
+    e x - delta, 0 <= delta < 1, with |x| <= 1/4.  The bracket is taken
+    only if q has two nonzero, different exact signs at its ends; each is
+    the sign of that fixed-point value F at the end when |F| >= 2, and
+    sign_at's otherwise (`_certified_sign`).  If the signs do not qualify
+    the interval is bisected.  Either way the output is that of
+    bisection, and fully deterministic.  More than precision.MAX_BITS
+    raises ResourceLimitError before any work.
 
     Newton's sign at lo needs no sign test: q = M_n/s has the sign
     -sign_at_quarter at -1/4, each interval holds one simple root, no
@@ -289,7 +341,7 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
             x = _newton(coeffs, p, lo_x, hi_x, s_lo, tol)
             k = min(max((Fraction(x, 1 << p) - lo) // cell, 0), 2**m - 1)
         a, b = lo + k * cell, lo + (k + 1) * cell
-        s_a, s_b = sign_at(q, a), sign_at(q, b)
+        s_a, s_b = _certified_sign(q, coeffs, p, a), _certified_sign(q, coeffs, p, b)
         center = a + cell / 2 if s_a and s_b and s_a != s_b else _bisect(q, lo, hi, eps)
         with mp.workprec(precision_bits + 16):
             out.append(to_mpf(center))

@@ -181,8 +181,7 @@ def suite_roots(bits: int) -> Iterator[CheckResult]:
     try:
         for n in range(3, UNIMODALITY_MAX + 1):
             mode = genpoly.unimodality_report(n)
-            cs = clt.centering_scaling(n, 64)
-            if abs(mode - float(cs.center)) > 3:
+            if abs(mode - float(clt.center(n, 64))) > 3:
                 ok, detail = False, f"mode far from center at n={n}"
                 break
     except UnimodalityError as exc:

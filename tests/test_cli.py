@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -708,15 +709,18 @@ class TestRootsLinesFailAlone:
         return failed[0]
 
     def test_row_not_unimodal(self, monkeypatch, capsys):
-        real = genpoly.modified_legendre_row
+        # the scan reads the unscaled row T(n, j), so the bump on the
+        # scaled row c_j reaches it as the exact Fractions c'_j/(2j)!
+        real = genpoly.triangle_row
 
-        def bumpy(n):
-            row = list(real(n))
-            if n == 17:
-                row[2], row[3] = row[3], row[2]  # a fall, then a rise
-            return tuple(row)
+        def bumpy(gamma, n):
+            if n != 17:
+                return real(gamma, n)
+            row = list(triangles.modified_legendre_row(n))
+            row[2], row[3] = row[3], row[2]  # a fall, then a rise
+            return tuple(Fraction(c, factorial(2 * j)) for j, c in enumerate(row))
 
-        monkeypatch.setattr(genpoly, "modified_legendre_row", bumpy)
+        monkeypatch.setattr(genpoly, "triangle_row", bumpy)
         assert self._only_failure(capsys) == (
             "FAIL unimodality with centered mode 3<=n<=300"
             "  [row 17 is not unimodal: rise or tie at j=3 after the mode]"

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lslab import genpoly
 from lslab.clt import centering_scaling
 from lslab.edgeworth import exact_cumulants
+from lslab.errors import UnimodalityError
 from lslab.genpoly import legendre_genpoly_recurrence, unimodality_report
 from lslab.triangles import (
     CHEBYSHEV, legendre_from_chebyshev, modified_legendre_row, scale_row, triangle_row
@@ -127,7 +129,46 @@ class TestDerivatives:
         assert exact_cumulants(rows[3], 2) == self.mean_variance(920, 2552, 4704)
 
 
+def scaled_scan(row):
+    """The mode scan as it ran before it read the unscaled row: the same
+    peak-or-plateau shape, read on the scaled row c_j itself."""
+    n = len(row) - 1
+    mode = 0
+    while mode < n and row[mode] < row[mode + 1]:
+        mode += 1
+    start = mode + 1 if mode < n and row[mode] == row[mode + 1] else mode
+    for k in range(start, n):
+        if not row[k] > row[k + 1]:
+            raise UnimodalityError(
+                f"row {n} is not unimodal: rise or tie at j={k} after the mode"
+            )
+    return mode
+
+
 class TestUnimodality:
+    def test_same_mode_as_scaled_scan(self):
+        for n in range(3, 301):
+            assert unimodality_report(n) == scaled_scan(modified_legendre_row(n)), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=10))
+    def test_same_verdict_as_scaled_scan_on_any_row(self, c):
+        """Plateaus, ties and late rises included: the scan of the
+        unscaled row T_j = c_j/(2j)! gives the old scan's mode or its
+        error text."""
+        n = len(c) - 1
+        unscaled = tuple(Fraction(v, factorial(2 * j)) for j, v in enumerate(c))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genpoly, "triangle_row", lambda gamma, m: unscaled)
+            try:
+                expected = scaled_scan(c)
+            except UnimodalityError as exc:
+                with pytest.raises(UnimodalityError) as got:
+                    unimodality_report(n)
+                assert str(got.value) == str(exc)
+            else:
+                assert unimodality_report(n) == expected
+
     def test_examples(self):
         assert unimodality_report(4) == 4
         assert unimodality_report(3) == 3

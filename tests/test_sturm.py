@@ -50,6 +50,18 @@ def interlacing_intervals(n_max):
     }
 
 
+def variations(values):
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def fixed_point_coeffs(q, p):
+    """The descending coefficients, shifted left by p, that refine_roots
+    hands to `_newton` and `_certified_sign`."""
+    return [c << p for c in reversed(q)]
+
+
 class TestChainBasics:
     def test_sign_at(self):
         p = (-1, 0, 4)  # 4x^2 - 1
@@ -69,6 +81,25 @@ class TestChainBasics:
         for x in (Fraction(num, 2**e), Fraction(num, den)):
             value = sum(c * x**i for i, c in enumerate(p))
             assert sign_at(tuple(p), x) == (value > 0) - (value < 0)
+
+
+class TestCappedCount:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.one_of(
+            st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=14),
+            st.lists(st.integers(min_value=-3, max_value=3), max_size=14),  # many zeros
+            st.lists(st.integers(min_value=0, max_value=10**9), max_size=14),  # one sign
+            st.lists(st.integers(min_value=-(10**9), max_value=0), max_size=14),
+        )
+    )
+    def test_equals_capped_variations_of_full_shift(self, a):
+        assert sturm._capped_count(list(a)) == min(variations(sturm._shift_one(list(a))), 2)
+
+    def test_one_sign_runs_no_shift(self):
+        a = [0, 3, 0, 0, 5, 1]
+        assert sturm._capped_count(a) == 0
+        assert a == [0, 3, 0, 0, 5, 1]
 
 
 class TestCertificates:
@@ -192,6 +223,94 @@ class TestRefinement:
         cert = certify_roots(20)
         monkeypatch.setattr(mp, "polyval", no_polyval)
         refine_roots(cert, 256)
+
+
+def with_dyadic_roots(ks, e, lead):
+    """lead * prod (2^e s + k), ascending: roots -k/2^e."""
+    q = [lead]
+    for k in ks:
+        q = [k * a + (b << e) for a, b in zip(q + [0], [0] + q)]
+    return tuple(q)
+
+
+class TestCertifiedSign:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e=st.integers(min_value=2, max_value=24),
+        ks=st.lists(st.integers(min_value=0, max_value=2**22), min_size=1, max_size=6),
+        lead=st.sampled_from([1, -1, 3, -7]),
+        p=st.integers(min_value=8, max_value=120),
+        extra=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=140)
+            ),
+            max_size=4,
+        ),
+    )
+    def test_equals_sign_at_on_dyadic_points(self, e, ks, lead, p, extra):
+        """q has the chosen dyadic roots -k/2^e in [-1/4, 0], repeats
+        allowed.  At a root |F| < 4/3 sends the test to the exact
+        fallback; one unit of 2^-p from a root it goes there whenever
+        |F| < 2; the other points have denominators up to 2^140, past
+        2^p too."""
+        ks = [k % (2 ** (e - 2) + 1) for k in ks]
+        q = with_dyadic_roots(ks, e, lead)
+        roots = [Fraction(-k, 2**e) for k in ks]
+        unit = Fraction(1, 2**p)
+        points = {QUARTER, ZERO, *roots, *(r - unit for r in roots), *(r + unit for r in roots)}
+        points |= {Fraction(-num, 2**k) for num, k in extra}
+        coeffs = fixed_point_coeffs(q, p)
+        for x in sorted(points):
+            if QUARTER <= x <= ZERO:
+                assert sturm._certified_sign(q, coeffs, p, x) == sign_at(q, x), x
+
+    def test_exact_fallback_at_a_root_only(self, monkeypatch):
+        q, p = with_dyadic_roots([3, 5], 5, 1), 40  # roots -3/32, -5/32
+        coeffs = fixed_point_coeffs(q, p)
+        exact = []
+        monkeypatch.setattr(sturm, "sign_at", lambda *args: exact.append(args) or sign_at(*args))
+        assert sturm._certified_sign(q, coeffs, p, Fraction(-3, 32)) == 0
+        assert sturm._certified_sign(q, coeffs, p, Fraction(-1, 8)) == -1
+        assert sturm._certified_sign(q, coeffs, p, Fraction(-1, 16)) == 1
+        assert exact == [(q, Fraction(-3, 32))]
+
+
+class TestWorkCounts:
+    """The exact work the certificate and the refinement do, pinned by
+    counts that repeat exactly, not by time."""
+
+    @pytest.mark.parametrize("n,bits", [(55, 254), (100, 1024)])
+    def test_refinement_makes_few_exact_sign_tests(self, n, bits, monkeypatch):
+        # before the certified fixed-point signs: 108 and 198 calls
+        cert = certify_roots(n)
+        calls = []
+        monkeypatch.setattr(sturm, "sign_at", lambda *args: calls.append(args) or sign_at(*args))
+        refine_roots(cert, bits)
+        assert len(calls) <= 4
+
+    def test_certificate_runs_fewer_full_shifts(self, monkeypatch):
+        """Split shifts plus count tests that ran the Taylor shift through:
+        173 at n = 55, against 259 full shifts (every test and split)
+        before the count was capped at 2."""
+        real_shift, real_count = sturm._shift_one, sturm._capped_count
+        full = []
+
+        def counted_shift(a):
+            full.append("split")
+            return real_shift(a)
+
+        def counted_test(a):
+            shifted = real_shift(list(a))
+            count = real_count(a)
+            if a == shifted:
+                full.append("test")
+            return count
+
+        monkeypatch.setattr(sturm, "_shift_one", counted_shift)
+        monkeypatch.setattr(sturm, "_capped_count", counted_test)
+        certify_roots(55)
+        assert full.count("split") == 86
+        assert len(full) <= 173
 
 
 class TestValidation:
