@@ -72,24 +72,29 @@ class CenteringScaling:
     scale: mp.mpf
 
 
+def _center(n: int, w: mp.mpf, s5: mp.mpf) -> mp.mpf:
+    return (2 * n + 1) / (s5 * w) - mp.mpf(1) / 2
+
+
 def center(n: int, precision_bits: int = 256) -> mp.mpf:
     """center(n) at precision_bits: the centre of row n's frame, without
     the rest of it."""
     if n < 0:
         raise ValueError("requires n >= 0")
     with mp.workprec(precision_bits):
-        return (2 * n + 1) / (mp.sqrt(5) * saddle_constant(precision_bits)) - mp.mpf(1) / 2
+        return _center(n, saddle_constant(precision_bits), mp.sqrt(5))
 
 
 def centering_scaling(n: int, precision_bits: int = 256) -> CenteringScaling:
     """The frame of row n, every field computed at precision_bits."""
-    mid = center(n, precision_bits)
+    if n < 0:
+        raise ValueError("requires n >= 0")
     with mp.workprec(precision_bits):
         w = saddle_constant(precision_bits)
         s5 = mp.sqrt(5)
         spread = (mp.mpf(1) / 2 - w / s5) * (2 / w) ** 2 * mp.mpf(n) / 5
         return CenteringScaling(
-            center=mid,
+            center=_center(n, w, s5),
             spread=spread,
             sigma=mp.sqrt(spread),
             scale=w ** (2 * n + 1) / mp.mpf(factorial(2 * n)),

@@ -77,6 +77,14 @@ class TestCenteringScaling:
         with pytest.raises(ValueError):
             centering_scaling(-1, 128)
 
+    def test_center_alone_is_the_frames_center(self):
+        # verify roots reads the centre without building the frame
+        for bits in (64, 256):
+            for n in (0, 1, 3, 300, 1999):
+                assert clt.center(n, bits) == centering_scaling(n, bits).center
+        with pytest.raises(ValueError):
+            clt.center(-1, 64)
+
     def test_spread_is_linear(self):
         a = centering_scaling(100, 128)
         b = centering_scaling(700, 128)
