@@ -130,8 +130,8 @@ class TestDerivatives:
 
 
 def scaled_scan(row):
-    """The mode scan as it ran before it read the unscaled row: the same
-    peak-or-plateau shape, read on the scaled row c_j itself."""
+    """The reference scan: the same peak-or-plateau shape, read on the
+    scaled row c_j itself."""
     n = len(row) - 1
     mode = 0
     while mode < n and row[mode] < row[mode + 1]:
@@ -154,7 +154,7 @@ class TestUnimodality:
     @given(c=st.lists(st.integers(min_value=0, max_value=4), min_size=4, max_size=10))
     def test_same_verdict_as_scaled_scan_on_any_row(self, c):
         """Plateaus, ties and late rises included: the scan of the
-        unscaled row T_j = c_j/(2j)! gives the old scan's mode or its
+        unscaled row T_j = c_j/(2j)! gives the reference scan's mode or its
         error text."""
         n = len(c) - 1
         unscaled = tuple(Fraction(v, factorial(2 * j)) for j, v in enumerate(c))

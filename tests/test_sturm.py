@@ -281,7 +281,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n,bits", [(55, 254), (100, 1024)])
     def test_refinement_makes_few_exact_sign_tests(self, n, bits, monkeypatch):
-        # before the certified fixed-point signs: 108 and 198 calls
+        # an exact test at both ends of every bracket makes 108 and 198 calls
         cert = certify_roots(n)
         calls = []
         monkeypatch.setattr(sturm, "sign_at", lambda *args: calls.append(args) or sign_at(*args))
@@ -290,8 +290,7 @@ class TestWorkCounts:
 
     def test_certificate_runs_fewer_full_shifts(self, monkeypatch):
         """Split shifts plus count tests that ran the Taylor shift through:
-        173 at n = 55, against 259 full shifts (every test and split)
-        before the count was capped at 2."""
+        173 at n = 55, against 259 if every count ran the whole shift."""
         real_shift, real_count = sturm._shift_one, sturm._capped_count
         full = []
 
