@@ -36,8 +36,8 @@ from .edgeworth import exact_cumulants
 from .errors import DegenerateVarianceError, KernelInvariantError
 from .precision import to_mpf
 from .triangles import (
-    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass, legendre_row_mass_bounds,
-    legendre_stirling_binsum, modified_legendre_row,
+    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass_bounds, legendre_stirling_binsum,
+    modified_legendre_row,
 )
 
 
@@ -205,14 +205,17 @@ def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
     """M_n(1) times row n's scale; approaches 1 at rate 1/n.  No triangle
     row is built.  M_n(1) is rounded at precision_bits + 16, from the
     ends of `legendre_row_mass_bounds`: rounding to nearest is monotone,
-    so when both ends round to one mpf, M_n(1) rounds to it too.  Only
-    when they differ is the exact `legendre_row_mass` computed."""
+    so when both ends round to one mpf, M_n(1) rounds to it too.  Ends
+    that round apart put M_n(1) at or next to a rounding midpoint (at
+    one for n = 160, 2048 bits), so the kernel runs once more at
+    bitlen((2n)!) bits, where it is exact."""
     bits = precision_bits + 16
     lo, hi, e = legendre_row_mass_bounds(n, bits)
     with mp.workprec(bits):
         mass = mp.mpf((lo, e))
         if mass != mp.mpf((hi, e)):
-            mass = mp.mpf(legendre_row_mass(n))
+            lo, _, e = legendre_row_mass_bounds(n, factorial(2 * n).bit_length())
+            mass = mp.mpf((lo, e))
         value = mass * centering_scaling(n, bits).scale
     with mp.workprec(precision_bits):
         return +value

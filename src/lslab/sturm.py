@@ -187,17 +187,20 @@ def descartes_intervals(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Inter
 def isolate_roots(q: tuple[int, ...], lo: Fraction, hi: Fraction) -> Intervals:
     """Certify that q has deg q real, simple roots in (lo, hi) and return
     one isolating interval per root, ascending: Descartes bisection, then
-    an exact sign change across every interval.  Raises
-    CertificationError naming the failed clause."""
-    if sign_at(q, lo) == 0 or sign_at(q, hi) == 0:
+    an exact sign change across every interval, one sign test per distinct
+    end.  Raises CertificationError naming the failed clause."""
+    signs = {x: sign_at(q, x) for x in (lo, hi)}
+    if 0 in signs.values():
         raise CertificationError("endpoint", "cofactor vanishes at an endpoint")
     intervals = descartes_intervals(q, lo, hi)
     if len(intervals) != len(q) - 1:
         raise CertificationError(
             "root-count", f"found {len(intervals)} roots in ({lo}, {hi}), expected {len(q) - 1}"
         )
+    for x in {x for pair in intervals for x in pair} - signs.keys():
+        signs[x] = sign_at(q, x)
     for a, b in intervals:
-        if sign_at(q, a) * sign_at(q, b) >= 0:
+        if signs[a] * signs[b] >= 0:
             raise CertificationError("isolation", f"no sign change across ({a}, {b})")
     return intervals
 

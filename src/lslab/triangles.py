@@ -13,14 +13,13 @@ numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 and entry, on integers only: with 2*gamma = P/Q it runs on the
 Q^(n-j)-scaled entries, which are integers, and divides once at the
 end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
-row MAX_ROWS and beyond before doing any work.  The mass of a
-(2j)!-scaled Legendre row, `legendre_row_mass`, needs no row: a
-regrouped binomial sum gives it in O(n) big-integer steps, and
-`legendre_row_mass_bounds` encloses it to a requested precision on
-truncated powers.  The whole rows `iter_triangle` exports for an
-integer 2*gamma are exact base-10 `decimal.Decimal` integers, so
-printing them is a linear copy instead of the quadratic binary-to-decimal
-conversion of str(int).
+row MAX_ROWS and beyond before doing any work.  The mass M_n(1) of a
+(2j)!-scaled Legendre row needs no row: `legendre_row_mass_bounds`
+encloses it on truncated powers, exactly from bitlen((2n)!) bits on.
+Its weights and both central binomial sums read `_central_binomials`.
+The whole rows `iter_triangle` exports for an integer 2*gamma are
+exact base-10 `decimal.Decimal` integers, so printing them is a linear
+copy instead of the quadratic binary-to-decimal conversion of str(int).
 
 Everything in this module is exact: Python integers, fractions, and
 those trapped Decimals.  The alternating direct sums below pit terms of
@@ -30,7 +29,7 @@ optimisation here, it is the correctness contract.  The one float, a
 log2 in `legendre_row_mass_bounds`, only picks a working precision.
 
 `legendre_row_mass_bounds(n, bits)` sums M_n(1) = sum_k a_k x_k^n, with
-a_k = (-1)^k S_k and x_k = k(k+1) as in `legendre_row_mass`.  Let L_k =
+a_k = (-1)^k S_k and x_k = k(k+1) as in `_mass_weights`.  Let L_k =
 bitlen(a_k) + floor(n log2 x_k) + 2, top the largest L_k, F =
 bitlen((2n)!), p = top - F + bits + 64 and e = max(0, top - p).  Power
 k is `_truncated_power` at p_k = max(p - top + L_k, bitlen(n) + 2) bits,
@@ -55,7 +54,8 @@ lo) 2^e < 20 n^2 2^(top-p) = 20 n^2 2^(F-bits-64).  c(n, n) = (2n)! and
 every c(n, j) >= 0, so 2^F <= 2 (2n)! <= 2 M_n(1), and n < 2000 gives
 (hi - lo) 2^e < 2^-(bits+36) M_n(1).  The 64 guard bits are fixed: they
 put the width 36 bits below one unit at `bits` on every row under the
-cap.
+cap.  At bits >= F, p >= top + 64, so e = 0 and every p_k >= L_k + 64
+exceeds bitlen(x_k^n): no power is cut, and lo = hi = M_n(1).
 """
 
 from __future__ import annotations
@@ -243,47 +243,51 @@ def jacobi_stirling_explicit(n: int, j: int, gamma):
     return int(value) if value.denominator == 1 else value
 
 
+def _central_binomials(m: int):
+    """Yield C(2m, i) for i = 0..m, by exact ratio updates along the row."""
+    binom = 1
+    for i in range(m + 1):
+        yield binom
+        binom = binom * (2 * m - i) // (i + 1)
+
+
+def _over_central_factorial(total: int, n: int, j: int) -> int:
+    """total / (2j)!, which must be a nonnegative integer."""
+    if total < 0:
+        raise KernelInvariantError(f"negative binomial sum at ({n}, {j})")
+    q, rem = divmod(total, factorial(2 * j))
+    if rem:
+        raise KernelInvariantError(f"binomial sum not divisible by (2j)! at ({n}, {j})")
+    return q
+
+
 def legendre_stirling_binsum(n: int, j: int) -> int:
     """gamma = 1 entry via the central binomial sum, all-integer arithmetic,
     sum_nu (-1)^nu C(2j, nu) ((j-nu)(j+1-nu))^n / (2j)!.  With k = j - nu,
     k and -1-k give the same k(k+1), so it folds onto k = 0..j: j + 1 big
     powers, sign (-1)^(j-k), weights the ballot numbers B(j, k) =
-    C(2j, j-k) - C(2j, j-k-1), walked by exact ratio updates along
-    C(2j, .).  The k = 0 term keeps 0^0 = 1 at n = 0."""
+    C(2j, j-k) - C(2j, j-k-1), the first differences of C(2j, 0..j).
+    The k = 0 term keeps 0^0 = 1 at n = 0."""
     check_row_cap(n)
-    total, below, binom = 0, 0, 1  # C(2j, i-1) and C(2j, i) at i = j - k = 0
-    for i in range(j + 1):
+    total, below = 0, 0  # C(2j, i-1), 0 at i = 0
+    for i, binom in enumerate(_central_binomials(j)):
         k = j - i
         t = (binom - below) * (k * (k + 1)) ** n
         total += -t if i & 1 else t
-        below, binom = binom, binom * (2 * j - i) // (i + 1)
-    if total < 0:
-        raise KernelInvariantError(f"negative binomial sum at ({n}, {j})")
-    q, rem = divmod(total, factorial(2 * j))
-    if rem:
-        raise KernelInvariantError(f"binomial sum not divisible by (2j)! at ({n}, {j})")
-    return q
+        below = binom
+    return _over_central_factorial(total, n, j)
 
 
 def chebyshev_stirling_binsum(n: int, j: int) -> int:
     """gamma = 1/2 entry via the central binomial sum over (j-r)^(2n).
     r and 2j - r give the same binomial, sign and power, so it is twice
-    the r < j half plus the r = j term, nonzero only at n = 0."""
+    the r < j half plus the r = j term, 0^(2n), nonzero only at n = 0."""
     check_row_cap(n)
-    total, binom = 0, 1  # C(2j, r) at r = 0
-    for r in range(j):
-        t = binom * (j - r) ** (2 * n)
+    total = 0
+    for r, binom in enumerate(_central_binomials(j)):
+        t = (1 if r == j else 2) * binom * (j - r) ** (2 * n)
         total += -t if r & 1 else t
-        binom = binom * (2 * j - r) // (r + 1)
-    total *= 2
-    if n == 0:  # the r = j term, binom = C(2j, j)
-        total += -binom if j & 1 else binom
-    if total < 0:
-        raise KernelInvariantError(f"negative binomial sum at ({n}, {j})")
-    q, rem = divmod(total, factorial(2 * j))
-    if rem:
-        raise KernelInvariantError(f"binomial sum not divisible by (2j)! at ({n}, {j})")
-    return q
+    return _over_central_factorial(total, n, j)
 
 
 # --- modified (2j)!-scaled Legendre numbers ------------------------------
@@ -302,27 +306,13 @@ def modified_legendre_row(n: int) -> tuple[int, ...]:
 
 
 def _mass_weights(n: int):
-    """Yield (k, (-1)^k S_k) for k = n, n-1, ..., 1: the weights of the
-    powers (k(k+1))^n in M_n(1), for n >= 1; see `legendre_row_mass`."""
-    binom = [1]  # C(2n+2, i) for i = 0..n+1
-    for i in range(n + 1):
-        binom.append(binom[-1] * (2 * n + 2 - i) // (i + 1))
-    sign = -1 if n & 1 else 1
-    s_k, s_next = sign, 0
-    for k in range(n, 0, -1):
-        yield k, -s_k if k & 1 else s_k
-        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
-        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
-
-
-def legendre_row_mass(n: int) -> int:
-    """M_n(1) = sum_j (2j)! T_1(n, j), the mass of the scaled row, in O(n)
-    big-integer steps and without building the row.
+    """Yield (k, (-1)^k S_k) for k = n, n-1, ..., 1, n >= 1: the weights
+    of the powers (k(k+1))^n in the mass of the scaled row.
 
     Swapping the sums over j and k in the folded
     `legendre_stirling_binsum` gives, for n >= 1,
 
-        M_n(1) = sum_{k=1..n} (-1)^k S_k (k(k+1))^n,
+        M_n(1) = sum_j (2j)! T_1(n, j) = sum_{k=1..n} (-1)^k S_k (k(k+1))^n,
         S_k = sum_{j=k..n} (-1)^j B(j, k),
 
     with the ballot numbers B(j, k) = C(2j, j-k) - C(2j, j-k-1).  From
@@ -331,13 +321,16 @@ def legendre_row_mass(n: int) -> int:
 
         S_{k-1} = -3 S_k - S_{k+1} + (-1)^n B(n+1, k),
 
-    run down from S_{n+1} = 0 and S_n = (-1)^n.  B(n+1, .) comes from one
-    pass of exact ratio updates along C(2n+2, .).
+    run down from S_{n+1} = 0 and S_n = (-1)^n, with B(n+1, .) the first
+    differences of C(2n+2, 0..n+1).
     """
-    check_row_cap(n)
-    if n == 0:
-        return 1
-    return sum(a * (k * (k + 1)) ** n for k, a in _mass_weights(n))
+    binom = list(_central_binomials(n + 1))
+    sign = -1 if n & 1 else 1
+    s_k, s_next = sign, 0
+    for k in range(n, 0, -1):
+        yield k, -s_k if k & 1 else s_k
+        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
+        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
 
 
 def _truncated_power(x: int, n: int, p: int) -> tuple[int, int, int]:
@@ -358,9 +351,9 @@ def _truncated_power(x: int, n: int, p: int) -> tuple[int, int, int]:
 
 def legendre_row_mass_bounds(n: int, bits: int) -> tuple[int, int, int]:
     """(lo, hi, e) with lo 2^e <= M_n(1) <= hi 2^e, and (hi - lo) 2^e
-    below 2^-(bits+36) M_n(1): the sum of `legendre_row_mass` on
-    truncated powers, with the error bound summed beside it.  The module
-    docstring proves both."""
+    below 2^-(bits+36) M_n(1), and lo = hi = M_n(1) at bits >=
+    bitlen((2n)!): the sum of `_mass_weights` on truncated powers, with
+    the error bound summed beside it.  The module docstring proves it."""
     check_row_cap(n)
     if n == 0:
         return 1, 1, 0

@@ -332,12 +332,12 @@ def suite_clt(bits: int) -> Iterator[CheckResult]:
     yield _result("total-mass ratio doubling decay", ok, ", ".join(detail))
 
     # At w, g(w) = 1 and (cosh w - 1)/sinh w = 1/sqrt5, so the certified
-    # Legendre lattice sum is the row mass itself; its exact side comes
-    # from legendre_row_mass, which this checks against the lattice sum.
+    # Legendre lattice sum is the row mass itself; its exact side is the
+    # scaled row summed entry by entry, a route apart from the mass kernel.
     ns = range(2, 51)
     w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        exact = [mp.mpf(triangles.legendre_row_mass(n)) for n in ns]
+        exact = [mp.mpf(sum(triangles.modified_legendre_row(n))) for n in ns]
         detail = _uncovered(ns, eisenstein.certified_legendre(ns, w, 16, bits), exact)
     yield _result("lattice identity for sqrt5 * row mass n<=50", not detail, detail)
 

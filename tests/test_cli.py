@@ -595,10 +595,29 @@ class TestAsymptoticsCommand:
         argv = ["asymptotics", "--report", "mass", "--n-list", "0,1,2,3,50,1999",
                 "--precision-bits", bits]
         fast = run_cli(argv, capsys)
-        # ends that round apart: every row takes the exact mass
-        monkeypatch.setattr(clt, "legendre_row_mass_bounds", lambda n, bits: (-1, 1, 0))
+        # ends that round apart on each row's first call: every row takes
+        # the second, exact call
+        real, seen = triangles.legendre_row_mass_bounds, set()
+
+        def straddling_first(n, bits):
+            if n in seen:
+                return real(n, bits)
+            seen.add(n)
+            return -1, 1, 0
+
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", straddling_first)
         assert run_cli(argv, capsys) == fast
         assert fast[0] == 0
+
+    def test_mass_real_tie_prints_the_same_bytes(self, capsys):
+        # M_160(1) is a rounding midpoint at 2064 bits; the sha256 is
+        # that of the exact-kernel fallback the bounds kernel replaced
+        argv = ["asymptotics", "--report", "mass", "--n-list", "160", "--precision-bits", "2048"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "322f6f6bf08d9a8e570dd59196eb7d7461c8c6e502ee9526af84e9ada6a558cb"
+        )
 
     def test_bad_n_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -622,14 +641,16 @@ class TestSkippedWork:
         )
 
     def test_mass_report_computes_no_exact_mass(self, capsys, monkeypatch):
-        # every row's mass is decided by the bounds kernel at the default bits
-        def no_exact_mass(n):
-            raise AssertionError(f"the mass report computed M_{n}(1) exactly")
-
-        monkeypatch.setattr(clt, "legendre_row_mass", no_exact_mass)
+        # every row's mass is decided by one bounds-kernel call at the
+        # default bits, none at the exact bitlen((2n)!)
+        real, calls = triangles.legendre_row_mass_bounds, []
+        monkeypatch.setattr(
+            clt, "legendre_row_mass_bounds", lambda n, bits: calls.append((n, bits)) or real(n, bits)
+        )
         argv = ["asymptotics", "--report", "mass", "--n-list", "200,400,800,1600"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
+        assert calls == [(200, 272), (400, 272), (800, 272), (1600, 272)]
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "260fab2329c51e7aceff8adf0f8bea1bfa7d845da7d91a6a2d9c82a0bc812c5c"
         )

@@ -5,6 +5,7 @@ Reference decimals were frozen from an independent 320-bit oracle run.
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
@@ -29,7 +30,7 @@ from lslab.clt import (
 )
 from lslab.errors import DegenerateVarianceError
 from lslab.triangles import (
-    legendre_row_mass, legendre_row_mass_bounds, legendre_stirling_binsum, modified_legendre_row,
+    legendre_row_mass_bounds, legendre_stirling_binsum, modified_legendre_row,
 )
 
 
@@ -244,6 +245,16 @@ def old_row_scale(n, w):
     return w ** (2 * n + 1) / mp.mpf(factorial(2 * n))
 
 
+@lru_cache(maxsize=None)
+def row_mass_ratio(n, bits):
+    """Oracle: the scaled row summed entry by entry, rounded at bits + 16,
+    times the old row scale."""
+    with mp.workprec(bits + 16):
+        mass = mp.mpf(sum(modified_legendre_row(n))) * old_row_scale(n, saddle_constant(bits + 16))
+    with mp.workprec(bits):
+        return +mass
+
+
 def old_normal_approximation(n, j, precision_bits):
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
@@ -291,10 +302,7 @@ class TestFrameOracles:
     def test_scale_and_mass_bit_for_bit(self, n, bits):
         with mp.workprec(bits):
             assert centering_scaling(n, bits).scale == old_row_scale(n, saddle_constant(bits))
-        with mp.workprec(bits + 16):
-            mass = mp.mpf(legendre_row_mass(n)) * old_row_scale(n, saddle_constant(bits + 16))
-        with mp.workprec(bits):
-            assert total_mass_ratio(n, bits) == +mass
+        assert total_mass_ratio(n, bits) == row_mass_ratio(n, bits)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -335,28 +343,38 @@ class TestFrameOracles:
 
 
 class TestMassRounding:
-    """total_mass_ratio rounds the ends of the bounds kernel and computes
-    the exact mass only when they round apart."""
+    """total_mass_ratio rounds the ends of the bounds kernel and, only when
+    they round apart, calls the same kernel once more at bitlen((2n)!)
+    bits, where it is exact."""
 
     @pytest.mark.parametrize("n,bits", [(3, 64), (200, 256), (1600, 1024)])
     def test_straddling_interval_falls_back_to_exact(self, n, bits, monkeypatch):
-        def straddling(n, bits):
+        calls = []
+
+        def straddling_first(n, bits):
+            calls.append(bits)
             lo, hi, e = legendre_row_mass_bounds(n, bits)
+            if len(calls) > 1:
+                return lo, hi, e
             pad = 1 << max(0, hi.bit_length() - bits + 2)  # 4 units at bits
             with mp.workprec(bits):
                 assert mp.mpf((lo - pad, e)) != mp.mpf((hi + pad, e))
             return lo - pad, hi + pad, e
 
-        exact_calls = []
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", straddling_first)
+        assert total_mass_ratio(n, bits) == row_mass_ratio(n, bits)
+        assert calls == [bits + 16, factorial(2 * n).bit_length()]
 
-        def counted(n):
-            exact_calls.append(n)
-            return legendre_row_mass(n)
-
-        monkeypatch.setattr(clt, "legendre_row_mass_bounds", straddling)
-        monkeypatch.setattr(clt, "legendre_row_mass", counted)
-        with mp.workprec(bits + 16):
-            mass = mp.mpf(legendre_row_mass(n)) * old_row_scale(n, saddle_constant(bits + 16))
-        with mp.workprec(bits):
-            assert total_mass_ratio(n, bits) == +mass
-        assert exact_calls == [n]
+    def test_real_tie_takes_two_kernel_calls(self, monkeypatch):
+        """M_160(1) is 2^160 times an odd number of 2065 bits, a rounding
+        midpoint at 2064 bits, so at 2048 bits the real bounds round
+        apart; the spy only counts the calls."""
+        mass = sum(modified_legendre_row(160))
+        assert (mass >> 160) & 1 and (mass >> 160).bit_length() == 2065
+        calls = []
+        monkeypatch.setattr(
+            clt, "legendre_row_mass_bounds",
+            lambda n, bits: calls.append(bits) or legendre_row_mass_bounds(n, bits),
+        )
+        assert total_mass_ratio(160, 2048) == row_mass_ratio(160, 2048)
+        assert calls == [2064, factorial(320).bit_length()]

@@ -288,6 +288,17 @@ class TestWorkCounts:
         refine_roots(cert, bits)
         assert len(calls) <= 4
 
+    def test_certificate_tests_each_end_once(self, monkeypatch):
+        # one sign at -1/4 on M_55, then one on q per distinct point:
+        # -1/4, 0 and the interval ends, 63 in all (111 tests if every
+        # interval's two ends were tested)
+        calls = []
+        monkeypatch.setattr(sturm, "sign_at", lambda *args: calls.append(args) or sign_at(*args))
+        cert = certify_roots(55)
+        points = {QUARTER, ZERO} | {x for pair in cert.intervals for x in pair}
+        assert len(calls) == 1 + len(points) == 64
+        assert len({x for _, x in calls[1:]}) == len(points)
+
     def test_certificate_runs_fewer_full_shifts(self, monkeypatch):
         """Split shifts plus count tests that ran the Taylor shift through:
         173 at n = 55, against 259 if every count ran the whole shift."""
@@ -406,6 +417,17 @@ class TestDescartes:
         with pytest.raises(CertificationError) as exc:
             next(chain)
         assert exc.value.clause == "interlacing"
+
+    def test_gap_interval_fails_isolation(self, monkeypatch):
+        # the gap between row 8's first two isolating intervals holds no
+        # root; swapped in for the second interval, the count still holds
+        q = modified_legendre_row(8)[1:]
+        real = sturm.descartes_intervals(q, QUARTER, ZERO)
+        doctored = [real[0], (real[0][1], real[1][0]), *real[2:]]
+        monkeypatch.setattr(sturm, "descartes_intervals", lambda q, lo, hi: doctored)
+        with pytest.raises(CertificationError) as exc:
+            sturm.isolate_roots(q, QUARTER, ZERO)
+        assert exc.value.clause == "isolation"
 
     def test_complex_pair_fails_root_count(self):
         # (10s + 1)(100 s^2 + 20 s + 2): one real root, and -1/10 +- i/10

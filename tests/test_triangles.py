@@ -30,7 +30,6 @@ from lslab.triangles import (
     jacobi_stirling,
     jacobi_stirling_explicit,
     legendre_from_chebyshev,
-    legendre_row_mass,
     legendre_row_mass_bounds,
     legendre_stirling_binsum,
     modified_legendre_row,
@@ -163,7 +162,6 @@ class TestRecurrence:
             lambda: legendre_stirling_binsum(n, 5),
             lambda: chebyshev_stirling_binsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
-            lambda: legendre_row_mass(n),
             lambda: legendre_row_mass_bounds(n, 64),
         ]
         for call in refused:
@@ -313,6 +311,13 @@ class TestFoldedSums:
         ballot = comb(2 * j, j - k) - (comb(2 * j, j - k - 1) if k < j else 0)
         assert Fraction(factorial(2 * j) * (2 * k + 1), factorial(j - k) * factorial(j + k + 1)) == ballot
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(min_value=0, max_value=300))
+    def test_central_binomials(self, m):
+        """The one walk along C(2m, .) that every central binomial sum
+        and the mass weights read."""
+        assert list(triangles._central_binomials(m)) == [comb(2 * m, i) for i in range(m + 1)]
+
 
 class TestModified:
     @pytest.mark.parametrize("n,j,expected", [(3, 2, 192), (3, 3, 720), (1, 1, 2)])
@@ -333,17 +338,28 @@ class TestModified:
             assert jacobi_stirling(n, j, LEGENDRE) == legendre_stirling_binsum(n, j)
 
 
-class TestRowMass:
-    """legendre_row_mass regroups the binomial sum; the scaled row summed
-    entry by entry is the independent side."""
+@lru_cache(maxsize=None)
+def row_mass(n):
+    """Oracle: M_n(1), the scaled row summed entry by entry."""
+    return sum(modified_legendre_row(n))
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(min_value=0, max_value=300))
-    def test_equals_row_sum(self, n):
-        assert legendre_row_mass(n) == sum(modified_legendre_row(n))
+
+class TestRowMass:
+    """From bitlen((2n)!) bits on, the bounds kernel is exact; the scaled
+    row summed entry by entry is the independent side."""
+
+    def test_equals_row_sum(self):
+        for n in range(61):
+            assert_exact_at_bitlen_of_factorial(n)
 
     def test_equals_row_sum_far_out(self):
-        assert legendre_row_mass(800) == sum(modified_legendre_row(800))
+        for n in (200, 1999):
+            assert_exact_at_bitlen_of_factorial(n)
+
+
+def assert_exact_at_bitlen_of_factorial(n):
+    lo, hi, e = legendre_row_mass_bounds(n, factorial(2 * n).bit_length())
+    assert lo == hi == row_mass(n) and e == 0
 
 
 def assert_tight_bounds(n, bits, mass):
@@ -361,7 +377,7 @@ class TestRowMassBounds:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=0, max_value=400), bits=st.sampled_from([64, 256, 1024, 2048]))
     def test_encloses_exact_mass(self, n, bits):
-        assert_tight_bounds(n, bits, legendre_row_mass(n))
+        assert_tight_bounds(n, bits, row_mass(n))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -380,7 +396,7 @@ class TestRowMassBounds:
 
     @pytest.mark.parametrize("n", [800, 1600, 1999])
     def test_encloses_exact_mass_far_out(self, n):
-        mass = legendre_row_mass(n)
+        mass = row_mass(n)
         for bits in (64, 256, 1024, 2048):
             assert_tight_bounds(n, bits, mass)
 
