@@ -205,10 +205,9 @@ def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
     """M_n(1) times row n's scale; approaches 1 at rate 1/n.  No triangle
     row is built.  M_n(1) is rounded at precision_bits + 16, from the
     ends of `legendre_row_mass_bounds`: rounding to nearest is monotone,
-    so when both ends round to one mpf, M_n(1) rounds to it too.  Ends
-    that round apart put M_n(1) at or next to a rounding midpoint (at
-    one for n = 160, 2048 bits), so the kernel runs once more at
-    bitlen((2n)!) bits, where it is exact."""
+    so when both ends round to one mpf, M_n(1) rounds to it too.  Ends that
+    round apart (M_n(1) is on a midpoint at n = 160, 2048 bits) get one
+    more call at bitlen((2n)!) bits, where the kernel is exact."""
     bits = precision_bits + 16
     lo, hi, e = legendre_row_mass_bounds(n, bits)
     with mp.workprec(bits):

@@ -332,12 +332,13 @@ def suite_clt(bits: int) -> Iterator[CheckResult]:
     yield _result("total-mass ratio doubling decay", ok, ", ".join(detail))
 
     # At w, g(w) = 1 and (cosh w - 1)/sinh w = 1/sqrt5, so the certified
-    # Legendre lattice sum is the row mass itself; its exact side is the
-    # scaled row summed entry by entry, a route apart from the mass kernel.
+    # Legendre lattice sum is the row mass; its exact side sums the scaled
+    # rows of iter_triangle: no mass kernel, and no row memo (row 400 stays).
     ns = range(2, 51)
     w = clt.saddle_constant(bits + 64)
     with mp.workprec(bits + 64):
-        exact = [mp.mpf(sum(triangles.modified_legendre_row(n))) for n in ns]
+        rows = triangles.iter_triangle(triangles.LEGENDRE, ns[-1])
+        exact = [mp.mpf(sum(triangles.scale_row([*map(int, r)]))) for n, r in rows if n in ns]
         detail = _uncovered(ns, eisenstein.certified_legendre(ns, w, 16, bits), exact)
     yield _result("lattice identity for sqrt5 * row mass n<=50", not detail, detail)
 
