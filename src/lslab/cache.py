@@ -161,12 +161,16 @@ def _matches(fp, path: Path, gamma: Fraction, n_max: int) -> bool:
     wanted = {"schema": SCHEMA_VERSION, "gamma": str(gamma), "n_max": n_max}
     if any(header.get(key) != value for key, value in wanted.items()):
         return False
-    start, digest, last = fp.tell(), hashlib.sha256(), b"\n"
+    # the last byte first: a cut file is refused before any byte is hashed
+    start, end = fp.tell(), fp.seek(0, os.SEEK_END)
+    if end > start:
+        fp.seek(end - 1)
+        if fp.read(1) != b"\n":
+            raise CacheCorruptionError(f"truncated last line in {path}")
+    fp.seek(start)
+    digest = hashlib.sha256()
     for block in iter(lambda: fp.read(1 << 20), b""):
         digest.update(block)
-        last = block[-1:]
-    if last != b"\n":
-        raise CacheCorruptionError(f"truncated last line in {path}")
     if digest.hexdigest() != header.get("sha256"):
         raise CacheCorruptionError(f"content hash mismatch in {path}")
     fp.seek(start)

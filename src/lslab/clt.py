@@ -17,9 +17,13 @@ sigma = sqrt(spread(n)) and scale = w^(2n+1)/(2n)! (`centering_scaling`),
 the pointwise normal estimate A(n, j) = phi(x) / (sigma (2j)! scale), phi
 the standard normal density at x = (j - center)/sigma, tracks the exact
 numbers near the center, and the scaled partial row sums converge to the
-normal distribution function.  Every check here runs on exact integer
-rows scaled at working precision; mpf exponents are arbitrary-precision
-integers, so there is no overflow at any n.
+normal distribution function.  The moment, residual and ratio checks
+run on exact integer rows and entries scaled at working precision.  The
+mass ratio needs no row, and the distribution function only the top of
+one: both round an enclosure of the row mass M_n(1) exactly as the row
+sum would round, and fall back to the exact mass when the enclosure
+cannot tell.  mpf exponents are arbitrary-precision integers, so there
+is no overflow at any n.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import DegenerateVarianceError, KernelInvariantError
 from .precision import to_mpf
 from .triangles import (
     LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass_bounds, legendre_stirling_binsum,
-    modified_legendre_row,
+    modified_legendre_row, scale_row, triangle_band,
 )
 
 
@@ -175,18 +179,37 @@ def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
         return +worst
 
 
+# `scaled_cdf` asks the mass kernel for _CDF_GUARD bits more than the
+# precision_bits + 16 it rounds at: the kernel's width is then below 2^-36
+# of a unit of any sum of at least 2^-_CDF_GUARD M_n(1).  For n = 100 to
+# 1999 the grid's sums (y >= -4) are about 2^-14 M_n(1), y = -8's 2^-44.
+_CDF_GUARD = 64
+
+
 def scaled_cdf(n: int, ys, precision_bits: int = 256) -> list:
-    """scale * sum_{j <= floor(center + y sigma)} (2j)! T(n, j) for each y
-    in ys; the row, its prefix sums and the frame are built once."""
+    """scale * sum_{j <= J} c(n, j), c(n, j) = (2j)! T(n, j), J =
+    min(floor(center + y sigma), n), for each y in ys (0 when J < 0), the
+    sum rounded at precision_bits + 16 before the product.
+
+    No whole row is built: each sum is M_n(1) - sum_{j > J} c(n, j), the
+    columns above the smallest J from `triangle_band` and M_n(1) from one
+    kernel enclosure for every y, rounded by `_mass_less` to the mpf the
+    whole row's prefix sum rounds to, with its exact fallback (taken for
+    a sum far below 2^-_CDF_GUARD M_n(1), such as c(n, 0) = 0)."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    prefix = list(accumulate(modified_legendre_row(n)))
-    with mp.workprec(precision_bits + 16):
-        cs = centering_scaling(n, precision_bits + 16)
-        values = []
-        for y in ys:
-            j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * cs.sigma)), n)
-            values.append(mp.mpf(prefix[j_hi]) * cs.scale if j_hi >= 0 else mp.mpf(0))
+    check_row_cap(n)
+    bits = precision_bits + 16
+    with mp.workprec(bits):
+        cs = centering_scaling(n, bits)
+        js = [min(int(mp.floor(cs.center + mp.mpf(y) * cs.sigma)), n) for y in ys]
+        inside = [j for j in js if j >= 0]
+        if inside:
+            j_lo = min(inside) + 1
+            # above[k]: the sum of the top k columns c(n, n-k+1..n)
+            above = [0, *accumulate(reversed(scale_row(triangle_band(LEGENDRE, n, j_lo), j_lo)))]
+            sums = iter(_mass_less(n, [above[n - j] for j in inside], bits, bits + _CDF_GUARD))
+        values = [next(sums) * cs.scale if j >= 0 else mp.mpf(0) for j in js]
     with mp.workprec(precision_bits):
         return [+v for v in values]
 
@@ -201,20 +224,30 @@ def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
     return [(y, s, normal_cdf(y, precision_bits)) for y, s in zip(ys, scaled)]
 
 
+def _mass_less(n: int, ts, bits: int, kernel_bits: int) -> list:
+    """M_n(1) - t rounded at bits for each integer t in ts, from the ends
+    of one `legendre_row_mass_bounds` enclosure at kernel_bits: rounding
+    to nearest is monotone, so when both ends of M_n(1) - t round to one
+    mpf, M_n(1) - t rounds to it too.  If any pair rounds apart, one more
+    call at bitlen((2n)!) bits, where the kernel is exact, decides them
+    all: a tie on a rounding midpoint (M_n(1) is on one at n = 160, 2048
+    bits) is not settled by any narrower enclosure."""
+    lo, hi, e = legendre_row_mass_bounds(n, kernel_bits)
+    with mp.workprec(bits):
+        values = [mp.mpf((lo << e) - t) for t in ts]
+        if any(v != mp.mpf((hi << e) - t) for v, t in zip(values, ts)):
+            mass, _, _ = legendre_row_mass_bounds(n, factorial(2 * n).bit_length())
+            values = [mp.mpf(mass - t) for t in ts]
+    return values
+
+
 def total_mass_ratio(n: int, precision_bits: int = 256) -> mp.mpf:
     """M_n(1) times row n's scale; approaches 1 at rate 1/n.  No triangle
-    row is built.  M_n(1) is rounded at precision_bits + 16, from the
-    ends of `legendre_row_mass_bounds`: rounding to nearest is monotone,
-    so when both ends round to one mpf, M_n(1) rounds to it too.  Ends that
-    round apart (M_n(1) is on a midpoint at n = 160, 2048 bits) get one
-    more call at bitlen((2n)!) bits, where the kernel is exact."""
+    row is built: M_n(1) is rounded at precision_bits + 16 by `_mass_less`
+    from a kernel call at those bits."""
     bits = precision_bits + 16
-    lo, hi, e = legendre_row_mass_bounds(n, bits)
+    (mass,) = _mass_less(n, [0], bits, bits)
     with mp.workprec(bits):
-        mass = mp.mpf((lo, e))
-        if mass != mp.mpf((hi, e)):
-            lo, _, e = legendre_row_mass_bounds(n, factorial(2 * n).bit_length())
-            mass = mp.mpf((lo, e))
         value = mass * centering_scaling(n, bits).scale
     with mp.workprec(precision_bits):
         return +value

@@ -13,8 +13,10 @@ numbers (factor j*(j+1)), gamma = 1/2 the Chebyshev-Stirling numbers
 and entry, on integers only: with 2*gamma = P/Q it runs on the
 Q^(n-j)-scaled entries, which are integers, and divides once at the
 end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
-row MAX_ROWS and beyond before doing any work.  The mass M_n(1) of a
-(2j)!-scaled Legendre row needs no row: `legendre_row_mass_bounds`
+row MAX_ROWS and beyond before doing any work.  `triangle_band` reads
+the same memo for the top columns j_lo..n of a row: a memoized row is
+sliced, a missing one is swept as a band, and no band is stored.  The
+mass M_n(1) of a (2j)!-scaled Legendre row needs no row: `legendre_row_mass_bounds`
 encloses it on truncated powers, exactly from bitlen((2n)!) bits on.
 Its weights and both central binomial sums read `_central_binomials`.
 The whole rows `iter_triangle` exports for an integer 2*gamma are
@@ -123,7 +125,8 @@ def check_row_cap(n: int) -> None:
 
 def _sweep(gamma: Fraction, n: int, j_lo: int, j_hi: int, start=None) -> list:
     """Columns j_lo..j_hi of row n, rolled forward from `start`, a whole
-    row given as (r, row r) with r <= n, or else from row 0.
+    row given as (r, row r) with r <= n, or else from row 0; at r = n
+    the start row is only sliced.
 
     Row r keeps only the columns max(0, j_lo-(n-r))..min(r, j_hi) that
     row n still depends on: a whole row is the band 0..n and a single
@@ -142,10 +145,11 @@ def _sweep(gamma: Fraction, n: int, j_lo: int, j_hi: int, start=None) -> list:
     two_gamma = 2 * gamma
     p, q = two_gamma.numerator, two_gamma.denominator
     r0, band = start or (0, [1])
+    lo = max(0, j_lo - (n - r0))
+    band = list(band[lo : j_hi + 1])
     if q > 1:
-        band = [v.numerator * (q ** (r0 - j) // v.denominator) for j, v in enumerate(band)]
+        band = [v.numerator * (q ** (r0 - j) // v.denominator) for j, v in enumerate(band, lo)]
     factors = [c * (q * c + p - q) for c in range(n + 1)]
-    band, lo = list(band), 0
     for r in range(r0 + 1, n + 1):
         new_lo, hi = max(0, j_lo - (n - r)), min(r, j_hi)
         # the parents of columns new_lo..hi are columns new_lo-1..hi of row r-1
@@ -162,20 +166,34 @@ def _sweep(gamma: Fraction, n: int, j_lo: int, j_hi: int, start=None) -> list:
 _ROWS: dict[tuple[int, int, int], tuple] = {}
 
 
+def _from_memo(g: Fraction, n: int, j_lo: int) -> tuple:
+    """Columns j_lo..n of row n: the memoized row sliced, or else swept
+    from the nearest lower memoized row of the same gamma."""
+    p, q = g.numerator, g.denominator
+    below = [k for a, b, k in _ROWS if a == p and b == q and k <= n]
+    start = (max(below), _ROWS[p, q, max(below)]) if below else None
+    return tuple(_sweep(g, n, j_lo, n, start))
+
+
 def triangle_row(gamma, n: int) -> tuple:
     """Row n of the triangle, memoized up to ROW_MEMO_SIZE rows (the
-    oldest goes first); a missing row is rolled forward from the nearest
-    lower memoized row of the same gamma."""
+    oldest goes first); a missing row comes from `_from_memo`."""
     g = _as_gamma(gamma)
-    p, q = g.numerator, g.denominator
-    row = _ROWS.get((p, q, n))
+    key = (g.numerator, g.denominator, n)
+    row = _ROWS.get(key)
     if row is None:
-        below = [k for a, b, k in _ROWS if a == p and b == q and k < n]
-        start = (max(below), _ROWS[p, q, max(below)]) if below else None
-        row = _ROWS[p, q, n] = tuple(_sweep(g, n, 0, n, start))
+        row = _ROWS[key] = _from_memo(g, n, 0)
         if len(_ROWS) > ROW_MEMO_SIZE:
             del _ROWS[next(iter(_ROWS))]
     return row
+
+
+def triangle_band(gamma, n: int, j_lo: int) -> tuple:
+    """Columns j_lo..n of row n, 0 <= j_lo <= n + 1, from `_from_memo`;
+    a band is never memoized."""
+    if not 0 <= j_lo <= n + 1:
+        raise ValueError("requires 0 <= j_lo <= n + 1")
+    return _from_memo(_as_gamma(gamma), n, j_lo)
 
 
 def jacobi_stirling(n: int, j: int, gamma):
@@ -293,9 +311,11 @@ def chebyshev_stirling_binsum(n: int, j: int) -> int:
 # --- modified (2j)!-scaled Legendre numbers ------------------------------
 
 
-def scale_row(row) -> tuple:
-    """(2j)! * row[j] for every column j."""
-    facts = accumulate(range(1, len(row)), lambda f, j: f * (2 * j - 1) * (2 * j), initial=1)
+def scale_row(row, j_lo: int = 0) -> tuple:
+    """(2j)! * row[j - j_lo] for the columns j = j_lo, j_lo + 1, ... of a
+    row or of the band `triangle_band` returns."""
+    facts = accumulate(range(j_lo + 1, j_lo + len(row)), lambda f, j: f * (2 * j - 1) * (2 * j),
+                       initial=factorial(2 * j_lo))
     return tuple(f * v for f, v in zip(facts, row))
 
 

@@ -213,6 +213,34 @@ class TestDamagedFiles:
     def test_missing_final_newline_is_corrupt(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b[:-1]) == EXIT_CACHE
 
+    def test_cut_file_is_refused_before_hashing(self, tmp_path, monkeypatch):
+        # cut inside a record halfway through the data, as the benchmark's
+        # corrupt-cache op does; the spy counts the bytes given to sha256
+        path = cache.cache_path(tmp_path, LEGENDRE, 60)
+        cache.write_cache(path, LEGENDRE, 60).close()
+        intact = path.read_bytes()
+        fed, real = [], hashlib.sha256
+
+        class CountingSha256:
+            def __init__(self):
+                self.digest = real()
+
+            def update(self, data):
+                fed.append(len(data))
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(cache.hashlib, "sha256", CountingSha256)
+        cache.read_cache(path, LEGENDRE, 60).close()
+        assert sum(fed) == len(intact) - intact.index(b"\n") - 1
+        path.write_bytes(intact[: intact.index(b"\n", len(intact) // 2)])
+        fed.clear()
+        with pytest.raises(cache.CacheCorruptionError, match="^truncated last line in "):
+            cache.read_cache(path, LEGENDRE, 60)
+        assert fed == []
+
     def test_non_object_header_is_corrupt(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b"[1]\n") == EXIT_CACHE
 

@@ -165,6 +165,7 @@ class TestRowCap:
         [
             "clt --report ratio --n 2000 --j 5",
             "clt --report cdf --n 2000",
+            "clt --report cdf --n 100000000",
             "clt --report residuals --n-list 100,2000",
             "table --family legendre --n-max 2000 --cache-dir {cache}",
             "roots --n 2000",
@@ -653,6 +654,28 @@ class TestSkippedWork:
         assert calls == [(200, 272), (400, 272), (800, 272), (1600, 272)]
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "260fab2329c51e7aceff8adf0f8bea1bfa7d845da7d91a6a2d9c82a0bc812c5c"
+        )
+
+    def test_cdf_report_builds_no_whole_row(self, capsys, monkeypatch):
+        # only the top band of row 800 is swept, and its mass is decided
+        # by one bounds-kernel call, none at the exact bitlen(1600!)
+        real_sweep, sweeps = triangles._sweep, []
+
+        def sweep_spy(gamma, n, j_lo, j_hi, start=None):
+            sweeps.append((n, j_lo))
+            return real_sweep(gamma, n, j_lo, j_hi, start)
+
+        real_bounds, calls = triangles.legendre_row_mass_bounds, []
+        monkeypatch.setattr(triangles, "_sweep", sweep_spy)
+        monkeypatch.setattr(
+            clt, "legendre_row_mass_bounds", lambda n, bits: calls.append((n, bits)) or real_bounds(n, bits)
+        )
+        code, out, _ = run_cli(["clt", "--report", "cdf", "--n", "800"], capsys)
+        assert code == 0
+        assert [j_lo for n, j_lo in sweeps if n == 800] == [716]
+        assert calls == [(800, 256 + 16 + clt._CDF_GUARD)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "880344b7feb148555fb9648b1f7b0298742a895085d1a3f9f997f60ecada7e94"
         )
 
     @pytest.mark.parametrize(

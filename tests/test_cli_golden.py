@@ -39,7 +39,10 @@ carries the hash of `perfbench/golden.json`.  The last two commands,
 the Edgeworth tables of rows 2 and 3 (the second at 80 bits), are the
 smallest rows the expansion takes; they were recorded while every
 lattice point re-ran the expansion's checks and conversions, before
-`density_expansion` evaluated a whole row in one call.
+`density_expansion` evaluated a whole row in one call.  The cdf table at
+n 1999, the last row under the cap, was recorded while the scaled cdf
+summed the prefixes of the whole row, before it took them from the row
+mass and the top band of the row.
 
 The hashes were recorded before the single-production-path refactor of
 the CLI, row builders and writers; a change that moves any printed digit
@@ -155,6 +158,8 @@ GOLDEN = [
      "a32d7f61cf5c5fe42bb31aa396d1db4296906972ed94311591396e75c915c148"),
     ("edgeworth --n 3 --precision-bits 80", 0,
      "2d33380699f5fc5c94655436cf268d472e98d36ae22a9b99d620519812d733b9"),
+    ("clt --report cdf --n 1999", 0,
+     "3aa61681466fd0779a1fc41b0a05b7a1f1b23d5be4ac52ed74361a9461036a8b"),
 ]
 
 

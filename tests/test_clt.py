@@ -28,7 +28,7 @@ from lslab.clt import (
     scaled_cdf,
     total_mass_ratio,
 )
-from lslab.errors import DegenerateVarianceError
+from lslab.errors import DegenerateVarianceError, ResourceLimitError
 from lslab.triangles import (
     legendre_row_mass_bounds, legendre_stirling_binsum, modified_legendre_row,
 )
@@ -194,6 +194,15 @@ class TestScaledCdf:
         vals = [float(v) for v in scaled_cdf(100, [-2, -1, 0, 1, 2], 128)]
         assert vals == sorted(vals)
 
+    def test_row_cap_before_the_frame(self, monkeypatch):
+        # the frame's (2n)! alone would take minutes far past the cap
+        def no_frame(*args):
+            raise AssertionError("the frame was computed for a capped row")
+
+        monkeypatch.setattr(clt, "centering_scaling", no_frame)
+        with pytest.raises(ResourceLimitError):
+            scaled_cdf(10**8, [0.0])
+
 
 class TestMassRatio:
     def test_reference_decay(self):
@@ -285,6 +294,25 @@ def old_max_density_residual(n, precision_bits):
         return +worst
 
 
+def old_scaled_cdf(n, ys, bits):
+    """Oracle: the prefix sums of the whole scaled row, rounded at
+    bits + 16, times the old row scale."""
+    prefix = list(accumulate(modified_legendre_row(n)))
+    with mp.workprec(bits + 16):
+        cs = centering_scaling(n, bits + 16)
+        scale = old_row_scale(n, saddle_constant(bits + 16))
+        old = []
+        for y in ys:
+            j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * mp.sqrt(cs.spread))), n)
+            old.append(mp.mpf(prefix[j_hi]) * scale if j_hi >= 0 else mp.mpf(0))
+    with mp.workprec(bits):
+        return [+v for v in old]
+
+
+# the grid of `clt --report cdf`, y = -4.0, -3.9, ..., 4.0
+CDF_YS = [i / 10 for i in range(-40, 41)]
+
+
 def ulp(x, bits):
     """One unit in the last place of the nonzero mpf x at `bits` bits."""
     return mp.mpf(2) ** (mp.mag(x) - bits)
@@ -309,17 +337,44 @@ class TestFrameOracles:
         n=st.integers(2, 400), bits=BITS,
         ys=st.lists(st.floats(-8, 8), min_size=1, max_size=5),
     )
+    @example(n=800, bits=64, ys=CDF_YS)
+    @example(n=800, bits=256, ys=CDF_YS)
+    @example(n=800, bits=1024, ys=CDF_YS)
+    @example(n=1999, bits=64, ys=CDF_YS)
+    @example(n=1999, bits=256, ys=CDF_YS)
+    @example(n=1999, bits=1024, ys=CDF_YS)
+    @example(n=100, bits=256, ys=[])
+    @example(n=2, bits=64, ys=[-8.0, -5.5])  # every J < 0
+    @example(n=400, bits=256, ys=[8.0, 40.0])  # J = n
+    @example(n=400, bits=1024, ys=[-8.0])
     def test_scaled_cdf_bit_for_bit(self, n, bits, ys):
-        prefix = list(accumulate(modified_legendre_row(n)))
-        with mp.workprec(bits + 16):
-            cs = centering_scaling(n, bits + 16)
-            scale = old_row_scale(n, saddle_constant(bits + 16))
-            old = []
-            for y in ys:
-                j_hi = min(int(mp.floor(cs.center + mp.mpf(y) * mp.sqrt(cs.spread))), n)
-                old.append(mp.mpf(prefix[j_hi]) * scale if j_hi >= 0 else mp.mpf(0))
-        with mp.workprec(bits):
-            assert scaled_cdf(n, ys, bits) == [+v for v in old]
+        assert scaled_cdf(n, ys, bits) == old_scaled_cdf(n, ys, bits)
+
+    @pytest.mark.parametrize("n,bits", [(3, 64), (400, 256), (800, 1024)])
+    def test_scaled_cdf_straddle_takes_one_exact_call(self, n, bits, monkeypatch):
+        calls = []
+
+        def widened_first(n, kernel_bits):
+            calls.append(kernel_bits)
+            lo, hi, e = legendre_row_mass_bounds(n, kernel_bits)
+            if len(calls) > 1:
+                return lo, hi, e
+            pad = 1 << max(0, hi.bit_length() - bits + 2)  # 4 units of M_n(1) at bits
+            return lo - pad, hi + pad, e
+
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", widened_first)
+        ys = [-2, 0, 3, 40]
+        assert scaled_cdf(n, ys, bits) == old_scaled_cdf(n, ys, bits)
+        assert calls == [bits + 16 + clt._CDF_GUARD, factorial(2 * n).bit_length()]
+
+    def test_scaled_cdf_every_j_below_zero_calls_no_kernel(self, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("a kernel ran for an empty sum")
+
+        monkeypatch.setattr(clt, "legendre_row_mass_bounds", no_call)
+        monkeypatch.setattr(clt, "triangle_band", no_call)
+        assert scaled_cdf(2, [-8.0, -5.5], 64) == [0, 0]
+        assert scaled_cdf(2, [], 64) == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 400), bits=BITS)

@@ -34,6 +34,8 @@ from lslab.triangles import (
     legendre_stirling_binsum,
     modified_legendre_row,
     odd_power_cancellation,
+    scale_row,
+    triangle_band,
     triangle_row,
 )
 
@@ -163,6 +165,7 @@ class TestRecurrence:
             lambda: chebyshev_stirling_binsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
             lambda: legendre_row_mass_bounds(n, 64),
+            lambda: triangle_band(LEGENDRE, n, n - 5),
         ]
         for call in refused:
             with pytest.raises(ResourceLimitError):
@@ -317,6 +320,73 @@ class TestFoldedSums:
         """The one walk along C(2m, .) that every central binomial sum
         and the mass weights read."""
         assert list(triangles._central_binomials(m)) == [comb(2 * m, i) for i in range(m + 1)]
+
+
+class TestBand:
+    """`triangle_band` reads the row memo: a memoized row is sliced, a
+    missing one is swept from the nearest lower memoized row as a band,
+    and the memo keeps the same keys."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """(n, j_lo, start row index or None) of every `_sweep` call,
+        with an empty memo."""
+        monkeypatch.setattr(triangles, "_ROWS", {})
+        calls, real = [], triangles._sweep
+
+        def spy(gamma, n, j_lo, j_hi, start=None):
+            calls.append((n, j_lo, start and start[0]))
+            return real(gamma, n, j_lo, j_hi, start)
+
+        monkeypatch.setattr(triangles, "_sweep", spy)
+        return calls
+
+    @pytest.mark.parametrize("gamma", [LEGENDRE, Fraction(2, 3)])
+    def test_slice_of_a_memoized_row(self, gamma, sweeps):
+        row = triangle_row(gamma, 60)
+        keys = list(triangles._ROWS)
+        assert triangle_band(gamma, 60, 45) == row[45:]
+        assert triangle_band(gamma, 60, 61) == ()
+        assert sweeps[1:] == [(60, 45, 60), (60, 61, 60)]
+        assert list(triangles._ROWS) == keys
+
+    @pytest.mark.parametrize("gamma", [LEGENDRE, Fraction(2, 3)])
+    def test_rolled_from_a_lower_memoized_row(self, gamma, sweeps):
+        triangle_row(gamma, 20)
+        triangle_row(gamma, 40)
+        keys = list(triangles._ROWS)
+        band = triangle_band(gamma, 55, 50)
+        assert sweeps[-1] == (55, 50, 40)
+        assert band == tuple(brute_recurrence(55, j, gamma) for j in range(50, 56))
+        assert list(triangles._ROWS) == keys
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(min_value=0, max_value=9),
+        q=st.integers(min_value=1, max_value=5),
+        n=st.integers(min_value=0, max_value=30),
+        data=st.data(),
+    )
+    def test_band_equals_oracle_from_any_start(self, p, q, n, data):
+        gamma = Fraction(p, q)
+        j_lo = data.draw(st.integers(min_value=0, max_value=n + 1))
+        r = data.draw(st.integers(min_value=0, max_value=n))
+        expected = tuple(brute_recurrence(n, j, gamma) for j in range(j_lo, n + 1))
+        triangles._ROWS.clear()
+        assert triangle_band(gamma, n, j_lo) == expected
+        triangle_row(gamma, r)
+        assert triangle_band(gamma, n, j_lo) == expected
+        assert [k for *_, k in triangles._ROWS] == [r]
+
+    def test_scaled_band_is_the_top_of_the_scaled_row(self):
+        for n, j_lo in [(0, 0), (5, 0), (30, 1), (30, 17), (30, 30), (30, 31)]:
+            band = scale_row(triangle_band(LEGENDRE, n, j_lo), j_lo)
+            assert band == modified_legendre_row(n)[j_lo:]
+
+    @pytest.mark.parametrize("j_lo", [-1, 12])
+    def test_band_outside_the_row(self, j_lo):
+        with pytest.raises(ValueError):
+            triangle_band(LEGENDRE, 10, j_lo)
 
 
 class TestModified:
