@@ -182,7 +182,7 @@ def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
 # `scaled_cdf` asks the mass kernel for _CDF_GUARD bits more than the
 # precision_bits + 16 it rounds at: the kernel's width is then below 2^-36
 # of a unit of any sum of at least 2^-_CDF_GUARD M_n(1).  For n = 100 to
-# 1999 the grid's sums (y >= -4) are about 2^-14 M_n(1), y = -8's 2^-44.
+# 1999 the grid's sums (y >= -4) are at least 2^-15 M_n(1), y = -8's 2^-45.
 _CDF_GUARD = 64
 
 
@@ -234,10 +234,12 @@ def _mass_less(n: int, ts, bits: int, kernel_bits: int) -> list:
     bits) is not settled by any narrower enclosure."""
     lo, hi, e = legendre_row_mass_bounds(n, kernel_bits)
     with mp.workprec(bits):
-        values = [mp.mpf((lo << e) - t) for t in ts]
-        if any(v != mp.mpf((hi << e) - t) for v, t in zip(values, ts)):
+        # mpf((m, 0)) rounds m at once; mpf(m) would first strip the
+        # trailing zeros of the whole integer, such as the e of lo << e
+        values = [mp.mpf(((lo << e) - t, 0)) for t in ts]
+        if any(v != mp.mpf(((hi << e) - t, 0)) for v, t in zip(values, ts)):
             mass, _, _ = legendre_row_mass_bounds(n, factorial(2 * n).bit_length())
-            values = [mp.mpf(mass - t) for t in ts]
+            values = [mp.mpf((mass - t, 0)) for t in ts]
     return values
 
 

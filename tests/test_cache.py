@@ -241,6 +241,20 @@ class TestDamagedFiles:
             cache.read_cache(path, LEGENDRE, 60)
         assert fed == []
 
+    def test_empty_data_section_is_decided_by_the_digest(self, tmp_path):
+        # a header alone has no last data byte to test, so its digest
+        # decides, as when every data byte was hashed first
+        path = cache.cache_path(tmp_path, LEGENDRE, 60)
+        cache.write_cache(path, LEGENDRE, 60).close()
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with pytest.raises(cache.CacheCorruptionError, match="^content hash mismatch in "):
+            cache.read_cache(path, LEGENDRE, 60)
+        header["sha256"] = hashlib.sha256(b"").hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        with cache.read_cache(path, LEGENDRE, 60) as fp:
+            assert fp.read() == b""
+
     def test_non_object_header_is_corrupt(self, tmp_path, capsys):
         assert self._damage(tmp_path, capsys, lambda b: b"[1]\n") == EXIT_CACHE
 

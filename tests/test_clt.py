@@ -367,6 +367,18 @@ class TestFrameOracles:
         assert scaled_cdf(n, ys, bits) == old_scaled_cdf(n, ys, bits)
         assert calls == [bits + 16 + clt._CDF_GUARD, factorial(2 * n).bit_length()]
 
+    @pytest.mark.parametrize("n", [100, 400, 1999])
+    def test_scaled_cdf_grid_and_far_tail_take_no_exact_call(self, n, monkeypatch):
+        # the guard keeps the enclosure inside a unit of every sum from
+        # y = -12 up (2^-68 M_100(1)), so the first kernel call decides them
+        calls, real = [], legendre_row_mass_bounds
+        monkeypatch.setattr(
+            clt, "legendre_row_mass_bounds", lambda n, bits: calls.append(bits) or real(n, bits)
+        )
+        for bits in (64, 256, 1024):
+            scaled_cdf(n, [-12.0, -8.0, *CDF_YS], bits)
+        assert calls == [bits + 16 + clt._CDF_GUARD for bits in (64, 256, 1024)]
+
     def test_scaled_cdf_every_j_below_zero_calls_no_kernel(self, monkeypatch):
         def no_call(*args):
             raise AssertionError("a kernel ran for an empty sum")
