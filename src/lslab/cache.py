@@ -108,15 +108,15 @@ def checked_blocks(fp, csv: bool):
     """The records of fp, from its position on, as `lslab table` prints
     them, in blocks of about BLOCK_SIZE bytes: each block is read on to
     the end of its last line, checked with one match of RECORD lines,
-    and yielded as text, whole for JSON or as 'n,j,value' lines for CSV
-    (one bytes.translate deletes the record's syntax).  Blocks stop at
+    and yielded as ASCII bytes, whole for JSON or as 'n,j,value' lines for
+    CSV (one bytes.translate deletes the record's syntax).  Blocks stop at
     the first line outside the language, with the CacheCorruptionError
     parse_record raises for it; the lines before it are yielded."""
     for block in iter(lambda: fp.read(BLOCK_SIZE), b""):
         block += fp.readline()
         end = _RECORDS.match(block).end()
         checked = block[:end]
-        yield (checked.translate(None, _RECORD_SYNTAX) if csv else checked).decode("ascii")
+        yield checked.translate(None, _RECORD_SYNTAX) if csv else checked
         if end < len(block):
             raise _not_a_record(block[end:].partition(b"\n")[0].decode("ascii", "replace"))
 

@@ -17,28 +17,37 @@ cache.triangle_record writes: the table stops there).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
+Each process loads only the modules its command runs (see _lazy).
+Every command loads `triangles`; `compute` loads nothing more, and
+`table` adds `cache` with hashlib and json.  Every other command loads
+mpmath and `precision`, and then: `roots` `sturm` and json; `clt`
+`clt` and the `edgeworth` it imports, with json for the ratio report;
+`edgeworth` `edgeworth`; `asymptotics` `laplace` and `eisenstein` for
+the saddle report, and `clt` for --z w and for the mass report;
+`verify` `verify` and each module its suites call.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 from fractions import Fraction
 
-from . import cache, triangles
+from . import triangles
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
 
 
 def _lazy(name: str):
     """Module `name`, put in sys.modules now but run only when one of its
-    attributes is first read (importlib.util.LazyLoader).  `table` and
-    `compute` need only `cache` and `triangles`, so they never load
-    mpmath or the analytic modules.  Every lslab module is still in
-    sys.modules once this module is imported, as with plain imports, so
-    code that wraps lslab functions after `import lslab.cli` (the
-    benchmark's tracer, perfbench/tracer.py) still finds all of them."""
+    attributes is first read (importlib.util.LazyLoader).  Every module
+    below but `triangles` is loaded this way, so a command runs only the
+    modules it reads (the module docstring lists them): `compute` loads
+    neither mpmath nor hashlib, and no command loads `cache` but
+    `table`.  Every lslab module is still in sys.modules once this module
+    is imported, as with plain imports, so code that wraps lslab
+    functions after `import lslab.cli` (the benchmark's tracer,
+    perfbench/tracer.py) still finds all of them."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -51,11 +60,11 @@ def _lazy(name: str):
     return module
 
 
-mp = _lazy("mpmath")
-clt, edgeworth, eisenstein, genpoly, laplace, precision, sturm, verify = (
+json, mp = _lazy("json"), _lazy("mpmath")
+cache, clt, edgeworth, eisenstein, genpoly, laplace, precision, sturm, verify = (
     _lazy(f"{__package__}.{name}")
-    for name in ("clt", "edgeworth", "eisenstein", "genpoly", "laplace", "precision", "sturm",
-                 "verify")
+    for name in ("cache", "clt", "edgeworth", "eisenstein", "genpoly", "laplace", "precision",
+                 "sturm", "verify")
 )
 
 EXIT_OK = 0
@@ -96,11 +105,13 @@ def cmd_table(parser, args) -> int:
         source, _, corrupted = cache.load_or_build(gamma, args.n_max, cache_dir)
     except OSError as exc:  # e.g. --cache-dir under a regular file
         raise ValueError(exc) from exc
+    sys.stdout.flush()  # text printed before stays ahead of these bytes
+    out = sys.stdout.buffer
     with source:
         if args.format == "csv":
-            sys.stdout.write("n,j,value\n")
-        for text in cache.checked_blocks(source, csv=args.format == "csv"):
-            sys.stdout.write(text)
+            out.write(b"n,j,value\n")
+        for block in cache.checked_blocks(source, csv=args.format == "csv"):
+            out.write(block)
     if corrupted:
         print("warning: cache was corrupted and has been rebuilt", file=sys.stderr)
         return EXIT_CACHE

@@ -28,7 +28,7 @@ is no overflow at any n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -67,13 +67,11 @@ def _saddle_constant(precision_bits: int) -> mp.mpf:
         return +closed
 
 
-@dataclass(frozen=True)
-class CenteringScaling:
-    """Row n's normal frame; scale takes row n's coefficient sum to a mass near 1."""
-    center: mp.mpf
-    spread: mp.mpf
-    sigma: mp.mpf
-    scale: mp.mpf
+class CenteringScaling(namedtuple("CenteringScaling", "center spread sigma scale")):
+    """Row n's normal frame, four mpf fields; scale takes row n's
+    coefficient sum to a mass near 1."""
+
+    __slots__ = ()
 
 
 def _center(n: int, w: mp.mpf, s5: mp.mpf) -> mp.mpf:

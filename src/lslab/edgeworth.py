@@ -19,7 +19,7 @@ gives every order up to k at each lattice point asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -79,18 +79,15 @@ def _cumulants_from_raw(moments: list) -> list:
     return kappas
 
 
-@dataclass(frozen=True)
-class CumulantProfile:
+class CumulantProfile(namedtuple("CumulantProfile", "n mean variance normalized")):
     """Mean, variance and normalized cumulants of one row sum.
 
-    normalized[k] holds lambda_{k+2} = n^(k/2) kappa_{k+2} / sigma^(k+2),
-    so normalized[0] is identically 1.
+    normalized is a tuple: normalized[k] holds
+    lambda_{k+2} = n^(k/2) kappa_{k+2} / sigma^(k+2), so normalized[0] is
+    identically 1.
     """
 
-    n: int
-    mean: object
-    variance: object
-    normalized: tuple
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -70,7 +70,7 @@ printed `tail_bound` stays rounded to nearest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import ceil, factorial, log, tau
 
@@ -214,22 +214,18 @@ def squeeze_argument(w, precision_bits: int = 256) -> mp.mpf:
         return +(1 / (2 * (mp.cosh(wv) - 1)))
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class CertifiedValue(namedtuple("CertifiedValue", "value r w precision_bits")):
     """A truncated lattice sum with its own truncation certificate: the
     relative distance to the untruncated sum is at most
     `bound` = tail_bound(r, w, precision_bits), computed when first read
     (the bound, valid for the full tail m != 0, vastly overstates the
-    part actually dropped)."""
+    part actually dropped).  No __slots__: cached_property keeps `bound`
+    in the instance dict."""
 
-    value: mp.mpf
-    r: int
-    w: mp.mpf
-    precision_bits: int
-
-    def __post_init__(self):
-        if not 2 <= self.r < 2**21:
+    def __new__(cls, value, r, w, precision_bits):
+        if not 2 <= r < 2**21:
             raise ValueError("certificate requires 2 <= r < 2^21")
+        return super().__new__(cls, value, r, w, precision_bits)
 
     @cached_property
     def bound(self) -> mp.mpf:

@@ -24,7 +24,7 @@ and this module verifies that expansion numerically for concrete n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 import mpmath as mp
@@ -66,10 +66,8 @@ def derivative_identity_holds(r: int, n: int, order: int) -> bool:
 Z_MAX = 2**64
 
 
-@dataclass(frozen=True)
-class SaddleCoefficients:
-    leading: mp.mpf      # cosh(z/2)
-    correction: mp.mpf   # first 1/n coefficient, always negative
+# leading = cosh(z/2); correction = the first 1/n coefficient, always negative
+SaddleCoefficients = namedtuple("SaddleCoefficients", "leading correction")
 
 
 def saddle_coefficients(nu: int, z, precision_bits: int = 256) -> SaddleCoefficients:

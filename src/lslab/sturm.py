@@ -52,7 +52,7 @@ trailing zeros.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -87,14 +87,12 @@ def sign_at(p: tuple[int, ...], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-@dataclass(frozen=True)
-class RootCertificate:
-    """Isolating intervals (ascending, open, pairwise disjoint) for the
-    nonzero roots of M_n, plus the parity sign at -1/4."""
+class RootCertificate(namedtuple("RootCertificate", "n intervals sign_at_quarter")):
+    """Isolating intervals (a tuple of (Fraction, Fraction) pairs:
+    ascending, open, pairwise disjoint) for the nonzero roots of M_n, plus
+    the parity sign at -1/4."""
 
-    n: int
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    sign_at_quarter: int
+    __slots__ = ()
 
 
 Intervals = list[tuple[Fraction, Fraction]]

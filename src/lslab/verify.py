@@ -19,8 +19,8 @@ T(n, j) ~ (j (j + 2 gamma - 1))^n / (j! prod_{t<j} (j + 2 gamma - 1 + t)).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm
@@ -48,11 +48,8 @@ LATTICE_MAX = 50
 CROSSCHECK_MAX = 30
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}" + (

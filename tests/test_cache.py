@@ -177,9 +177,9 @@ class TestCheckedBlocks:
         entries = [(0, 0, 1), (1, 1, 7**3000), (2, 1, Fraction(10**50 + 1, 3))]
         lines = [triangle_record(*e) + "\n" for e in entries]
         printed = list(cache.checked_blocks(io.BytesIO("".join(lines).encode()), csv=False))
-        assert printed == lines
+        assert printed == [line.encode() for line in lines]
         printed = list(cache.checked_blocks(io.BytesIO("".join(lines).encode()), csv=True))
-        assert printed == [f"{n},{j},{format_entry(v)}\n" for n, j, v in entries]
+        assert printed == [f"{n},{j},{format_entry(v)}\n".encode() for n, j, v in entries]
 
 
 class TestDamagedFiles:

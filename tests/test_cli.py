@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import lslab
 from lslab import cache, clt, genpoly, laplace, sturm, triangles
 from lslab.cache import parse_record, triangle_record
-from lslab.cli import main
+from lslab.cli import COMMANDS, main
 from lslab.errors import CacheCorruptionError, CertificationError, KernelInvariantError
 from lslab.precision import print_digits
 from lslab.triangles import LEGENDRE, format_entry, jacobi_stirling
@@ -473,10 +473,12 @@ class TestTable:
 
 
 def _table(argv) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
+    # `table` writes bytes to sys.stdout.buffer, which a StringIO lacks
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as buf:
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        buf.flush()
+        return code, buf.buffer.getvalue().decode()
 
 
 class TestTableFormats:
@@ -819,25 +821,39 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "52"
 
     def test_table_and_compute_load_no_mpmath(self, tmp_path):
-        """mpmath and the analytic modules are registered by `import
-        lslab.cli` but run only when a command reads them, and `table` and
-        `compute` load neither `dataclasses` nor the `inspect` it imports."""
-        program = (
-            "import sys\n"
-            "from lslab.cli import main\n"
-            "main(['table', '--family', 'legendre', '--n-max', '5',"
-            f" '--cache-dir', {str(tmp_path)!r}])\n"
-            "main(['compute', '--family', 'legendre', '--n', '3', '--j', '2'])\n"
-            "assert 'lslab.clt' in sys.modules and 'mpmath' in sys.modules\n"
-            "assert 'mpmath.libmp' not in sys.modules\n"
-            "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
-            "main(['roots', '--n', '3', '--refine-bits', '64'])\n"
-            "assert 'mpmath.libmp' in sys.modules\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
-                              env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1].startswith('{"n": 3, ')
+        """Each command, run on a small input in a fresh interpreter, loads
+        only what it runs.  mpmath and the analytic modules are registered
+        by `import lslab.cli` but run only when a command reads them, so
+        `table` and `compute` never run mpmath; no command loads
+        `dataclasses` or the `inspect` it imports; and hashlib, which
+        `cache` imports, is loaded by `table` alone.  Together the runs
+        load every lslab module."""
+        runs = {
+            "compute": ["--family", "legendre", "--n", "3", "--j", "2"],
+            "table": ["--family", "legendre", "--n-max", "5", "--cache-dir", str(tmp_path)],
+            "verify": ["roots"],
+            "roots": ["--n", "3", "--refine-bits", "64"],
+            "clt": ["--n", "20", "--j", "10"],
+            "edgeworth": ["--n", "10"],
+            "asymptotics": ["--n-list", "10"],
+        }
+        assert sorted(runs) == sorted(COMMANDS)
+        for command, options in runs.items():
+            program = (
+                "import sys\n"
+                "from lslab.cli import main\n"
+                f"code = main({[command, *options]!r})\n"
+                "assert 'lslab.clt' in sys.modules and 'mpmath' in sys.modules\n"
+                "assert ('mpmath.libmp' in sys.modules) =="
+                f" {command not in ('table', 'compute')}\n"
+                "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
+                f"assert 'hashlib' not in sys.modules or {command == 'table'}\n"
+                "sys.exit(code)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                                  text=True, env=_child_env())
+            assert proc.returncode == 0, (command, proc.stderr)
+            assert proc.stdout, command
 
 
 # Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM is

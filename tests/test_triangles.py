@@ -605,7 +605,7 @@ class TestExport:
                 printed.extend(cache.checked_blocks(io.BytesIO(data), csv))
             except CacheCorruptionError as exc:
                 raised = str(exc)
-        assert "".join(printed) == "".join(expected)
+        assert b"".join(printed) == "".join(expected).encode()
         assert raised == error
 
     def test_iter_row_major(self):
