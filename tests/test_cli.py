@@ -828,17 +828,18 @@ class TestEntryPoint:
         `dataclasses` or the `inspect` it imports; and hashlib, which
         `cache` imports, is loaded by `table` alone.  Together the runs
         load every lslab module."""
-        runs = {
-            "compute": ["--family", "legendre", "--n", "3", "--j", "2"],
-            "table": ["--family", "legendre", "--n-max", "5", "--cache-dir", str(tmp_path)],
-            "verify": ["roots"],
-            "roots": ["--n", "3", "--refine-bits", "64"],
-            "clt": ["--n", "20", "--j", "10"],
-            "edgeworth": ["--n", "10"],
-            "asymptotics": ["--n-list", "10"],
+        runs = {  # command: (options, start of its stdout)
+            "compute": (["--family", "legendre", "--n", "3", "--j", "2"], "8\n"),
+            "table": (["--family", "legendre", "--n-max", "5", "--cache-dir", str(tmp_path)],
+                      "n,j,value\n"),
+            "verify": (["roots"], "PASS "),
+            "roots": (["--n", "3", "--refine-bits", "64"], '{"n": 3, '),
+            "clt": (["--n", "20", "--j", "10"], '{"n": 20, '),
+            "edgeworth": (["--n", "10"], "j,x,"),
+            "asymptotics": (["--n-list", "10"], "n,Q,"),
         }
         assert sorted(runs) == sorted(COMMANDS)
-        for command, options in runs.items():
+        for command, (options, head) in runs.items():
             program = (
                 "import sys\n"
                 "from lslab.cli import main\n"
@@ -853,7 +854,7 @@ class TestEntryPoint:
             proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
                                   text=True, env=_child_env())
             assert proc.returncode == 0, (command, proc.stderr)
-            assert proc.stdout, command
+            assert proc.stdout.startswith(head), command
 
 
 # Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM is
@@ -872,7 +873,7 @@ sys.exit(code)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 class TestTableMemory:
     """No table is held in memory: the Legendre table to n = 400 (43 MB of
-    records) peaks near 23 MB in a fresh interpreter, cold and warm."""
+    records) peaks near 22 MB in a fresh interpreter, cold and warm."""
 
     def test_peak_rss_cold_and_warm(self, tmp_path):
         argv = [sys.executable, "-c", _PEAK_RSS_PROGRAM, "table", "--family", "legendre",
