@@ -13,7 +13,9 @@ too, and `bad --gamma` for a --gamma that is not an integer or p/q with
 q > 0, at most 19 digits each), 3 resource limit, 4 cache corruption
 (the table is still printed from a fresh build, except for a record
 that passes the file's hash but is not in the form
-cache.triangle_record writes: the table stops there).
+cache.triangle_record writes: the table stops there), 141 stdout
+closed by its reader, as by `| head` (no traceback; a table's cache
+file is complete before its first byte is printed).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from fractions import Fraction
 
@@ -72,6 +75,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_CACHE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer SIGPIPE killed
 
 
 # the --family choices: the named families with gamma > 0, then jacobi
@@ -300,11 +304,21 @@ def main(argv=None) -> int:
     if bits is not None and bits < 64:
         parser.error("--precision-bits must be at least 64")
     try:
-        if bits is not None and bits > precision.MAX_BITS:
-            raise ResourceLimitError(
-                f"--precision-bits {bits} exceeds the cap of {precision.MAX_BITS}"
-            )
-        return COMMANDS[args.command](parser, args)
+        try:
+            if bits is not None and bits > precision.MAX_BITS:
+                raise ResourceLimitError(
+                    f"--precision-bits {bits} exceeds the cap of {precision.MAX_BITS}"
+                )
+            return COMMANDS[args.command](parser, args)
+        finally:
+            sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone.  Point stdout at the null device so the
+        # interpreter's last flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -24,6 +24,29 @@ one: both round an enclosure of the row mass M_n(1) exactly as the row
 sum would round, and fall back to the exact mass when the enclosure
 cannot tell.  mpf exponents are arbitrary-precision integers, so there
 is no overflow at any n.
+
+The density residual r_j = |a_j - b_j|, a_j = sigma scale c(n, j) and
+b_j = phi(x_j), is evaluated only where it can be the maximum.  Working
+from the column nearest the centre outward with the running maximum
+`worst`, column j is skipped when the float bounds
+
+    log a_j ~ log(sigma scale) + log c(n, j)   (-inf when c(n, j) = 0),
+    log b_j ~ -x_j^2/2 - log sqrt(2 pi)
+
+both fall below log(worst) - 10^-6; every other column is evaluated by
+the same mpmath operations as a scan of the whole row, so the maximum
+is the same mpf.  Proof that a skipped column is not the maximum: a_j
+and b_j are both >= 0, so |a_j - b_j| <= max(a_j, b_j).  The computed
+r_j exceeds max(a_j, b_j), taken at the frame's mpf values, by at most
+a relative 2^-precision_bits: a few roundings of 2^-(precision_bits+16)
+each, and the one of x^2 inside e^(-x^2/2), which the exponential
+multiplies by x^2/2 < 2^14, as |x| <= center/sigma < 170 below
+`MAX_ROWS`.  Each float log is a few roundings of numbers below 3 10^4
+in size, whose unit is 2^-38 (about 4 10^-12), so it is within 10^-10
+of the true log below `MAX_ROWS`.  So a skipped column's computed
+residual is below worst e^(-10^-6 + 2 10^-10) (1 + 2^-precision_bits)
+< worst, and worst only grows.  At n = 400 this evaluates 26 of the
+401 columns.
 """
 
 from __future__ import annotations
@@ -32,7 +55,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, inf, log, pi
 
 import mpmath as mp
 
@@ -161,18 +184,33 @@ def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]
         return +ratio, direct
 
 
+_LOG_SQRT_2PI = log(2 * pi) / 2
+# `max_density_residual`'s skip margin in the log domain, far above its float errors
+_SKIP_MARGIN = 1e-6
+
+
 def max_density_residual(n: int, precision_bits: int = 256) -> mp.mpf:
     """max over 0 <= j <= n of |sigma scale (2j)! T(n,j) - phi(x)| with
-    the exact scaled row."""
+    the exact scaled row, taken only at the columns that can hold the
+    maximum (the skip rule of the module docstring), from the centre
+    outward."""
     if n < 2:
         raise ValueError("requires n >= 2")
     row = modified_legendre_row(n)
     with mp.workprec(precision_bits + 16):
         cs = centering_scaling(n, precision_bits + 16)
-        worst = max(
-            abs(cs.sigma * cs.scale * mp.mpf(c) - mp.npdf((j - cs.center) / cs.sigma))
-            for j, c in enumerate(row)
-        )
+        sigma_scale = cs.sigma * cs.scale
+        log_sigma_scale = float(mp.log(sigma_scale))
+        mu, sigma = float(cs.center), float(cs.sigma)
+        worst, cut = mp.mpf(0), -inf
+        for j in sorted(range(n + 1), key=lambda j: abs(j - mu)):
+            c, x = row[j], (j - mu) / sigma
+            log_a = log_sigma_scale + log(c) if c else -inf
+            if max(log_a, -x * x / 2 - _LOG_SQRT_2PI) < cut:
+                continue
+            residual = abs(sigma_scale * mp.mpf(c) - mp.npdf((j - cs.center) / cs.sigma))
+            if residual > worst:
+                worst, cut = residual, float(mp.log(residual)) - _SKIP_MARGIN
     with mp.workprec(precision_bits):
         return +worst
 
@@ -216,10 +254,18 @@ def cdf_grid(n: int, precision_bits: int = 256) -> list[tuple]:
     """(y, scaled cdf, normal cdf) at y = -4.0, -3.9, ..., 4.0: the table
     `lslab clt --report cdf` prints and the grid of the clt suite's KS
     distance."""
+    normal = _normal_grid(precision_bits)
+    scaled = scaled_cdf(n, [y for y, _ in normal], precision_bits)
+    return [(y, s, p) for (y, p), s in zip(normal, scaled)]
+
+
+@lru_cache(maxsize=4)
+def _normal_grid(precision_bits: int) -> tuple:
+    """(y, normal_cdf(y)) on the grid of `cdf_grid`; it depends only on
+    precision_bits, so the clt suite's two grids share one."""
     with mp.workprec(precision_bits):
         ys = [mp.mpf(i) / 10 for i in range(-40, 41)]
-    scaled = scaled_cdf(n, ys, precision_bits)
-    return [(y, s, normal_cdf(y, precision_bits)) for y, s in zip(ys, scaled)]
+    return tuple((y, normal_cdf(y, precision_bits)) for y in ys)
 
 
 def _mass_less(n: int, ts, bits: int, kernel_bits: int) -> list:

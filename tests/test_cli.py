@@ -820,6 +820,26 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "52"
 
+    def test_closed_stdout_exits_141(self, tmp_path):
+        """`lslab table ... | head -1`: the reader goes away after one line
+        of a table far larger than the pipe holds.  The writer exits 141
+        with no traceback, and the cache file it wrote stays valid."""
+        argv = [sys.executable, "-m", "lslab.cli", "table", "--family", "legendre",
+                "--n-max", "200", "--cache-dir", str(tmp_path)]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_child_env())
+        assert proc.stdout.readline() == b"n,j,value\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert b"Traceback" not in stderr
+        warm = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=120)
+        assert (warm.returncode, warm.stderr) == (0, b"")
+        assert hashlib.sha256(warm.stdout).hexdigest() == (
+            "efbdf87c61739802906d61108ef525065e78b7c46e7e45f8cf01d215dcf0dd6e"
+        )
+
     def test_table_and_compute_load_no_mpmath(self, tmp_path):
         """Each command, run on a small input in a fresh interpreter, loads
         only what it runs.  mpmath and the analytic modules are registered

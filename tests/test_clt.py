@@ -294,6 +294,21 @@ def old_max_density_residual(n, precision_bits):
         return +worst
 
 
+def whole_row_max_density_residual(n, precision_bits):
+    """Oracle: the density residual of every column of the row, the scan
+    that `max_density_residual` ran before it skipped the columns that
+    cannot hold the maximum."""
+    row = modified_legendre_row(n)
+    with mp.workprec(precision_bits + 16):
+        cs = centering_scaling(n, precision_bits + 16)
+        worst = max(
+            abs(cs.sigma * cs.scale * mp.mpf(c) - mp.npdf((j - cs.center) / cs.sigma))
+            for j, c in enumerate(row)
+        )
+    with mp.workprec(precision_bits):
+        return +worst
+
+
 def old_scaled_cdf(n, ys, bits):
     """Oracle: the prefix sums of the whole scaled row, rounded at
     bits + 16, times the old row scale."""
@@ -407,6 +422,50 @@ class TestFrameOracles:
         new, old = max_density_residual(n, bits), old_max_density_residual(n, bits)
         with mp.workprec(bits + 64):
             assert abs(new - old) <= mp.mpf(2) ** -(bits + 12) + ulp(max(new, old), bits)
+
+
+class TestDensityResidualSkip:
+    """max_density_residual evaluates only the columns that can hold the
+    maximum, and returns the mpf of the whole-row scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 400), bits=st.sampled_from([64, 128, 256, 1024]))
+    @example(n=2, bits=64)
+    @example(n=400, bits=1024)
+    @example(n=800, bits=256)
+    @example(n=1999, bits=64)
+    def test_equals_whole_row_scan(self, n, bits):
+        assert max_density_residual(n, bits) == whole_row_max_density_residual(n, bits)
+
+    def test_evaluates_few_columns(self, monkeypatch):
+        calls, real = [], mp.npdf
+        monkeypatch.setattr(mp, "npdf", lambda x: calls.append(x) or real(x))
+        max_density_residual(400, 256)
+        assert 0 < len(calls) <= 40  # of 401 columns
+
+
+class TestNormalGrid:
+    """cdf_grid takes its normal values from one memoized grid a
+    precision."""
+
+    def test_normal_values(self):
+        for bits in (64, 256):
+            for y, _, p in clt.cdf_grid(20, bits):
+                assert p == normal_cdf(y, bits)
+
+    def test_one_grid_a_precision(self, monkeypatch):
+        clt._normal_grid.cache_clear()
+        calls, real = [], mp.ncdf
+        monkeypatch.setattr(mp, "ncdf", lambda x: calls.append(x) or real(x))
+        clt.cdf_grid(100, 192)
+        assert len(calls) == 81
+        clt.cdf_grid(400, 192)
+        assert len(calls) == 81
+        clt.cdf_grid(100, 200)
+        assert len(calls) == 162
+
+    def test_memo_is_bounded(self):
+        assert 0 < clt._normal_grid.cache_info().maxsize <= 16
 
 
 class TestMassRounding:

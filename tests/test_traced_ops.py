@@ -59,3 +59,18 @@ def test_table_cache_is_traced(tmp_path):
     code, warm_out, warm = _traced(argv, tmp_path)
     assert (code, warm_out) == (0, out)
     assert warm["counters"]["cache.hits"] == 1
+
+
+def test_verify_clt_is_traced(tmp_path):
+    # a decorated or renamed kernel would leave clt.residual_s or
+    # clt.cdf_s at zero without failing any op
+    code, out, summary = _traced(["verify", "clt"], tmp_path)
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["ops"]["verify clt"]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (golden["exit"], golden["sha256"])
+    # mean_variance_residuals and max_density_residual at n = 100 and 400
+    assert summary["calls"]["clt.residual"] == 3
+    # scaled_cdf for the grids at n = 100 and 400 and for the far-tail
+    # line, and one normal_cdf per point of the one normal grid the two
+    # grids share
+    assert summary["calls"]["clt.cdf"] == 3 + 81
+    assert summary["self_s"]["clt.residual"] > 0 and summary["self_s"]["clt.cdf"] > 0
