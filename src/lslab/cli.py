@@ -19,48 +19,26 @@ file is complete before its first byte is printed).
 All output is deterministic for a fixed configuration: exact values are
 printed as decimal strings, floats at a digit count derived from
 --precision-bits.
-Each process loads only the modules its command runs (see _lazy).
-Every command loads `triangles`; `compute` loads nothing more, and
-`table` adds `cache` with hashlib and json.  Every other command loads
-mpmath and `precision`, and then: `roots` `sturm` and json; `clt`
+Each process loads only the modules its command runs (see
+lslab._lazy).  Every command loads `triangles`; `compute` loads nothing
+more, `table` adds `cache` with hashlib and json, and `verify` adds
+`verify` and each module its suites call: mpmath and `precision` with
+every suite but `identities`, which is exact.  Every other command
+loads mpmath and `precision`, and then: `roots` `sturm` and json; `clt`
 `clt` and the `edgeworth` it imports, with json for the ratio report;
 `edgeworth` `edgeworth`; `asymptotics` `laplace` and `eisenstein` for
-the saddle report, and `clt` for --z w and for the mass report;
-`verify` `verify` and each module its suites call.
+the saddle report, and `clt` for --z w and for the mass report.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
 from fractions import Fraction
 
-from . import triangles
+from . import _lazy, triangles
 from .errors import CacheCorruptionError, LslabError, ResourceLimitError
-
-
-def _lazy(name: str):
-    """Module `name`, put in sys.modules now but run only when one of its
-    attributes is first read (importlib.util.LazyLoader).  Every module
-    below but `triangles` is loaded this way, so a command runs only the
-    modules it reads (the module docstring lists them): `compute` loads
-    neither mpmath nor hashlib, and no command loads `cache` but
-    `table`.  Every lslab module is still in sys.modules once this module
-    is imported, as with plain imports, so code that wraps lslab
-    functions after `import lslab.cli` (the benchmark's tracer,
-    perfbench/tracer.py) still finds all of them."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    if parent:
-        setattr(sys.modules[parent], child, module)
-    return module
 
 
 json, mp = _lazy("json"), _lazy("mpmath")
@@ -305,9 +283,9 @@ def main(argv=None) -> int:
         parser.error("--precision-bits must be at least 64")
     try:
         try:
-            if bits is not None and bits > precision.MAX_BITS:
+            if bits is not None and bits > triangles.MAX_BITS:
                 raise ResourceLimitError(
-                    f"--precision-bits {bits} exceeds the cap of {precision.MAX_BITS}"
+                    f"--precision-bits {bits} exceeds the cap of {triangles.MAX_BITS}"
                 )
             return COMMANDS[args.command](parser, args)
         finally:

@@ -18,7 +18,10 @@ the pointwise normal estimate A(n, j) = phi(x) / (sigma (2j)! scale), phi
 the standard normal density at x = (j - center)/sigma, tracks the exact
 numbers near the center, and the scaled partial row sums converge to the
 normal distribution function.  The moment, residual and ratio checks
-run on exact integer rows and entries scaled at working precision.  The
+run on exact integer rows and entries scaled at working precision; the
+ratio check's entry comes from the banded recurrence and is checked
+against the certified alternating-sum enclosure of
+`triangles.legendre_entry_bounds`, not against a second exact sum.  The
 mass ratio needs no row, and the distribution function only the top of
 one: both round an enclosure of the row mass M_n(1) exactly as the row
 sum would round, and fall back to the exact mass when the enclosure
@@ -63,7 +66,7 @@ from .edgeworth import exact_cumulants
 from .errors import DegenerateVarianceError, KernelInvariantError
 from .precision import to_mpf
 from .triangles import (
-    LEGENDRE, check_row_cap, jacobi_stirling, legendre_row_mass_bounds, legendre_stirling_binsum,
+    LEGENDRE, check_row_cap, jacobi_stirling, legendre_entry_bounds, legendre_row_mass_bounds,
     modified_legendre_row, scale_row, triangle_band,
 )
 
@@ -169,19 +172,21 @@ def normal_approximation(n: int, j: int, precision_bits: int = 256) -> mp.mpf:
 def ratio_check(n: int, j: int, precision_bits: int = 256) -> tuple[mp.mpf, int]:
     """(exact triangle entry over A(n, j), the exact entry).
 
-    The entry is computed twice: by the folded alternating big-integer
-    sum of j + 1 powers and by the banded recurrence; the two must agree
-    exactly before any floating point happens.
+    The entry comes from the banded recurrence, and (2j)! times it must
+    lie inside the certified alternating-sum enclosure
+    `legendre_entry_bounds(n, j, precision_bits + 16)` before any
+    floating point happens.
     """
     if not 1 <= j <= n:
         raise ValueError("requires 1 <= j <= n")
-    direct = legendre_stirling_binsum(n, j)
-    if jacobi_stirling(n, j, LEGENDRE) != direct:
-        raise KernelInvariantError(f"direct sum and recurrence disagree at ({n}, {j})")
+    entry = jacobi_stirling(n, j, LEGENDRE)
+    lo, hi, e = legendre_entry_bounds(n, j, precision_bits + 16)
+    if not lo << e <= factorial(2 * j) * entry <= hi << e:
+        raise KernelInvariantError(f"recurrence outside the alternating-sum enclosure at ({n}, {j})")
     with mp.workprec(precision_bits + 16):
-        ratio = mp.mpf(direct) / normal_approximation(n, j, precision_bits + 16)
+        ratio = mp.mpf(entry) / normal_approximation(n, j, precision_bits + 16)
     with mp.workprec(precision_bits):
-        return +ratio, direct
+        return +ratio, entry
 
 
 _LOG_SQRT_2PI = log(2 * pi) / 2

@@ -59,8 +59,8 @@ from math import gcd
 import mpmath as mp
 
 from .errors import CertificationError, ResourceLimitError
-from .precision import MAX_BITS, to_mpf
-from .triangles import modified_legendre_row
+from .precision import to_mpf
+from .triangles import MAX_BITS, modified_legendre_row
 
 # Largest n whose roots are certified.  On a 2-vCPU Xeon VM with CPython
 # 3.11.7 the certificate takes 0.026 s at n = 55 and 5.7 s at n = 200,
@@ -317,7 +317,7 @@ def refine_roots(cert: RootCertificate, precision_bits: int) -> list[mp.mpf]:
     the sign of that fixed-point value F at the end when |F| >= 2, and
     sign_at's otherwise (`_certified_sign`).  If the signs do not qualify
     the interval is bisected.  Either way the output is that of
-    bisection, and fully deterministic.  More than precision.MAX_BITS
+    bisection, and fully deterministic.  More than MAX_BITS
     raises ResourceLimitError before any work.
 
     Newton's sign at lo needs no sign test: q = M_n/s has the sign

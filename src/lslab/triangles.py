@@ -16,9 +16,13 @@ end.  Rows are memoized up to ROW_MEMO_SIZE, and every kernel refuses
 row MAX_ROWS and beyond before doing any work.  `triangle_band` reads
 the same memo for the top columns j_lo..n of a row: a memoized row is
 sliced, a missing one is swept as a band, and no band is stored.  The
-mass M_n(1) of a (2j)!-scaled Legendre row needs no row: `legendre_row_mass_bounds`
-encloses it on truncated powers, exactly from bitlen((2n)!) bits on.
-Its weights and both central binomial sums read `_central_binomials`.
+mass M_n(1) of a (2j)!-scaled Legendre row needs no row, and one entry
+c(n, j) = (2j)! T_1(n, j) no recurrence: `legendre_row_mass_bounds` and
+`legendre_entry_bounds` enclose them on truncated powers in one loop,
+`_truncated_sum`.  The ballot numbers of `_ballot_weights` weight the
+powers of the entry and of `legendre_stirling_binsum` and build the
+mass weights; they and the Chebyshev binomial sum read
+`_central_binomials`.
 The whole rows `iter_triangle` exports for an integer 2*gamma are
 exact base-10 `decimal.Decimal` integers, so printing them is a linear
 copy instead of the quadratic binary-to-decimal conversion of str(int).
@@ -28,15 +32,18 @@ those trapped Decimals.  The alternating direct sums below pit terms of
 size (j^2)^n against results that can be hundreds of digits smaller, so
 floating point would lose essentially every digit; exactness is not an
 optimisation here, it is the correctness contract.  The one float, a
-log2 in `legendre_row_mass_bounds`, only picks a working precision.
+log2 in `_sized_terms`, only picks a working precision.
 
-`legendre_row_mass_bounds(n, bits)` sums M_n(1) = sum_k a_k x_k^n, with
-a_k = (-1)^k S_k and x_k = k(k+1) as in `_mass_weights`.  Let L_k =
-bitlen(a_k) + floor(n log2 x_k) + 2, top the largest L_k, F =
-bitlen((2n)!), p = top - F + bits + 64 and e = max(0, top - p).  Power
-k is `_truncated_power` at p_k = max(p - top + L_k, bitlen(n) + 2) bits,
-so every term is carried to the same absolute precision; it returns y
-2^f and the truncation count c.
+`_truncated_sum(terms, n, p)` encloses a sum S = sum_k a_k x_k^n of
+signed integer weights a_k times powers of x_k = k(k+1).  It has two
+callers: `legendre_row_mass_bounds`, where S = M_n(1) and a_k = (-1)^k
+S_k as in `_mass_weights`, and `legendre_entry_bounds`, where S = c(n,
+j) and a_k = (-1)^(j-k) B(j, k), the folded sum of
+`legendre_stirling_binsum` before its division by (2j)!.  Let L_k =
+bitlen(a_k) + floor(n log2 x_k) + 2, top the largest L_k and e = max(0,
+top - p).  Power k is `_truncated_power` at p_k = max(p - top + L_k,
+bitlen(n) + 2) bits, so every term is carried to the same absolute
+precision; it returns y 2^f and the truncation count c.
 - Cutting an integer v of b > p_k bits to its top p_k bits loses less
   than 2^(b-p_k) <= 2^(1-p_k) v.  A square squares the factor an
   approximation is low by, so by induction x^n (1-d)^c <= y 2^f <= x^n,
@@ -45,19 +52,34 @@ so every term is carried to the same absolute precision; it returns y
   since y < 2^p_k once c > 0 (and c = 0 means y 2^f = x^n).
 - Term k, a_k y 2^f, goes to the scale 2^e by an exact left shift or a
   floor shift (less than 1 off), and its bound 4c |a_k| 2^(f-e) is
-  rounded up, so total - err <= M_n(1) 2^-e <= total + err.
-So the enclosure holds whatever the L_k are.  Its width uses them:
-bitlen(x^n) = floor(n log2 x) + 1, and the float n log2 x, below 2^16,
-is within 2^-30 of its true value (log2 is good to an ulp or two), so
-|a_k| x_k^n < 2^L_k.  When c > 0, y >= 2^(p_k-1), so term k's bound is
-at most 8c 2^(L_k-p_k) <= 8n 2^(top-p), and a floor shift (only when e
-= top - p) adds at most 2 units of 2^(top-p).  Over the n terms, (hi -
-lo) 2^e < 20 n^2 2^(top-p) = 20 n^2 2^(F-bits-64).  c(n, n) = (2n)! and
-every c(n, j) >= 0, so 2^F <= 2 (2n)! <= 2 M_n(1), and n < 2000 gives
-(hi - lo) 2^e < 2^-(bits+36) M_n(1).  The 64 guard bits are fixed: they
-put the width 36 bits below one unit at `bits` on every row under the
-cap.  At bits >= F, p >= top + 64, so e = 0 and every p_k >= L_k + 64
-exceeds bitlen(x_k^n): no power is cut, and lo = hi = M_n(1).
+  rounded up, so total - err <= S 2^-e <= total + err.
+So the enclosure holds whatever the L_k and p are.  Its width uses
+them: bitlen(x^n) = floor(n log2 x) + 1, and the float n log2 x, below
+2^16, is within 2^-30 of its true value (log2 is good to an ulp or
+two), so |a_k| x_k^n < 2^L_k.  When c > 0, y >= 2^(p_k-1), so term k's
+bound is at most 8c 2^(L_k-p_k) <= 8n 2^(top-p), and a floor shift
+(only when e = top - p) adds at most 2 units of 2^(top-p).  Over at
+most n terms, (hi - lo) 2^e < 20 n^2 2^(top-p).  Once p >= top, e = 0
+and every p_k >= L_k exceeds bitlen(x_k^n): no power is cut, and lo =
+hi = S.
+
+The mass fixes p in advance: p = top - F + bits + 64 with F =
+bitlen((2n)!), so (hi - lo) 2^e < 20 n^2 2^(F-bits-64).  c(n, n) =
+(2n)! and every c(n, j) >= 0, so 2^F <= 2 (2n)! <= 2 M_n(1), and n <
+2000 gives (hi - lo) 2^e < 2^-(bits+36) M_n(1).  The 64 guard bits are
+fixed: they put the width 36 bits below one unit at `bits` on every
+row under the cap.  At bits >= F, p >= top + 64, so lo = hi = M_n(1).
+
+The entry checks its width after the fact, in Ziv's loop (Ziv, ACM
+TOMS 1991), so it needs no lower bound on c(n, j) (the a priori (2j)!
+(j(j+1))^(n-j) is far too loose).  From p = bits + 96 it returns once
+lo = hi, or lo > 0 and (hi - lo) 2^(bits+36) < lo, which with lo 2^e <=
+c(n, j) puts the width below 2^-(bits+36) c(n, j); at bits >=
+bitlen(c(n, j)) only lo = hi passes, as hi - lo >= 2 whenever they
+differ.  Otherwise p grows: by bitlen(hi - lo) - bitlen(lo) + bits + 44
+when lo > 0, at least 8 since the width test failed, and else twofold.
+So the loop ends: once p passes every L_k, nothing is truncated and lo
+= hi.
 """
 
 from __future__ import annotations
@@ -75,12 +97,17 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, factorial, gcd, log2, prod
 
 from .errors import KernelInvariantError, ResourceLimitError
 
 MAX_ROWS = 2000
+# Largest working precision, for --precision-bits and root refinement: it
+# lives beside the row cap so that checking it loads no mpmath.  On a 2-vCPU
+# Xeon VM with CPython 3.11.7 row 200 (the roots cap) refines in 1.1 s to
+# 256 bits, 4.3 s to 1024, 11 s to 2048; its certificate takes 5.4 s.
+MAX_BITS = 2048
 ROW_MEMO_SIZE = 16
 _MASS_GUARD = 64  # the fixed guard bits of `legendre_row_mass_bounds`
 
@@ -279,20 +306,27 @@ def _over_central_factorial(total: int, n: int, j: int) -> int:
     return q
 
 
+def _ballot_weights(j: int):
+    """Yield (k, B(j, k)) for k = j, j-1, ..., 0: the ballot numbers
+    B(j, k) = C(2j, j-k) - C(2j, j-k-1), the first differences of
+    C(2j, 0..j)."""
+    below = 0  # C(2j, i-1), 0 at i = 0
+    for i, binom in enumerate(_central_binomials(j)):
+        yield j - i, binom - below
+        below = binom
+
+
 def legendre_stirling_binsum(n: int, j: int) -> int:
     """gamma = 1 entry via the central binomial sum, all-integer arithmetic,
     sum_nu (-1)^nu C(2j, nu) ((j-nu)(j+1-nu))^n / (2j)!.  With k = j - nu,
     k and -1-k give the same k(k+1), so it folds onto k = 0..j: j + 1 big
-    powers, sign (-1)^(j-k), weights the ballot numbers B(j, k) =
-    C(2j, j-k) - C(2j, j-k-1), the first differences of C(2j, 0..j).
-    The k = 0 term keeps 0^0 = 1 at n = 0."""
+    powers, sign (-1)^(j-k), weights the ballot numbers B(j, k) of
+    `_ballot_weights`.  The k = 0 term keeps 0^0 = 1 at n = 0."""
     check_row_cap(n)
-    total, below = 0, 0  # C(2j, i-1), 0 at i = 0
-    for i, binom in enumerate(_central_binomials(j)):
-        k = j - i
-        t = (binom - below) * (k * (k + 1)) ** n
-        total += -t if i & 1 else t
-        below = binom
+    total = 0
+    for k, ballot in _ballot_weights(j):
+        t = ballot * (k * (k + 1)) ** n
+        total += -t if (j - k) & 1 else t
     return _over_central_factorial(total, n, j)
 
 
@@ -341,16 +375,14 @@ def _mass_weights(n: int):
 
         S_{k-1} = -3 S_k - S_{k+1} + (-1)^n B(n+1, k),
 
-    run down from S_{n+1} = 0 and S_n = (-1)^n, with B(n+1, .) the first
-    differences of C(2n+2, 0..n+1).
+    run down from S_{n+1} = 0 and S_n = (-1)^n, with B(n+1, k) from
+    `_ballot_weights(n + 1)`.
     """
-    binom = list(_central_binomials(n + 1))
     sign = -1 if n & 1 else 1
     s_k, s_next = sign, 0
-    for k in range(n, 0, -1):
+    for k, ballot in islice(_ballot_weights(n + 1), 1, n + 1):
         yield k, -s_k if k & 1 else s_k
-        # S_{k-1}, with B(n+1, k) = C(2n+2, n+1-k) - C(2n+2, n-k)
-        s_k, s_next = -3 * s_k - s_next + sign * (binom[n + 1 - k] - binom[n - k]), s_k
+        s_k, s_next = -3 * s_k - s_next + sign * ballot, s_k  # S_{k-1}
 
 
 def _truncated_power(x: int, n: int, p: int) -> tuple[int, int, int]:
@@ -369,22 +401,23 @@ def _truncated_power(x: int, n: int, p: int) -> tuple[int, int, int]:
     return y, f, c
 
 
-def legendre_row_mass_bounds(n: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo 2^e <= M_n(1) <= hi 2^e, and (hi - lo) 2^e
-    below 2^-(bits+36) M_n(1), and lo = hi = M_n(1) at bits >=
-    bitlen((2n)!): the sum of `_mass_weights` on truncated powers, with
-    the error bound summed beside it.  The module docstring proves it."""
-    check_row_cap(n)
-    if n == 0:
-        return 1, 1, 0
-    weights = list(_mass_weights(n))
-    sizes = [a.bit_length() + int(n * log2(k * (k + 1))) + 2 for k, a in weights]
-    top = max(sizes)
-    p = top - factorial(2 * n).bit_length() + bits + _MASS_GUARD
+def _sized_terms(weights, n: int) -> list[tuple[int, int, int]]:
+    """(a, x, L) for each (k, a) of weights, k >= 1: x = k(k+1) and L =
+    bitlen(a) + floor(n log2 x) + 2, which exceeds bitlen(|a| x^n)."""
+    return [(a, k * (k + 1), a.bit_length() + int(n * log2(k * (k + 1))) + 2)
+            for k, a in weights]
+
+
+def _truncated_sum(terms, n: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= sum a x^n <= hi 2^e over the (a, x, L)
+    of `_sized_terms`: every term carried to the absolute precision
+    2^(top-p), top the largest L, with the error bound summed beside
+    it.  The module docstring proves it."""
+    top = max(size for _, _, size in terms)
     e, p_min = max(0, top - p), n.bit_length() + 2
     total = err = 0
-    for (k, a), size in zip(weights, sizes):
-        y, f, c = _truncated_power(k * (k + 1), n, max(p - top + size, p_min))
+    for a, x, size in terms:
+        y, f, c = _truncated_power(x, n, max(p - top + size, p_min))
         d = f - e
         if d >= 0:
             total += a * y << d
@@ -393,6 +426,39 @@ def legendre_row_mass_bounds(n: int, bits: int) -> tuple[int, int, int]:
             total += a * y >> -d
             err += (4 * c * abs(a) >> -d) + 2
     return total - err, total + err, e
+
+
+def legendre_row_mass_bounds(n: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= M_n(1) <= hi 2^e, and (hi - lo) 2^e
+    below 2^-(bits+36) M_n(1), and lo = hi = M_n(1) at bits >=
+    bitlen((2n)!): `_truncated_sum` of `_mass_weights` at a precision
+    fixed in advance from (2n)! <= M_n(1)."""
+    check_row_cap(n)
+    if n == 0:
+        return 1, 1, 0
+    terms = _sized_terms(_mass_weights(n), n)
+    top = max(size for _, _, size in terms)
+    return _truncated_sum(terms, n, top - factorial(2 * n).bit_length() + bits + _MASS_GUARD)
+
+
+def legendre_entry_bounds(n: int, j: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= c(n, j) <= hi 2^e, c(n, j) = (2j)!
+    T_1(n, j), and lo = hi or else lo > 0 and (hi - lo) 2^(bits+36) < lo;
+    1 <= j <= n.  `_truncated_sum` of the signed ballot-weighted powers
+    of `legendre_stirling_binsum` (the k = 0 power is 0 for n >= 1), in
+    Ziv's loop: p starts at bits + 96 and grows until the width passes,
+    by the bits the last width missed plus 8 once lo > 0, else twofold.
+    The module docstring says why the loop ends."""
+    check_row_cap(n)
+    if not 1 <= j <= n:
+        raise ValueError("requires 1 <= j <= n")
+    terms = _sized_terms(((k, -b if (j - k) & 1 else b) for k, b in _ballot_weights(j) if k), n)
+    p = bits + 96
+    while True:
+        lo, hi, e = _truncated_sum(terms, n, p)
+        if lo == hi or lo > 0 and (hi - lo) << (bits + 36) < lo:
+            return lo, hi, e
+        p = p + (hi - lo).bit_length() - lo.bit_length() + bits + 44 if lo > 0 else 2 * p
 
 
 def odd_power_cancellation(j: int, ell: int) -> int:

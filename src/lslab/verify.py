@@ -25,11 +25,10 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm
 
-import mpmath as mp
-
-from . import clt, edgeworth, eisenstein, genpoly, laplace, sturm, triangles
+from . import _lazy, clt, edgeworth, eisenstein, genpoly, laplace, precision, sturm, triangles
 from .errors import CertificationError, LslabError, UnimodalityError
-from .precision import to_mpf
+
+mp = _lazy("mpmath")  # the exact suites run no mpmath
 
 RATIO_WINDOW = (Fraction("1.0438485"), Fraction("1.0438495"))
 RATIO_TARGET = (1000, 930)           # the (n, j) the window is published for
@@ -268,7 +267,7 @@ def ratio_window_check(bits: int) -> CheckResult:
     n, j = RATIO_TARGET
     ratio, entry = clt.ratio_check(n, j, bits)
     with mp.workprec(bits):
-        lo, hi = to_mpf(RATIO_WINDOW[0]), to_mpf(RATIO_WINDOW[1])
+        lo, hi = precision.to_mpf(RATIO_WINDOW[0]), precision.to_mpf(RATIO_WINDOW[1])
         ok = lo <= ratio <= hi
     return _result(
         f"pointwise ratio window at ({n}, {j})",
@@ -343,7 +342,7 @@ def suite_clt(bits: int) -> Iterator[CheckResult]:
     ok = True
     with mp.workprec(bits):
         mean, var = clt.mean_variance_exact(n)
-        sigma = mp.sqrt(to_mpf(var))
+        sigma = mp.sqrt(precision.to_mpf(var))
         cs = clt.centering_scaling(n, bits)
         mass = clt.total_mass_ratio(n, bits)
         row = triangles.modified_legendre_row(n)

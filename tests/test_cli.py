@@ -844,37 +844,38 @@ class TestEntryPoint:
         """Each command, run on a small input in a fresh interpreter, loads
         only what it runs.  mpmath and the analytic modules are registered
         by `import lslab.cli` but run only when a command reads them, so
-        `table` and `compute` never run mpmath; no command loads
-        `dataclasses` or the `inspect` it imports; and hashlib, which
-        `cache` imports, is loaded by `table` alone.  Together the runs
-        load every lslab module."""
-        runs = {  # command: (options, start of its stdout)
-            "compute": (["--family", "legendre", "--n", "3", "--j", "2"], "8\n"),
-            "table": (["--family", "legendre", "--n-max", "5", "--cache-dir", str(tmp_path)],
-                      "n,j,value\n"),
-            "verify": (["roots"], "PASS "),
-            "roots": (["--n", "3", "--refine-bits", "64"], '{"n": 3, '),
-            "clt": (["--n", "20", "--j", "10"], '{"n": 20, '),
-            "edgeworth": (["--n", "10"], "j,x,"),
-            "asymptotics": (["--n-list", "10"], "n,Q,"),
-        }
-        assert sorted(runs) == sorted(COMMANDS)
-        for command, (options, head) in runs.items():
+        `table`, `compute` and the exact `verify identities` never run
+        mpmath; no command loads `dataclasses` or the `inspect` it
+        imports; and hashlib, which `cache` imports, is loaded by `table`
+        alone.  Together the runs load every lslab module."""
+        runs = [  # (argv, start of its stdout)
+            (["compute", "--family", "legendre", "--n", "3", "--j", "2"], "8\n"),
+            (["table", "--family", "legendre", "--n-max", "5", "--cache-dir", str(tmp_path)],
+             "n,j,value\n"),
+            (["verify", "roots"], "PASS "),
+            (["verify", "identities"], "PASS "),
+            (["roots", "--n", "3", "--refine-bits", "64"], '{"n": 3, '),
+            (["clt", "--n", "20", "--j", "10"], '{"n": 20, '),
+            (["edgeworth", "--n", "10"], "j,x,"),
+            (["asymptotics", "--n-list", "10"], "n,Q,"),
+        ]
+        assert sorted({argv[0] for argv, _ in runs}) == sorted(COMMANDS)
+        for argv, head in runs:
+            exact = argv[0] in ("table", "compute") or argv == ["verify", "identities"]
             program = (
                 "import sys\n"
                 "from lslab.cli import main\n"
-                f"code = main({[command, *options]!r})\n"
+                f"code = main({argv!r})\n"
                 "assert 'lslab.clt' in sys.modules and 'mpmath' in sys.modules\n"
-                "assert ('mpmath.libmp' in sys.modules) =="
-                f" {command not in ('table', 'compute')}\n"
+                f"assert ('mpmath.libmp' in sys.modules) == {not exact}\n"
                 "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
-                f"assert 'hashlib' not in sys.modules or {command == 'table'}\n"
+                f"assert 'hashlib' not in sys.modules or {argv[0] == 'table'}\n"
                 "sys.exit(code)\n"
             )
             proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
                                   text=True, env=_child_env())
-            assert proc.returncode == 0, (command, proc.stderr)
-            assert proc.stdout.startswith(head), command
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.stdout.startswith(head), argv
 
 
 # Runs the CLI, then prints its own peak RSS in kB to stderr.  VmHWM is

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lslab import clt
+from lslab import clt, triangles
 from lslab.cli import main
 from lslab.clt import (
     centering_scaling,
@@ -28,7 +28,7 @@ from lslab.clt import (
     scaled_cdf,
     total_mass_ratio,
 )
-from lslab.errors import DegenerateVarianceError, ResourceLimitError
+from lslab.errors import DegenerateVarianceError, KernelInvariantError, ResourceLimitError
 from lslab.triangles import (
     legendre_row_mass_bounds, legendre_stirling_binsum, modified_legendre_row,
 )
@@ -167,6 +167,34 @@ class TestRatioCheck:
         ratio, entry = ratio_check(50, 45, 256)
         assert entry == legendre_stirling_binsum(50, 45)
         assert 0.5 < float(ratio) < 2.0
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_enclosure_off_the_entry_raises(self, monkeypatch, side):
+        """An enclosure shifted wholly below or above (2j)! times the
+        recurrence's entry is an invariant failure, before any ratio."""
+        real = clt.legendre_entry_bounds
+
+        def shifted(n, j, bits):
+            lo, hi, e = real(n, j, bits)
+            step = side * (hi - lo + 1)
+            return lo + step, hi + step, e
+
+        monkeypatch.setattr(clt, "legendre_entry_bounds", shifted)
+        with pytest.raises(KernelInvariantError):
+            ratio_check(50, 45, 256)
+
+    def test_ratio_target_takes_no_binomial_sum(self, monkeypatch):
+        """The ratio-window entry comes from the recurrence and the
+        enclosure alone; tests/test_triangles.py holds the exact folded
+        sum to it."""
+        def no_binsum(*args):
+            raise AssertionError("legendre_stirling_binsum was called")
+
+        monkeypatch.setattr(triangles, "legendre_stirling_binsum", no_binsum)
+        assert not hasattr(clt, "legendre_stirling_binsum")
+        ratio, entry = ratio_check(1000, 930)
+        assert len(str(entry)) == 492
+        assert abs(float(ratio) - 1.0025613808) < 1e-10
 
     def test_json_payload(self, capsys):
         assert main(["clt", "--report", "ratio", "--n", "20", "--j", "18"]) == 0

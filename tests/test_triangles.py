@@ -4,7 +4,9 @@ Derived expected values were fixed by hand-unrolling the recurrence or by
 an independent oracle run; they are frozen here as plain integers.
 """
 
+import hashlib
 import io
+import sys
 import time
 from decimal import Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
@@ -29,6 +31,7 @@ from lslab.triangles import (
     iter_triangle,
     jacobi_stirling,
     jacobi_stirling_explicit,
+    legendre_entry_bounds,
     legendre_from_chebyshev,
     legendre_row_mass_bounds,
     legendre_stirling_binsum,
@@ -165,6 +168,7 @@ class TestRecurrence:
             lambda: chebyshev_stirling_binsum(n, 5),
             lambda: jacobi_stirling_explicit(n, 5, 1),
             lambda: legendre_row_mass_bounds(n, 64),
+            lambda: legendre_entry_bounds(n, 5, 64),
             lambda: triangle_band(LEGENDRE, n, n - 5),
         ]
         for call in refused:
@@ -313,6 +317,7 @@ class TestFoldedSums:
         k = data.draw(st.integers(min_value=0, max_value=j))
         ballot = comb(2 * j, j - k) - (comb(2 * j, j - k - 1) if k < j else 0)
         assert Fraction(factorial(2 * j) * (2 * k + 1), factorial(j - k) * factorial(j + k + 1)) == ballot
+        assert dict(triangles._ballot_weights(j))[k] == ballot
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(min_value=0, max_value=300))
@@ -404,7 +409,10 @@ class TestModified:
             assert factorial(2 * j) * jacobi_stirling(n, j, LEGENDRE) == modified_legendre_row(n)[j]
 
     def test_banded_matches_direct_sum(self):
-        for n, j in [(60, 55), (80, 20)]:
+        # (1000, 930) is the ratio-window entry: `clt.ratio_check` takes it
+        # from the recurrence alone, so this is where the two exact routes
+        # are held to agree bit for bit
+        for n, j in [(60, 55), (80, 20), (1000, 930)]:
             assert jacobi_stirling(n, j, LEGENDRE) == legendre_stirling_binsum(n, j)
 
 
@@ -469,6 +477,83 @@ class TestRowMassBounds:
         mass = row_mass(n)
         for bits in (64, 256, 1024, 2048):
             assert_tight_bounds(n, bits, mass)
+
+
+# sha256 of repr((lo, hi, e)) of `legendre_row_mass_bounds(n, bits)`,
+# recorded before the mass and the entry enclosure shared `_truncated_sum`
+MASS_BOUNDS_SHA256 = {
+    (1, 64): "9fb5aee430db3f1f92ef001e2ff0bd27bb453737960ea09e9f5072508104aede",
+    (1, 272): "9fb5aee430db3f1f92ef001e2ff0bd27bb453737960ea09e9f5072508104aede",
+    (1, 2): "9fb5aee430db3f1f92ef001e2ff0bd27bb453737960ea09e9f5072508104aede",
+    (2, 64): "85876cffe2b7553e29dfc99580cd6d68851a3e264f5d1fdb14e63ad9f73b22f2",
+    (2, 272): "85876cffe2b7553e29dfc99580cd6d68851a3e264f5d1fdb14e63ad9f73b22f2",
+    (2, 5): "85876cffe2b7553e29dfc99580cd6d68851a3e264f5d1fdb14e63ad9f73b22f2",
+    (50, 64): "65530d3cd9a0917a44c97441f2e7aad0d4f8346d541811636e772fff484eafd2",
+    (50, 272): "e6f0099b6e988d1876dbb1f54f1660ef1d32321eea26f11ff87b188a97fa9672",
+    (50, 525): "cf39217542947aefe91fcf218c189a9be9389a67263ef78e3f7c8b124c5fa8b3",
+    (400, 64): "aedb74a827ff232fdc529c3b64c952593a7b23e04695db7e4b5c882d4c675089",
+    (400, 272): "6a71daac8b3725b3389cc9d14f03de704908153c298fee7bb9733e94a1989995",
+    (400, 6568): "4bf12d857ffeec2b6268a0bf9b1aacd7faf7686b5d7ee36c7b90769ddb60ae76",
+    (1999, 64): "804cf9c96d3fe8d9b6cd6aa7fa0c4226a41dd42dd8d21e188384696e7589cd75",
+    (1999, 272): "cd29f4cb31febaf48ef374e45dc1299c944d6a6cb97e8c24f62fb76b7c94556a",
+    (1999, 42076): "3a7c705fc44d56bd9ec7149d4ffcaf0a6c736d6d350265f16f0e749c3c3adf25",
+}
+
+
+def test_mass_bounds_unchanged():
+    """The mass keeps its fixed p on the shared loop: every (lo, hi, e)
+    is bit-identical, at 64 and 272 bits and at bitlen((2n)!)."""
+    assert sorted(MASS_BOUNDS_SHA256) == sorted(
+        (n, bits) for n in (1, 2, 50, 400, 1999)
+        for bits in (64, 272, factorial(2 * n).bit_length())
+    )
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # repr of the n = 1999 bounds
+    try:
+        for (n, bits), digest in MASS_BOUNDS_SHA256.items():
+            bounds = repr(legendre_row_mass_bounds(n, bits)).encode()
+            assert hashlib.sha256(bounds).hexdigest() == digest, (n, bits)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class TestEntryBounds:
+    """legendre_entry_bounds encloses c(n, j) = (2j)! T_1(n, j), the
+    exact folded binomial sum times (2j)!, with the width its Ziv loop
+    checks after the fact."""
+
+    @staticmethod
+    def assert_certified(n, j, bits):
+        exact = factorial(2 * j) * legendre_stirling_binsum(n, j)
+        lo, hi, e = legendre_entry_bounds(n, j, bits)
+        assert lo << e <= exact <= hi << e
+        assert lo == hi or (lo > 0 and (hi - lo) << (bits + 36) < lo)
+        if bits >= exact.bit_length():
+            assert lo == hi
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=80), bits=st.integers(min_value=64, max_value=600),
+           data=st.data())
+    def test_encloses_exact_entry(self, n, bits, data):
+        self.assert_certified(n, data.draw(st.integers(min_value=1, max_value=n)), bits)
+
+    @pytest.mark.parametrize("n,j", [(1000, 930), (1999, 200), (1999, 1998)])
+    def test_encloses_exact_entry_far_out(self, n, j):
+        self.assert_certified(n, j, 256)
+
+    def test_row_cap_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a capped row was summed")
+
+        monkeypatch.setattr(triangles, "_ballot_weights", no_work)
+        monkeypatch.setattr(triangles, "_truncated_sum", no_work)
+        with pytest.raises(ResourceLimitError):
+            legendre_entry_bounds(MAX_ROWS, 5, 64)
+
+    @pytest.mark.parametrize("n,j", [(5, 0), (5, 6), (0, 0)])
+    def test_outside_one_to_n(self, n, j):
+        with pytest.raises(ValueError):
+            legendre_entry_bounds(n, j, 64)
 
 
 class TestConnections:
